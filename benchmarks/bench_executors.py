@@ -30,6 +30,7 @@ import numpy as np
 from benchmarks.conftest import bench_scale
 from repro.crawl.executors import ProcessExecutor, make_executor
 from repro.crawl.partition import crawl_partitioned, partition_space
+from repro.crawl.spec import CrawlSpec
 from repro.dataspace.dataset import Dataset
 from repro.dataspace.space import DataSpace
 from repro.server.latency import LatencySource
@@ -91,7 +92,7 @@ def write_report(report: dict) -> str:
 
 
 def measure_coordinator_round_trips() -> int:
-    """Control-plane chatter of a fixed shared-limit crawl.
+    """Control-plane chatter of a fixed budgeted process crawl.
 
     Deliberately scale-independent and statically dispatched: the same
     small limit-bearing plan leases, flushes and records identically on
@@ -117,12 +118,13 @@ def measure_coordinator_round_trips() -> int:
     plan = partition_space(space, 3)
     budget = QueryBudget(10_000_000)
     sources = [TopKServer(dataset, 24, limits=[budget]) for _ in range(3)]
-    ProcessExecutor(max_workers=2).run(sources, plan, shared_limits=True)
+    # Budgeted sources alone put the pool on the shared-limit plane.
+    ProcessExecutor(max_workers=2).run(sources, plan)
     return sources[0].stats.round_trips
 
 
 def test_backend_speedups_cpu_bound(benchmark):
-    """Thread vs process vs async on a GIL-hostile workload."""
+    """Thread vs process on a GIL-hostile workload."""
     # Sized so the crawl is seconds of pure-Python engine work even in
     # quick mode: the process pool's startup must be noise next to it.
     n = max(6000, int(20000 * bench_scale()))
@@ -140,11 +142,11 @@ def test_backend_speedups_cpu_bound(benchmark):
     results = {}
 
     def run_all():
-        for name in ("thread", "process", "async"):
+        for name in ("thread", "process"):
             executor = make_executor(name, max_workers=SESSIONS)
             results[name], seconds[name] = timed(
                 lambda executor=executor: executor.run(
-                    sources(), plan, rebalance=True
+                    sources(), plan, CrawlSpec(rebalance=True)
                 )
             )
 
@@ -209,7 +211,7 @@ def test_rebalancing_on_a_skewed_plan(benchmark):
 
     def rebalanced():
         return make_executor("thread", max_workers=SESSIONS).run(
-            sources(), plan, rebalance=True
+            sources(), plan, CrawlSpec(rebalance=True)
         )
 
     stolen = benchmark.pedantic(rebalanced, rounds=1, iterations=1)

@@ -10,9 +10,10 @@ deployments, and it is exactly what the leasing
 ``lease(n)`` round trip admits a budget chunk, local ``admit()`` calls
 consume it for free, and unused units flow back at region boundaries.
 
-This benchmark crawls one limit-bearing plan on the shared-limit
-process backend twice -- ``lease_chunk=1`` (the old per-query protocol)
-and the estimator-sized default -- and
+This benchmark crawls one limit-bearing plan on the process backend
+(whose budgeted sources put it on the shared-limit plane) twice --
+``lease_chunk=1`` (the old per-query protocol) and the estimator-sized
+default -- and
 
 * asserts the two runs are byte-identical with the exact same charge
   (leasing trades zero exactness),
@@ -96,9 +97,7 @@ def test_lease_batching_cuts_coordinator_round_trips(benchmark):
         budget = QueryBudget(10_000_000)
         crawl_sources = sources(budget)
         executor = ProcessExecutor(max_workers=2, lease_chunk=lease_chunk)
-        result, seconds = timed(
-            lambda: executor.run(crawl_sources, plan, shared_limits=True)
-        )
+        result, seconds = timed(lambda: executor.run(crawl_sources, plan))
         return result, seconds, budget.used, crawl_sources[0].stats
 
     measurements = {}

@@ -28,6 +28,7 @@ import pytest
 
 from benchmarks.conftest import bench_scale
 from repro.crawl.parallel import crawl_partitioned_parallel
+from repro.crawl.spec import CrawlSpec
 from repro.crawl.partition import crawl_partitioned, partition_space
 from repro.datasets.yahoo import yahoo_autos
 from repro.server.latency import LatencySource
@@ -63,8 +64,7 @@ def test_parallel_speedup_and_determinism(benchmark, dataset, plan):
 
     parallel = benchmark.pedantic(
         crawl_partitioned_parallel,
-        args=(make_sources(dataset), plan),
-        kwargs={"max_workers": SESSIONS},
+        args=(make_sources(dataset), plan, CrawlSpec(max_workers=SESSIONS)),
         rounds=1,
         iterations=1,
     )
@@ -101,7 +101,7 @@ def test_worker_count_sweep(benchmark, dataset, plan):
         for workers in (1, 2, 4):
             start = time.perf_counter()
             merged = crawl_partitioned_parallel(
-                make_sources(dataset), plan, max_workers=workers
+                make_sources(dataset), plan, CrawlSpec(max_workers=workers)
             )
             timings[workers] = time.perf_counter() - start
             assert merged.rows == reference.rows

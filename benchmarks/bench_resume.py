@@ -35,6 +35,7 @@ from benchmarks.conftest import bench_scale
 from repro.crawl.checkpoint import CheckpointWriter, load_crawl_checkpoint
 from repro.crawl.executors import ThreadExecutor
 from repro.crawl.partition import crawl_partitioned, partition_space
+from repro.crawl.spec import CrawlSpec
 from repro.dataspace.dataset import Dataset
 from repro.dataspace.space import DataSpace
 from repro.server.server import TopKServer
@@ -115,7 +116,9 @@ def test_resume_reissues_zero_queries(benchmark, tmp_path):
         executor = ThreadExecutor(max_workers=2)
         result, seconds = timed(
             lambda: executor.run(
-                sources(), plan, rebalance=True, on_region=on_region
+                sources(),
+                plan,
+                CrawlSpec(rebalance=True, on_region=on_region),
             )
         )
         measurements["interrupted"] = (result, seconds)
@@ -133,8 +136,7 @@ def test_resume_reissues_zero_queries(benchmark, tmp_path):
         lambda: ThreadExecutor(max_workers=2).run(
             full_sources,
             plan,
-            rebalance=True,
-            completed=checkpoint.completed,
+            CrawlSpec(rebalance=True, completed=checkpoint.completed),
         )
     )
     assert_identical(resumed, reference, "full resume")
@@ -153,8 +155,7 @@ def test_resume_reissues_zero_queries(benchmark, tmp_path):
         lambda: ThreadExecutor(max_workers=2).run(
             mid_sources,
             plan,
-            rebalance=True,
-            completed=snapshot.completed,
+            CrawlSpec(rebalance=True, completed=snapshot.completed),
         )
     )
     assert_identical(mid_resumed, reference, "midpoint resume")

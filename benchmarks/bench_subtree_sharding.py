@@ -32,6 +32,7 @@ import numpy as np
 from benchmarks.conftest import bench_scale
 from repro.crawl.executors import make_executor
 from repro.crawl.partition import partition_space
+from repro.crawl.spec import CrawlSpec
 from repro.dataspace.dataset import Dataset
 from repro.dataspace.space import DataSpace
 from repro.server.latency import LatencySource
@@ -96,13 +97,15 @@ def test_subtree_sharding_beats_whole_region_stealing(benchmark):
     )
     region_stolen, region_seconds = timed(
         lambda: make_executor("thread", max_workers=SESSIONS).run(
-            sources(), plan, rebalance=True
+            sources(), plan, CrawlSpec(rebalance=True)
         )
     )
 
     def sharded():
         return make_executor("thread", max_workers=SESSIONS).run(
-            sources(), plan, rebalance=True, shard_subtrees=SHARDS
+            sources(),
+            plan,
+            CrawlSpec(rebalance=True, shard_subtrees=SHARDS),
         )
 
     shard_result = benchmark.pedantic(sharded, rounds=1, iterations=1)

@@ -20,7 +20,7 @@ determinism contract.
 
 Picking an executor backend
 ---------------------------
-The thread pool is one of four pluggable backends
+The thread pool is one of three pluggable backends
 (:mod:`repro.crawl.executors`); all of them honour the same
 determinism contract, so the choice is purely about where the time
 goes:
@@ -30,12 +30,11 @@ goes:
     them.
 ``--executor process``
     CPU-bound simulated workloads: the GIL caps threads at one core,
-    worker processes do not.  Sources are pickled into the workers, so
-    use limit-free servers (each worker admits against its own copy).
-``--executor async``
-    Awaitable sources (:class:`repro.server.AsyncLatencySource`, web
-    adapters behind :class:`repro.server.AwaitableClient`): the waits
-    multiplex on one event loop.
+    worker processes do not.  Sources are pickled into the workers;
+    servers carrying limits (``--budget``) admit them exactly once
+    across the pool through a coordinator process.
+``--executor sequential``
+    The reference: one region after another in the calling thread.
 ``--rebalance``
     Any backend: work stealing moves whole regions off the slowest
     session, using the observed cost of every finished region to pick
@@ -45,7 +44,7 @@ The same switches exist programmatically::
 
     from repro.crawl.parallel import crawl_partitioned_parallel
     merged = crawl_partitioned_parallel(
-        sources, plan, executor="process", rebalance=True
+        sources, plan, CrawlSpec(executor="process", rebalance=True)
     )
 
 and on the CLI::
@@ -63,6 +62,7 @@ Run::
 import time
 
 from repro import (
+    CrawlSpec,
     DailyRateLimit,
     Hybrid,
     LatencySource,
@@ -181,7 +181,7 @@ def main() -> None:
 
     start = time.perf_counter()
     parallel = crawl_partitioned_parallel(
-        latency_sources(), plan, max_workers=sessions
+        latency_sources(), plan, CrawlSpec(max_workers=sessions)
     )
     par_seconds = time.perf_counter() - start
 
@@ -208,9 +208,7 @@ def main() -> None:
     stolen = crawl_partitioned_parallel(
         plain_sources(),
         plan,
-        max_workers=sessions,
-        executor="process",
-        rebalance=True,
+        CrawlSpec(executor="process", max_workers=sessions, rebalance=True),
     )
     proc_seconds = time.perf_counter() - start
     reference = crawl_partitioned(plain_sources(), plan)

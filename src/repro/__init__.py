@@ -73,8 +73,6 @@ from repro.exceptions import (
 )
 from repro.query import Query, full_query, point_query, slice_query
 from repro.server import (
-    AsyncLatencySource,
-    AwaitableClient,
     CachingClient,
     DailyRateLimit,
     LatencySource,
@@ -134,8 +132,6 @@ __all__ = [
     "point_query",
     "slice_query",
     # server
-    "AsyncLatencySource",
-    "AwaitableClient",
     "CachingClient",
     "PatientClient",
     "DailyRateLimit",

@@ -45,7 +45,6 @@ from repro.crawl.dependency import (
 from repro.crawl.dfs import DepthFirstSearch
 from repro.crawl.executors import (
     EXECUTORS,
-    AsyncExecutor,
     CrawlExecutor,
     ProcessExecutor,
     SequentialExecutor,
@@ -122,7 +121,6 @@ __all__ = [
     "SequentialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "AsyncExecutor",
     "EXECUTORS",
     "make_executor",
     "ALGORITHMS",

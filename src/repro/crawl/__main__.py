@@ -14,7 +14,7 @@ out::
     python -m repro.crawl data.csv --k 256 --workers 4 \
         --rebalance --shard-subtrees 8
     python -m repro.crawl data.csv --k 256 --workers 4 \
-        --executor process --shared-limits --budget 5000
+        --executor process --budget 5000
     python -m repro.crawl data.csv --k 256 --workers 4 --progress-live
     python -m repro.crawl data.csv --k 256 --workers 4 \
         --checkpoint crawl.ckpt
@@ -27,7 +27,7 @@ connection) per worker -- the merged bag and total cost are
 deterministic and match a sequential partitioned crawl exactly (see
 :mod:`repro.crawl.executors`).  ``--executor`` picks the backend
 (``thread`` overlaps simulated round trips, ``process`` escapes the
-GIL on CPU-bound engines, ``async`` coordinates awaitable sources) and
+GIL on CPU-bound engines, ``sequential`` is the reference) and
 ``--rebalance`` turns on work stealing, which moves regions off the
 slowest session without changing the result.  ``--shard-subtrees``
 additionally splits each region's crawl frontier into subtree shards
@@ -39,11 +39,10 @@ partition planner may produce (see
 
 ``--budget N`` puts one server-side :class:`QueryBudget` of ``N``
 queries in front of *all* sessions together -- the paper's global
-interface limit.  ``--shared-limits`` keeps that budget (and any other
-server-side limits/stats) exactly-once on the process backend by
-routing admissions through the shared-state control plane
-(:mod:`repro.crawl.coordinator`); in-process backends already share the
-budget object and are unaffected.  ``--progress-live`` prints a
+interface limit -- on every backend: the in-process backends share the
+budget object, and the process backend admits it exactly once across
+its pool through the shared-state control plane
+(:mod:`repro.crawl.coordinator`).  ``--progress-live`` prints a
 line-per-session progress view (to stderr) while the crawl runs, with
 failed sessions marked distinctly.
 
@@ -139,8 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(EXECUTORS),
         default="thread",
         help="concurrency backend for --workers > 1: thread overlaps "
-        "round trips, process escapes the GIL on CPU-bound engines, "
-        "async coordinates awaitable sources (default: thread)",
+        "round trips, process escapes the GIL on CPU-bound engines "
+        "(any --budget still admits exactly once across the pool), "
+        "sequential is the reference (default: thread)",
     )
     parser.add_argument(
         "--rebalance",
@@ -180,13 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="put one server-side query budget of N queries in front "
         "of all sessions together (the paper's interface limit); the "
         "crawl fails cleanly when it runs out",
-    )
-    parser.add_argument(
-        "--shared-limits",
-        action="store_true",
-        help="keep server-side limits/stats exactly-once on the "
-        "process backend via the shared-state control plane "
-        "(in-process backends already share them; no-op there)",
     )
     parser.add_argument(
         "--checkpoint",
@@ -319,13 +312,12 @@ def _main(args: argparse.Namespace) -> int:
         args.executor != "thread"
         or args.rebalance
         or args.shard_subtrees is not None
-        or args.shared_limits
         or args.progress_live
     ):
         print(
             "note: --executor/--rebalance/--shard-subtrees/"
-            "--shared-limits/--progress-live only take effect with "
-            "--workers > 1; running a single unpartitioned crawl",
+            "--progress-live only take effect with --workers > 1; "
+            "running a single unpartitioned crawl",
             file=sys.stderr,
         )
     try:
@@ -341,18 +333,6 @@ def _main(args: argparse.Namespace) -> int:
         f"min feasible k={dataset.min_feasible_k()}"
     )
     algorithm = ALGORITHMS[args.algorithm]
-    if (
-        args.budget is not None
-        and args.workers > 1
-        and args.executor == "process"
-        and not args.shared_limits
-    ):
-        print(
-            "note: --budget with --executor process admits per worker-"
-            "process copy; add --shared-limits to enforce it exactly "
-            "once across the pool",
-            file=sys.stderr,
-        )
     budget = QueryBudget(args.budget) if args.budget is not None else None
     limits = [budget] if budget is not None else []
     try:
@@ -472,8 +452,6 @@ def _main(args: argparse.Namespace) -> int:
                 mode += " + adaptive subtree shards"
             elif args.shard_subtrees is not None:
                 mode += f" + {args.shard_subtrees}-way subtree shards"
-            if args.shared_limits:
-                mode += " + shared limits"
             print(
                 f"plan: {len(plan.regions)} regions on "
                 f"{dataset.space[plan.attribute].name!r}, "
@@ -487,15 +465,10 @@ def _main(args: argparse.Namespace) -> int:
         print(f"infeasible at k={args.k}: {exc}", file=sys.stderr)
         return 3
     except QueryBudgetExhausted as exc:
-        # Without shared limits the parent's budget object is untouched
-        # by pool workers (each admitted against its own copy); fall
-        # back to the exception's own count so the message never reads
-        # "0 queries charged" on the process backend.
-        used = exc.issued
-        if budget is not None and budget.used:
-            used = budget.used
+        # The budget is the only limit the CLI puts in front of the
+        # server, and every backend charges the caller's object exactly.
         print(
-            f"budget exhausted: {exc} ({used} queries charged)",
+            f"budget exhausted: {exc} ({budget.used} queries charged)",
             file=sys.stderr,
         )
         if checkpoint_path is not None:

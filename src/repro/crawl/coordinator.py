@@ -1,10 +1,11 @@
 """Cross-process shared-limit control plane for the process backend.
 
 The paper charges every issued query against the server's interface
-limits, but a plain pickled source copy (the process executor's default)
-gives each pool worker its *own* ``QueryBudget``/``DailyRateLimit`` --
-exact accounting, the repo's core determinism contract, silently breaks
-across processes.  This module closes that gap:
+limits, but a plain pickled source copy gives each pool worker its
+*own* ``QueryBudget``/``DailyRateLimit`` -- exact accounting, the
+repo's core determinism contract, would silently break across
+processes.  This module closes that gap, and the process executor uses
+it exactly when :func:`carries_limits` finds a limit in its sources:
 
 * :class:`LimitCoordinator` starts a lightweight coordinator process (a
   :class:`multiprocessing.managers.BaseManager`) whose
@@ -18,13 +19,7 @@ across processes.  This module closes that gap:
   ``LocklessPickle`` per-copy paths -- that admit, tick and account
   through the plane with **exactly-once** semantics (the authoritative
   object's own lock serialises admissions, no matter how many processes
-  race);
-* the coordinator can also host a
-  :class:`~repro.crawl.rebalance.WorkStealingScheduler` or
-  :class:`~repro.crawl.rebalance.SubtreeScheduler`
-  (:meth:`LimitCoordinator.make_scheduler`), which is what lets idle
-  pool workers steal regions and subtree shards *across process
-  boundaries* with exact observed-cost feedback.
+  race).
 
 Ownership and write-back
 ------------------------
@@ -76,9 +71,9 @@ it two ways, without giving up a single unit of exactness:
   region instead of one call per query.
 
 The chatter itself is measured: the plane counts every worker-originated
-round trip (admission, leases, releases, clock ticks, stats deltas,
-progress events -- not the parent's own polling or write-back reads)
-and write-back lands the fleet-wide total in each caller-side
+round trip (admission, leases, releases, clock ticks, stats deltas --
+not the parent's own write-back reads) and write-back lands the
+fleet-wide total in each caller-side
 :attr:`~repro.server.stats.QueryStats.round_trips`, which is what the
 benchmarks gate on.
 """
@@ -87,6 +82,7 @@ from __future__ import annotations
 
 import copy
 import threading
+from collections.abc import Iterator
 from multiprocessing.managers import BaseManager
 
 from repro.crawl.rebalance import CostEstimator
@@ -112,6 +108,7 @@ __all__ = [
     "SharedClock",
     "SharedStats",
     "TenantLimitRegistry",
+    "carries_limits",
     "lease_chunk_for_plan",
 ]
 
@@ -122,6 +119,37 @@ DEFAULT_LEASE_CHUNK = 32
 #: chunk parked in one worker starves the rest of a tight budget for
 #: longer than the round trips it saves are worth.
 MAX_LEASE_CHUNK = 256
+
+#: The attributes through which a wrapper (caching client, latency
+#: simulator, patient client, web session) reaches its wrapped source.
+_WRAPPED = ("_server", "_source", "_site")
+
+
+def _servers(obj) -> Iterator[TopKServer]:
+    """Every :class:`TopKServer` reachable down ``obj``'s wrapper chain."""
+    if isinstance(obj, TopKServer):
+        yield obj
+        return
+    for attr in _WRAPPED:
+        inner = getattr(obj, attr, None)
+        if inner is not None:
+            yield from _servers(inner)
+
+
+def carries_limits(sources) -> bool:
+    """Whether any source stack holds a server-side query limit.
+
+    The process executor's one switch for the control plane: per-worker
+    source copies are exact for limit-free crawls, while a single
+    :class:`~repro.server.limits.QueryLimit` anywhere in the stacks
+    means copies would admit it once per worker -- so the limits must
+    move into a :class:`LimitCoordinator`.  Walks the same wrapper
+    chains (``_server`` / ``_source`` / ``_site``) that
+    :meth:`LimitCoordinator.share_sources` rewires.
+    """
+    return any(
+        server._limits for source in sources for server in _servers(source)
+    )
 
 
 def lease_chunk_for_plan(plan, estimator: CostEstimator | None) -> int:
@@ -399,7 +427,6 @@ class _ControlPlane:
         self._lock = threading.Lock()
         self._objects: dict[int, object] = {}
         self._next_handle = 0
-        self._events: list[tuple] = []
         self._round_trips = 0
 
     def _add(self, obj) -> int:
@@ -414,11 +441,10 @@ class _ControlPlane:
             return self._objects[handle]
 
     def _count(self) -> None:
-        # One worker-originated round trip.  Registration, the parent's
-        # event polling and state reads (write-back, telemetry) are not
-        # counted: the metric is the admission/accounting chatter that
-        # lease batching exists to shrink, so it must not move with how
-        # often a monitor polls.
+        # One worker-originated round trip.  Registration and state
+        # reads (write-back, telemetry) are not counted: the metric is
+        # the admission/accounting chatter that lease batching exists
+        # to shrink, so it must not move with how often a monitor polls.
         with self._lock:
             self._round_trips += 1
 
@@ -518,11 +544,6 @@ class _ControlPlane:
         """``remaining_today`` of an owned daily limit (uncounted)."""
         return self._get(handle).remaining_today
 
-    def stats_record(self, handle: int, overflow: bool, tuples: int) -> None:
-        """Account one answered query into an owned stats object."""
-        self._count()
-        self._get(handle).record_counts(overflow, tuples)
-
     def stats_merge(self, handle: int, delta: dict) -> None:
         """Fold a worker's buffered stats delta into an owned object.
 
@@ -533,50 +554,12 @@ class _ControlPlane:
         self._count()
         self._get(handle).merge_counts(delta)
 
-    # ------------------------------------------------------------------
-    # Progress event relay (workers push, the parent drains)
-    # ------------------------------------------------------------------
-    def push_event(self, event: tuple) -> None:
-        """Queue one progress event for the parent to collect."""
-        with self._lock:
-            self._round_trips += 1
-            self._events.append(event)
-
-    def pop_events(self) -> list[tuple]:
-        """Drain the queued progress events (each returned once)."""
-        with self._lock:
-            events = self._events
-            self._events = []
-            return events
-
-
-def _make_worksteal_scheduler(bundles, estimator_state, completed=None):
-    # Manager-side factory: rebuild the caller's estimator knowledge
-    # from its export_state() snapshot (the object itself holds a lock
-    # and cannot travel).  ``completed`` maps a resumed crawl's
-    # already-finished plan positions to their exact costs.
-    from repro.crawl.rebalance import WorkStealingScheduler
-
-    estimator = CostEstimator(**estimator_state) if estimator_state else None
-    return WorkStealingScheduler(bundles, estimator, completed)
-
-
-def _make_subtree_scheduler(bundles, estimator_state, completed=None):
-    from repro.crawl.rebalance import SubtreeScheduler
-
-    estimator = CostEstimator(**estimator_state) if estimator_state else None
-    return SubtreeScheduler(bundles, estimator, completed)
-
 
 class _CoordinatorManager(BaseManager):
-    """The manager hosting one control plane and optional schedulers."""
+    """The manager hosting one control plane."""
 
 
 _CoordinatorManager.register("ControlPlane", _ControlPlane)
-_CoordinatorManager.register(
-    "WorkStealingScheduler", _make_worksteal_scheduler
-)
-_CoordinatorManager.register("SubtreeScheduler", _make_subtree_scheduler)
 
 
 # ----------------------------------------------------------------------
@@ -872,7 +855,7 @@ class LimitCoordinator:
     shared by several servers stays one budget) and returns rewired
     source clones; ``writeback`` copies the authoritative counters back
     into the caller's original objects.  The process executor drives
-    all of this automatically under ``shared_limits=True``.
+    all of this automatically whenever :func:`carries_limits` is true.
     """
 
     def __init__(self, *, mp_context=None):
@@ -967,15 +950,15 @@ class LimitCoordinator:
 
         Raises :class:`TypeError` for a source whose stack exposes no
         rewireable server at all: silently shipping per-worker limit
-        copies under ``shared_limits=True`` would break the
-        exactly-once contract without anyone noticing.
+        copies would break the exactly-once contract without anyone
+        noticing.
         """
         rewired = []
         for source in sources:
             clone = self._rewire(source)
             if clone is source:
                 raise TypeError(
-                    "shared_limits could not rewire a source of type "
+                    "the control plane could not rewire a source of type "
                     f"{type(source).__name__}: expected a TopKServer or "
                     "a wrapper chain (attributes _server/_source/_site) "
                     "ending in one; without rewiring, each pool worker "
@@ -991,7 +974,7 @@ class LimitCoordinator:
                 stats=self.share(obj.stats),
             )
         clone = obj
-        for attr in ("_server", "_source", "_site"):
+        for attr in _WRAPPED:
             inner = getattr(obj, attr, None)
             if inner is None:
                 continue
@@ -1065,10 +1048,6 @@ class LimitCoordinator:
             if isinstance(stub, SharedBudget):
                 stub.lease_chunk = chunk
 
-    def round_trips(self) -> int:
-        """Worker-originated round trips the plane has served so far."""
-        return self.plane.round_trips()
-
     def writeback(self) -> None:
         """Copy the authoritative counters back into the originals.
 
@@ -1086,35 +1065,3 @@ class LimitCoordinator:
                 flush()
         for original, handle in self._writeback:
             original.restore_state(self.plane.object_state(handle))
-
-    # ------------------------------------------------------------------
-    # Cross-process scheduling
-    # ------------------------------------------------------------------
-    def make_scheduler(
-        self,
-        bundles,
-        estimator: CostEstimator | None = None,
-        *,
-        subtree: bool = False,
-        completed=None,
-    ):
-        """A coordinator-hosted scheduler proxy for worker-pull loops.
-
-        The scheduler object lives in the coordinator process; the
-        returned proxy (picklable into pool workers) serialises
-        ``acquire`` / ``complete`` / ``publish`` calls through it, so
-        idle workers steal regions -- and, with ``subtree=True``,
-        subtree shards of live regions -- across process boundaries
-        with exact observed-cost accounting.  ``estimator`` knowledge
-        travels via :meth:`CostEstimator.export_state`; fold the
-        results back with the scheduler's ``completed_costs()``.
-        ``completed`` maps a resumed crawl's already-finished plan
-        positions to their costs -- never queued, but seeded into the
-        scheduler's estimator.
-        """
-        state = estimator.export_state() if estimator is not None else None
-        bundles = [list(bundle) for bundle in bundles]
-        completed = dict(completed) if completed else None
-        if subtree:
-            return self._manager.SubtreeScheduler(bundles, state, completed)
-        return self._manager.WorkStealingScheduler(bundles, state, completed)

@@ -1,4 +1,4 @@
-"""Pluggable crawl transports: sequential, thread, process and async.
+"""Pluggable crawl transports: sequential, thread and process.
 
 A partitioned crawl is a grid of region crawls -- ``plan.bundles[s][i]``
 -- each of which is a pure function of (session source, region): a
@@ -29,21 +29,12 @@ reaches them, and whether sources are shared or copied:
     crawler factory are pickled once into each worker (the serving
     stack's lock-dropping ``__getstate__`` paths make servers, clients
     and limits picklable).  Wins on CPU-bound simulated workloads,
-    where the GIL caps the thread backend at a single core.  By
-    default each worker crawls against its own *copy* of the sources,
-    so server-side mutable accounting (limits, server stats) is
-    per-worker; with ``shared_limits=True`` the limits, clocks and
+    where the GIL caps the thread backend at a single core.  When a
+    source stack carries a server-side limit, the limits, clocks and
     stats move into a shared-state control plane
     (:mod:`repro.crawl.coordinator`) with lease-batched exactly-once
     admission across the whole pool -- real budgets on the multi-core
-    backend, at a fraction of the per-query coordinator chatter.
-:class:`AsyncExecutor`
-    An asyncio event loop coordinating the sessions.  Sources exposing
-    an awaitable ``arun(query)`` coroutine (e.g.
-    :class:`~repro.server.latency.AsyncLatencySource`, or a web adapter
-    wrapped in :class:`~repro.server.client.AwaitableClient`) have
-    their I/O waits multiplexed on the loop; the synchronous crawler
-    code runs on worker threads and blocks only itself.
+    backend, decided by the sources themselves rather than a flag.
 
 Adaptive rebalancing
 --------------------
@@ -90,13 +81,11 @@ result instead and the merge is marked incomplete.
 from __future__ import annotations
 
 import abc
-import asyncio
-import functools
+import contextlib
 import hashlib
 import io
 import os
 import pickle
-import warnings
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
@@ -108,24 +97,25 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.crawl.base import Crawler, CrawlResult
+from repro.crawl.coordinator import (
+    LimitCoordinator,
+    carries_limits,
+    lease_chunk_for_plan,
+)
 from repro.crawl.partition import (
     PartitionedResult,
     PartitionPlan,
     _check_sources,
     _merge_session_results,
 )
-from repro.crawl.rebalance import (
-    CostEstimator,
-    RegionKey,
-    RegionTask,
-    ShardTask,
-)
+from repro.crawl.rebalance import RegionKey, RegionTask, ShardTask
 from repro.crawl.runtime import (
     AggregatorFeed,
     BatchSink,
     GridSink,
     LocalUnitRunner,
     ShardPolicy,
+    crawl_region_unit,
     drive_futures,
     drive_session,
     drive_stealing,
@@ -139,7 +129,6 @@ __all__ = [
     "SequentialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "AsyncExecutor",
     "EXECUTORS",
     "make_executor",
     "default_workers",
@@ -230,33 +219,8 @@ class CrawlExecutor(abc.ABC):
             max(1, sum(len(bundle) for bundle in plan.bundles))
         )
 
-    def _resolve_spec(
-        self, spec: CrawlSpec | None, legacy: dict
-    ) -> CrawlSpec:
-        """The run configuration: a spec, or legacy kwargs shimmed."""
-        if legacy:
-            if spec is not None:
-                raise TypeError(
-                    "pass either spec= or legacy keyword arguments, "
-                    "not both"
-                )
-            unknown = set(legacy) - CrawlSpec.RUN_FIELDS
-            if unknown:
-                raise TypeError(
-                    "run() got unexpected keyword arguments: "
-                    f"{sorted(unknown)}"
-                )
-            warnings.warn(
-                "passing crawl configuration as individual keyword "
-                "arguments to CrawlExecutor.run() is deprecated; build "
-                "a repro.crawl.spec.CrawlSpec and call "
-                "run(sources, plan, spec)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            spec = CrawlSpec(**legacy)
-        if spec is None:
-            spec = CrawlSpec()
+    def _check_spec(self, spec: CrawlSpec) -> None:
+        """Reject a spec whose backend half disagrees with this instance."""
         if spec.executor is not None and spec.executor != self.name:
             raise ValueError(
                 f"spec names executor {spec.executor!r} but run() was "
@@ -264,14 +228,21 @@ class CrawlExecutor(abc.ABC):
                 "executor with make_executor(spec=spec) so they cannot "
                 "disagree"
             )
-        return spec
+        if (
+            spec.max_workers is not None
+            and spec.max_workers != self._max_workers
+        ):
+            raise ValueError(
+                f"spec asks for max_workers={spec.max_workers} but this "
+                f"executor was built with {self._max_workers}; build it "
+                "with make_executor(spec=spec) so they cannot disagree"
+            )
 
     def run(
         self,
         sources: Sequence,
         plan: PartitionPlan,
         spec: CrawlSpec | None = None,
-        **legacy,
     ) -> PartitionedResult:
         """Crawl every region of ``plan`` and merge deterministically.
 
@@ -289,17 +260,10 @@ class CrawlExecutor(abc.ABC):
             :class:`~repro.crawl.spec.CrawlSpec` (default: a default
             spec).  Its *run half* is consumed here; the field
             semantics are documented on the spec.  A spec whose
-            ``executor`` field names a different backend than this
+            ``executor`` or ``max_workers`` disagrees with this
             instance is rejected -- build the instance with
             :func:`make_executor(spec=spec) <make_executor>` so the
             two cannot disagree.
-        **legacy:
-            The pre-spec keyword arguments (``crawler_factory``,
-            ``allow_partial``, ``aggregator``, ``rebalance``,
-            ``estimator``, ``shard_subtrees``, ``shared_limits``,
-            ``completed``, ``on_region``) are still accepted through a
-            :class:`DeprecationWarning` shim that folds them into a
-            spec; new code should build the spec directly.
 
         Raises
         ------
@@ -311,7 +275,8 @@ class CrawlExecutor(abc.ABC):
             exception of the lowest failing plan position, after every
             worker drained).
         """
-        spec = self._resolve_spec(spec, legacy)
+        spec = spec if spec is not None else CrawlSpec()
+        self._check_spec(spec)
         _check_sources(sources, plan)
         aggregator = spec.aggregator
         if aggregator is not None and aggregator.sessions != plan.sessions:
@@ -337,18 +302,7 @@ class CrawlExecutor(abc.ABC):
         )
         feed = AggregatorFeed(aggregator, plan)
         sink = GridSink(plan, feed, completed, spec.on_region)
-        self._execute(
-            sources,
-            plan,
-            sink,
-            spec.crawler_factory,
-            spec.allow_partial,
-            spec.rebalance,
-            spec.estimator,
-            policy,
-            spec.shared_limits,
-            completed,
-        )
+        self._execute(sources, plan, sink, spec, policy, completed)
         if sink.failures:
             sink.failures.sort(key=lambda failure: failure[0])
             raise sink.failures[0][1]
@@ -362,12 +316,8 @@ class CrawlExecutor(abc.ABC):
         sources: Sequence,
         plan: PartitionPlan,
         sink: GridSink,
-        crawler_factory: Callable[..., Crawler],
-        allow_partial: bool,
-        rebalance: bool,
-        estimator: CostEstimator | None,
+        spec: CrawlSpec,
         policy: ShardPolicy | None,
-        shared_limits: bool,
         completed: Mapping[RegionKey, CrawlResult],
     ) -> None:
         """Spawn workers and point them at the runtime's drive loops."""
@@ -392,21 +342,9 @@ class SequentialExecutor(CrawlExecutor):
         # fleet, so the adaptive shard planner must presplit nothing.
         return 1
 
-    def _execute(
-        self,
-        sources,
-        plan,
-        sink,
-        crawler_factory,
-        allow_partial,
-        rebalance,
-        estimator,
-        policy,
-        shared_limits,
-        completed,
-    ):
+    def _execute(self, sources, plan, sink, spec, policy, completed):
         runner = LocalUnitRunner(
-            sources, crawler_factory, allow_partial, feed=sink.feed
+            sources, spec.crawler_factory, spec.allow_partial, feed=sink.feed
         )
         skip = frozenset(completed)
         for session in range(plan.sessions):
@@ -443,23 +381,11 @@ class ThreadExecutor(CrawlExecutor):
 
     name = "thread"
 
-    def _execute(
-        self,
-        sources,
-        plan,
-        sink,
-        crawler_factory,
-        allow_partial,
-        rebalance,
-        estimator,
-        policy,
-        shared_limits,
-        completed,
-    ):
+    def _execute(self, sources, plan, sink, spec, policy, completed):
         runner = LocalUnitRunner(
-            sources, crawler_factory, allow_partial, feed=sink.feed
+            sources, spec.crawler_factory, spec.allow_partial, feed=sink.feed
         )
-        if not rebalance:
+        if not spec.rebalance:
             workers = self._workers(plan.sessions)
             skip = frozenset(completed)
             with ThreadPoolExecutor(
@@ -481,7 +407,7 @@ class ThreadExecutor(CrawlExecutor):
                     task.result()
             return
         scheduler, upper = steal_setup(
-            plan, estimator, policy, _completed_costs(completed)
+            plan, spec.estimator, policy, _completed_costs(completed)
         )
         workers = self._workers(upper)
         # An injected departure fault may fire on every unit; cap the
@@ -636,10 +562,10 @@ def _process_init(payload: bytes) -> None:
     """Pool initializer: unpickle the sources once per worker process.
 
     The payload also carries the coordinator's shared-limit stubs
-    (empty except under ``shared_limits``); pickled in one stream with
+    (empty unless the sources carry limits); pickled in one stream with
     the sources, the unpickled stubs are exactly the objects the source
     clones reference, so the worker's runners can flush leases and
-    buffered stats at every region boundary.
+    buffered stats at every unit boundary.
     """
     global _WORKER_SOURCES, _WORKER_FACTORY, _WORKER_STUBS
     _WORKER_SOURCES, _WORKER_FACTORY, stubs = pickle.loads(payload)
@@ -679,9 +605,14 @@ def _pool_session(
 
 
 def _pool_region(session: int, index: int, region, allow_partial: bool):
-    """Crawl one region in a pool worker, against the worker's copy."""
-    return _worker_runner(allow_partial).region(
-        RegionTask(session, index, region)
+    """Crawl one region in a pool worker, against the worker's copy.
+
+    Goes through :func:`~repro.crawl.runtime.crawl_region_unit`, whose
+    region-boundary flush returns leased budget headroom on every exit
+    path -- an idle pool worker must never sit on charged units.
+    """
+    return crawl_region_unit(
+        RegionTask(session, index, region), _worker_runner(allow_partial)
     )
 
 
@@ -689,9 +620,11 @@ def _pool_presplit(
     session: int, index: int, region, allow_partial: bool, max_shards: int
 ):
     """Presplit one region in a pool worker; the plan pickles back."""
-    return _worker_runner(allow_partial).presplit(
-        RegionTask(session, index, region), max_shards
-    )
+    runner = _worker_runner(allow_partial)
+    try:
+        return runner.presplit(RegionTask(session, index, region), max_shards)
+    finally:
+        runner.region_boundary()
 
 
 def _pool_shard(session: int, index: int, region, shard, allow_partial: bool):
@@ -699,40 +632,14 @@ def _pool_shard(session: int, index: int, region, shard, allow_partial: bool):
 
     The shard may run in a different worker than its region's presplit
     did; both crawl deterministic *copies* of the session source, so
-    the responses -- and therefore the results -- are identical (the
-    per-worker copy semantics the process backend documents).
+    the responses -- and therefore the results -- are identical.  Like
+    the other wire functions it flushes the worker's stubs on exit.
     """
-    return _worker_runner(allow_partial).shard(
-        ShardTask(session, index, region, shard)
-    )
-
-
-def _pool_steal(
-    scheduler, plane, home_session: int, allow_partial: bool, policy
-):
-    """Wire form of :func:`~repro.crawl.runtime.drive_stealing`.
-
-    The scheduler lives in the coordinator process; ``acquire`` /
-    ``complete`` / ``publish`` go through its proxy, so this worker
-    steals regions -- and, under a shard policy, subtree shards of live
-    regions -- from *other workers' sessions* the moment its own run
-    dry, across process boundaries.  Completed results are batched into
-    the return value (they would be dead weight in the coordinator);
-    completions and failures are additionally pushed to the control
-    plane as compact progress events for the parent's live aggregator
-    feed.
-
-    Returns ``(results, failures, drained)``; ``drained=False`` means
-    the worker *departed* mid-crawl (its in-flight unit is already back
-    on the shared queue, its leases flushed) and the parent should
-    submit a replacement to keep the fleet at strength.
-    """
-    sink = BatchSink(plane)
-    drained = drive_stealing(
-        scheduler, home_session, _worker_runner(allow_partial), sink, policy
-    )
-    results, failures = sink.batch
-    return results, failures, drained
+    runner = _worker_runner(allow_partial)
+    try:
+        return runner.shard(ShardTask(session, index, region, shard))
+    finally:
+        runner.region_boundary()
 
 
 class ProcessExecutor(CrawlExecutor):
@@ -743,27 +650,25 @@ class ProcessExecutor(CrawlExecutor):
     integers, not a dataset).  Requires the serving stack's picklable
     paths: servers, clients, limits and engines all drop their locks on
     pickle and rebuild them on load.  Cache listeners do not survive
-    the trip, and each worker mutates its own *copy* of the sources --
-    which is fine for limit-free simulation workloads, and wrong for
-    limit-bearing ones (each copy admits independently).  For those,
-    ``shared_limits=True`` moves the authoritative limits, clocks and
-    server stats into a coordinator process
-    (:mod:`repro.crawl.coordinator`): every worker admits through a
-    thin proxy with **lease-batched** exactly-once semantics (budget
-    chunks sized from the estimator's per-region cost estimates, or
-    ``lease_chunk`` explicitly), and the caller's original limit
-    objects read the exact charged totals -- and the fleet's
-    coordinator ``round_trips`` -- after the crawl (also after an
-    exhaustion failure).
+    the trip, and each worker crawls its own *copy* of the sources.
+
+    Copies would admit a limit once per worker, so whenever a source
+    stack carries a server-side limit
+    (:func:`~repro.crawl.coordinator.carries_limits`) the authoritative
+    limits, clocks and server stats move into a coordinator process
+    (:mod:`repro.crawl.coordinator`) for the crawl: every worker admits
+    through a thin proxy with **lease-batched** exactly-once semantics
+    (budget chunks sized from the estimator's per-region cost
+    estimates, or ``lease_chunk`` explicitly), and the caller's
+    original limit objects read the exact charged totals -- and the
+    fleet's coordinator ``round_trips`` -- after the crawl (also after
+    an exhaustion failure).  Limit-free crawls start no coordinator.
 
     Without ``rebalance``, one pool task per session preserves the
     thread backend's dispatch shape.  With ``rebalance``, the parent
     runs the runtime's futures dispatcher
     (:func:`~repro.crawl.runtime.drive_futures`), always picking from
-    the session with the largest estimated remaining cost -- except
-    under ``shared_limits``, where the scheduler itself is hosted in
-    the coordinator and every worker runs the runtime's pull loop
-    against it (two-level when a shard policy is set).
+    the session with the largest estimated remaining cost.
 
     Progress reporting is completion-grained: the aggregator sees a
     session advance when a region (or, without rebalancing, a bundle)
@@ -809,54 +714,42 @@ class ProcessExecutor(CrawlExecutor):
         self.payload_bytes = len(payload)
         return payload
 
-    def _execute(
-        self,
-        sources,
-        plan,
-        sink,
-        crawler_factory,
-        allow_partial,
-        rebalance,
-        estimator,
-        policy,
-        shared_limits,
-        completed,
-    ):
-        if shared_limits:
-            self._execute_shared(
-                sources,
-                plan,
-                sink,
-                crawler_factory,
-                allow_partial,
-                rebalance,
-                estimator,
-                policy,
-                completed,
+    def _execute(self, sources, plan, sink, spec, policy, completed):
+        workers = self._workers(self._pool_upper(plan, spec.rebalance, policy))
+        with contextlib.ExitStack() as stack:
+            stubs = ()
+            if carries_limits(sources):
+                coordinator = stack.enter_context(
+                    LimitCoordinator(mp_context=self._mp_context)
+                )
+                # Unwinds after the pool below has drained, before the
+                # coordinator shuts down: the caller's limit objects
+                # read the exact charge, even after an exhaustion.
+                stack.callback(coordinator.writeback)
+                sources = coordinator.share_sources(sources)
+                chunk = self._lease_chunk
+                if chunk is None:
+                    chunk = coordinator.clamp_lease_chunk(
+                        lease_chunk_for_plan(plan, spec.estimator), workers
+                    )
+                coordinator.set_lease_chunk(chunk)
+                stubs = coordinator.shared_stubs()
+            payload = self._payload(sources, spec.crawler_factory, stubs)
+            pool = stack.enter_context(
+                ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=self._mp_context,
+                    initializer=_process_init,
+                    initargs=(payload,),
+                )
             )
-            return
-        payload = self._payload(sources, crawler_factory)
-        workers = self._workers(self._pool_upper(plan, rebalance, policy))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=self._mp_context,
-            initializer=_process_init,
-            initargs=(payload,),
-        ) as pool:
-            if rebalance:
+            if spec.rebalance:
                 self._drain_rebalanced(
-                    pool,
-                    workers,
-                    plan,
-                    sink,
-                    allow_partial,
-                    estimator,
-                    policy,
-                    completed,
+                    pool, workers, plan, sink, spec, policy, completed
                 )
             else:
                 self._drain_static(
-                    pool, plan, sink, allow_partial, policy, completed
+                    pool, plan, sink, spec.allow_partial, policy, completed
                 )
 
     @staticmethod
@@ -869,82 +762,15 @@ class ProcessExecutor(CrawlExecutor):
             return max(1, upper)
         return max(1, plan.sessions)
 
-    def _execute_shared(
-        self,
-        sources,
-        plan,
-        sink,
-        crawler_factory,
-        allow_partial,
-        rebalance,
-        estimator,
-        policy,
-        completed,
-    ):
-        """The shared-limit mode: one authoritative copy of every limit.
-
-        A :class:`~repro.crawl.coordinator.LimitCoordinator` owns the
-        sources' limits, clocks and stats for the duration of the
-        crawl; the pool receives rewired source clones whose admissions
-        all charge the coordinator -- in budget chunks sized from the
-        estimator (or ``lease_chunk``), not per query.  With
-        ``rebalance`` the scheduler is hosted there too and workers run
-        the runtime's pull loop against it -- cross-process stealing.
-        Whatever happens, the authoritative counters are written back
-        into the caller's original objects, so ``budget.used`` is exact
-        even after an exhaustion failure.
-        """
-        from repro.crawl.coordinator import (
-            LimitCoordinator,
-            lease_chunk_for_plan,
-        )
-
-        with LimitCoordinator(mp_context=self._mp_context) as coordinator:
-            try:
-                shared_sources = coordinator.share_sources(sources)
-                workers = self._workers(
-                    self._pool_upper(plan, rebalance, policy)
-                )
-                chunk = self._lease_chunk
-                if chunk is None:
-                    chunk = coordinator.clamp_lease_chunk(
-                        lease_chunk_for_plan(plan, estimator), workers
-                    )
-                coordinator.set_lease_chunk(chunk)
-                payload = self._payload(
-                    shared_sources,
-                    crawler_factory,
-                    coordinator.shared_stubs(),
-                )
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=self._mp_context,
-                    initializer=_process_init,
-                    initargs=(payload,),
-                ) as pool:
-                    if rebalance:
-                        self._drain_shared_rebalanced(
-                            pool,
-                            workers,
-                            plan,
-                            sink,
-                            allow_partial,
-                            estimator,
-                            policy,
-                            coordinator,
-                            completed,
-                        )
-                    else:
-                        self._drain_static(
-                            pool, plan, sink, allow_partial, policy, completed
-                        )
-            finally:
-                coordinator.writeback()
-
     def _drain_static(
         self, pool, plan, sink, allow_partial, policy, completed
     ):
-        """One pool task per session, each a worker-side session loop."""
+        """One pool task per session, each a worker-side session loop.
+
+        Not folded into the futures dispatcher: stealing reorders the
+        queries, and a limit fires by cumulative query order, so the
+        two dispatch shapes exhaust a budget at different points.
+        """
         skip = frozenset(completed)
         tasks = {
             pool.submit(
@@ -974,17 +800,9 @@ class ProcessExecutor(CrawlExecutor):
             sink.file_batch(results, failures)
 
     def _drain_rebalanced(
-        self,
-        pool,
-        workers,
-        plan,
-        sink,
-        allow_partial,
-        estimator,
-        policy,
-        completed,
+        self, pool, workers, plan, sink, spec, policy, completed
     ):
-        """Parent-side futures dispatch over the per-copy pool.
+        """Parent-side futures dispatch over the pool.
 
         The pool workers cannot see the parent's scheduler, so the
         parent runs :func:`~repro.crawl.runtime.drive_futures`: it is
@@ -994,8 +812,9 @@ class ProcessExecutor(CrawlExecutor):
         dispatcher and re-submitted to a surviving pool slot.
         """
         scheduler, _ = steal_setup(
-            plan, estimator, policy, _completed_costs(completed)
+            plan, spec.estimator, policy, _completed_costs(completed)
         )
+        allow_partial = spec.allow_partial
 
         def submit(task, budget):
             if isinstance(task, ShardTask):
@@ -1026,304 +845,12 @@ class ProcessExecutor(CrawlExecutor):
 
         drive_futures(scheduler, submit, sink, workers, policy)
 
-    def _drain_shared_rebalanced(
-        self,
-        pool,
-        workers,
-        plan,
-        sink,
-        allow_partial,
-        estimator,
-        policy,
-        coordinator,
-        completed,
-    ):
-        """Worker-pull dispatch over a coordinator-hosted scheduler.
-
-        Unlike the per-worker-copy rebalanced mode (where the parent
-        is the only dispatcher), every pool worker runs the runtime's
-        :func:`~repro.crawl.runtime.drive_stealing` loop against the
-        shared scheduler, so stealing decisions and exact observed-cost
-        feedback cross process boundaries without a parent round trip
-        per task.  The parent meanwhile relays the workers' progress
-        events into the aggregator feed and collects each worker's
-        result batch as its loop drains.  The fleet is *elastic*: a
-        worker whose loop departed (``drained=False``) already
-        re-queued its unit and flushed its leases, and the parent
-        submits a replacement pull loop in its place.
-        """
-        scheduler = coordinator.make_scheduler(
-            plan.bundles,
-            estimator,
-            subtree=policy is not None and policy.sharded,
-            completed=_completed_costs(completed),
-        )
-        # Per-region progress events exist only for a live aggregator
-        # view; without one, streaming them would be pure control-plane
-        # chatter (one round trip per region for nobody to read).
-        plane = coordinator.plane if sink.feed.active else None
-
-        def spawn(worker: int):
-            return pool.submit(
-                _pool_steal,
-                scheduler,
-                plane,
-                worker % plan.sessions,
-                allow_partial,
-                policy,
-            )
-
-        pending = {spawn(worker) for worker in range(workers)}
-        spawned = workers
-        # Replacement budget; mirrors the thread backend's elastic cap.
-        total_regions = sum(len(b) for b in plan.bundles) - len(completed)
-        max_spawns = 4 * (workers + max(1, total_regions))
-        aborted = False
-        while pending:
-            done, pending = wait(
-                pending, timeout=0.05, return_when=FIRST_COMPLETED
-            )
-            self._relay_events(coordinator, sink.feed)
-            for future in done:
-                try:
-                    results, worker_failures, drained = future.result()
-                except Exception as exc:  # noqa: BLE001 - re-raised by run()
-                    # A worker loop died outside its per-task handling
-                    # (e.g. the process was killed).  Its in-flight
-                    # task would block the drain forever; abort so the
-                    # surviving workers run dry, and rank this failure
-                    # after every real region failure.
-                    scheduler.abort()
-                    aborted = True
-                    sink.file_batch(
-                        [], [((plan.sessions, 0), exc)], update_feed=False
-                    )
-                    continue
-                sink.file_batch(results, worker_failures, update_feed=False)
-                if drained or aborted:
-                    continue
-                if spawned < max_spawns:
-                    pending.add(spawn(spawned))
-                    spawned += 1
-                elif not pending:
-                    scheduler.abort()
-                    aborted = True
-                    sink.file_batch(
-                        [],
-                        [
-                            (
-                                (plan.sessions, 0),
-                                WorkerDeparted(
-                                    "every replacement worker departed; "
-                                    f"giving up after {spawned} spawns"
-                                ),
-                            )
-                        ],
-                        update_feed=False,
-                    )
-        self._relay_events(coordinator, sink.feed)
-        if aborted:
-            for session in range(plan.sessions):
-                sink.feed.cancelled(session)
-        if estimator is not None:
-            for key, cost in scheduler.completed_costs().items():
-                estimator.record(key, cost)
-
-    @staticmethod
-    def _relay_events(coordinator, feed):
-        """Translate worker progress events into aggregator updates."""
-        if not feed.active:
-            return
-        for event in coordinator.plane.pop_events():
-            if event[0] == "region":
-                _, session, index, cost, tuples = event
-                feed.region_counts(session, index, cost, tuples)
-            elif event[0] == "failed":
-                feed.failed_session(event[1])
-
-
-# ----------------------------------------------------------------------
-# Async transport: event-loop coordination, awaitable sources bridged
-# ----------------------------------------------------------------------
-class _LoopBridge:
-    """Sync facade over an awaitable source, for crawler worker threads.
-
-    ``run`` schedules the source's ``arun`` coroutine on the executor's
-    event loop and blocks *the calling worker thread* (never the loop)
-    until the response arrives -- so many sessions' waits multiplex on
-    one loop while the unchanged synchronous crawlers drive them.
-    """
-
-    def __init__(self, source, loop: asyncio.AbstractEventLoop):
-        self._source = source
-        self._loop = loop
-
-    @property
-    def space(self):
-        """The underlying data space; the bridge is transparent."""
-        return self._source.space
-
-    @property
-    def k(self) -> int:
-        """The underlying retrieval limit."""
-        return self._source.k
-
-    def run(self, query):
-        """Await ``arun(query)`` on the loop from a worker thread."""
-        future = asyncio.run_coroutine_threadsafe(
-            self._source.arun(query), self._loop
-        )
-        return future.result()
-
-    def __repr__(self) -> str:
-        return f"_LoopBridge({self._source!r})"
-
-
-def _bridge_source(source, loop: asyncio.AbstractEventLoop):
-    """Wrap awaitable sources (those with an ``arun`` coroutine)."""
-    arun = getattr(source, "arun", None)
-    if arun is None or not asyncio.iscoroutinefunction(arun):
-        return source
-    return _LoopBridge(source, loop)
-
-
-class AsyncExecutor(CrawlExecutor):
-    """Asyncio-coordinated sessions over (optionally) awaitable sources.
-
-    Each session's crawl runs on a worker thread (the crawlers are
-    synchronous), but a source exposing an ``arun(query)`` coroutine --
-    :class:`~repro.server.latency.AsyncLatencySource`, an
-    :class:`~repro.server.client.AwaitableClient` over a web adapter --
-    is awaited on the executor's event loop, so simulated round trips
-    and future async I/O multiplex there instead of pinning threads in
-    ``time.sleep``.  Purely synchronous sources work unchanged.  The
-    worker threads run the exact same runtime drive loops as the
-    thread backend, just over bridged sources.
-
-    Must be called from a thread with no running event loop (it owns
-    one for the duration of the crawl).
-    """
-
-    name = "async"
-
-    def _execute(
-        self,
-        sources,
-        plan,
-        sink,
-        crawler_factory,
-        allow_partial,
-        rebalance,
-        estimator,
-        policy,
-        shared_limits,
-        completed,
-    ):
-        asyncio.run(
-            self._amain(
-                sources,
-                plan,
-                sink,
-                crawler_factory,
-                allow_partial,
-                rebalance,
-                estimator,
-                policy,
-                completed,
-            )
-        )
-
-    async def _amain(
-        self,
-        sources,
-        plan,
-        sink,
-        crawler_factory,
-        allow_partial,
-        rebalance,
-        estimator,
-        policy,
-        completed,
-    ):
-        loop = asyncio.get_running_loop()
-        bridged = [_bridge_source(source, loop) for source in sources]
-        runner = LocalUnitRunner(
-            bridged, crawler_factory, allow_partial, feed=sink.feed
-        )
-        # Session loops run on a dedicated pool, NEVER asyncio's shared
-        # default executor: an awaitable source's ``arun`` may itself
-        # need a default-executor thread (AwaitableClient does), and
-        # session loops blocking in _LoopBridge.run while occupying
-        # every default-pool slot would deadlock the crawl.
-        if rebalance:
-            scheduler, upper = steal_setup(
-                plan, estimator, policy, _completed_costs(completed)
-            )
-            workers = self._workers(upper)
-            rejoin_cap = 4 * (workers + scheduler.total_tasks)
-
-            def drive_elastic(home_session: int) -> None:
-                # A departed worker's thread is still a perfectly good
-                # pool slot, so elasticity here is a rejoin: re-enter
-                # the loop (the departed iteration already re-queued
-                # its unit).  Past the cap, abort *before* giving up so
-                # sibling loops run dry instead of deadlocking the
-                # gather, and rank the failure after every real one.
-                for _ in range(rejoin_cap):
-                    if drive_stealing(
-                        scheduler, home_session, runner, sink, policy
-                    ):
-                        return
-                scheduler.abort()
-                sink.file_batch(
-                    [],
-                    [
-                        (
-                            (plan.sessions, 0),
-                            WorkerDeparted(
-                                f"worker of session {home_session} "
-                                f"departed {rejoin_cap} times; giving up"
-                            ),
-                        )
-                    ],
-                    update_feed=False,
-                )
-                for session in range(plan.sessions):
-                    sink.feed.cancelled(session)
-
-            jobs = [
-                functools.partial(drive_elastic, worker % plan.sessions)
-                for worker in range(workers)
-            ]
-        else:
-            workers = self._workers(plan.sessions)
-            skip = frozenset(completed)
-            jobs = [
-                functools.partial(
-                    drive_session,
-                    session,
-                    plan.bundles[session],
-                    runner,
-                    sink,
-                    policy,
-                    skip,
-                )
-                for session in range(plan.sessions)
-            ]
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="crawl-async"
-        ) as pool:
-            await asyncio.gather(
-                *(loop.run_in_executor(pool, job) for job in jobs)
-            )
-
 
 #: Backend registry, keyed by the CLI's ``--executor`` names.
 EXECUTORS: dict[str, type[CrawlExecutor]] = {
     "sequential": SequentialExecutor,
     "thread": ThreadExecutor,
     "process": ProcessExecutor,
-    "async": AsyncExecutor,
 }
 
 

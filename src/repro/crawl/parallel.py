@@ -1,18 +1,16 @@
-"""Concurrent partitioned crawling over the pluggable executor layer.
+"""Concurrent partitioned crawling: the spec-only front door.
 
-PR 1 introduced :func:`crawl_partitioned_parallel` as a thread-pool
-executor with a deterministic merge; the dispatch loop now lives in
-:mod:`repro.crawl.executors` behind the :class:`CrawlExecutor`
-interface, and this module is the stable front door: the same function,
-plus an ``executor`` selector (``"thread"`` by default, ``"process"``
-for CPU-bound simulated engines, ``"async"`` for awaitable sources)
-and a ``rebalance`` switch enabling work stealing
-(:mod:`repro.crawl.rebalance`).
+:func:`crawl_partitioned_parallel` builds the backend a
+:class:`~repro.crawl.spec.CrawlSpec` names (``"thread"`` by default,
+``"process"`` for CPU-bound simulated engines, ``"sequential"`` as the
+reference) and runs the plan through it -- a thin wrapper over
+``make_executor(spec=spec).run(sources, plan, spec)`` from
+:mod:`repro.crawl.executors`.
 
 Whatever the backend and stealing schedule, the **determinism
-contract** of PR 1 holds unchanged: ``result.rows`` is ordered by
-(session index, region index, extraction order), ``result.cost`` is the
-sum of per-session costs, and ``result.progress`` is the canonical
+contract** holds: ``result.rows`` is ordered by (session index, region
+index, extraction order), ``result.cost`` is the sum of per-session
+costs, and ``result.progress`` is the canonical
 :func:`~repro.crawl.base.merge_progress` interleaving of the
 per-session curves -- byte-identical to the sequential executor on the
 same plan.  Only the live feed of an attached
@@ -22,17 +20,10 @@ scheduling.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.crawl.base import Crawler, ProgressAggregator
-from repro.crawl.executors import (
-    CrawlExecutor,
-    default_workers,
-    make_executor,
-)
-from repro.crawl.hybrid import Hybrid
+from repro.crawl.executors import default_workers, make_executor
 from repro.crawl.partition import PartitionedResult, PartitionPlan
-from repro.crawl.rebalance import CostEstimator
 from repro.crawl.spec import CrawlSpec
 
 __all__ = ["crawl_partitioned_parallel", "default_workers"]
@@ -41,19 +32,7 @@ __all__ = ["crawl_partitioned_parallel", "default_workers"]
 def crawl_partitioned_parallel(
     sources: Sequence,
     plan: PartitionPlan,
-    *,
     spec: CrawlSpec | None = None,
-    max_workers: int | None = None,
-    crawler_factory: Callable[..., Crawler] = Hybrid,
-    allow_partial: bool = False,
-    aggregator: ProgressAggregator | None = None,
-    executor: str | CrawlExecutor = "thread",
-    rebalance: bool = False,
-    estimator: CostEstimator | None = None,
-    shard_subtrees: int | str | None = None,
-    shared_limits: bool = False,
-    completed=None,
-    on_region=None,
 ) -> PartitionedResult:
     """Crawl every region of ``plan``, sessions running concurrently.
 
@@ -65,73 +44,17 @@ def crawl_partitioned_parallel(
     plan:
         The partition plan.
     spec:
-        A :class:`~repro.crawl.spec.CrawlSpec` carrying the *whole*
-        configuration -- backend half and run half.  When given, every
-        other keyword argument must stay at its default (rejected
-        otherwise, so a flag cannot silently lose to the spec).  When
-        omitted, the individual keyword arguments below are folded into
-        a spec internally, so this front door never emits the
-        executor-layer deprecation warning.
-    max_workers:
-        Worker count for the chosen backend; defaults to
-        :func:`~repro.crawl.executors.default_workers`.  ``1``
-        degenerates to sequential execution.
-    crawler_factory:
-        Crawler class (or factory) applied to each region's
-        :class:`~repro.crawl.partition.SubspaceView`; defaults to
-        :class:`~repro.crawl.hybrid.Hybrid`.  Must be picklable for the
-        process backend.
-    allow_partial:
-        Forwarded to each region crawl; a budget-interrupted region
-        marks the merged result incomplete.
-    aggregator:
-        Optional live progress sink; sessions are marked done/failed as
-        they terminate.
-    executor:
-        Backend name (``"sequential"``, ``"thread"``, ``"process"``,
-        ``"async"``) or a ready :class:`CrawlExecutor` instance.  An
-        instance carries its own worker count, so combining one with
-        ``max_workers`` is rejected rather than silently ignored.
-    rebalance:
-        Enable adaptive work stealing (see
-        :mod:`repro.crawl.rebalance`).
-    estimator:
-        Optional cost estimator seeding the stealing decisions.
-    shard_subtrees:
-        Split every region's crawl into up to this many subtree shards
-        (:mod:`repro.crawl.sharding`), letting idle workers steal
-        subqueries of a live region; with a skewed plan this is what
-        keeps every worker busy while one heavy region dominates.
-        ``"auto"`` presplits only regions whose estimated cost exceeds
-        the fleet's fair share
-        (:meth:`~repro.crawl.runtime.ShardPolicy.adaptive`); ``None``
-        disables sharding.  The merged result is identical under every
-        setting.
-    shared_limits:
-        Keep server-side limits, clocks and stats *globally exact* on
-        the process backend by routing them through the shared-state
-        control plane (:mod:`repro.crawl.coordinator`): one
-        authoritative ``QueryBudget``/``DailyRateLimit`` admits for the
-        whole pool, and the caller's original limit objects read the
-        exact fleet-wide counts after the crawl.  A no-op on the
-        in-process backends, which already share those objects by
-        reference.
-    completed:
-        Already-crawled results keyed by plan position (a resumed
-        crawl's :class:`~repro.crawl.checkpoint.CrawlCheckpoint`
-        ``completed`` map): pre-filed into the merge, never re-crawled.
-    on_region:
-        Callback fired for every newly completed region -- typically a
-        :class:`~repro.crawl.checkpoint.CheckpointWriter`'s
-        ``region_done``, so the checkpoint advances at every region
-        boundary.
+        The whole configuration -- backend half and run half -- as a
+        :class:`~repro.crawl.spec.CrawlSpec` (default: a default spec,
+        i.e. the thread backend with
+        :func:`~repro.crawl.executors.default_workers` workers).
 
     Raises
     ------
     SchemaError
         If ``sources`` does not match ``plan.sessions``.
     QueryBudgetExhausted
-        When a limit fires and ``allow_partial`` is ``False`` (the
+        When a limit fires and ``spec.allow_partial`` is ``False`` (the
         lowest failing plan position's exception, after all workers
         drained).
 
@@ -143,49 +66,10 @@ def crawl_partitioned_parallel(
         plan = partition_space(dataset.space, 3)
         sources = [TopKServer(dataset, k=32) for _ in range(3)]
         merged = crawl_partitioned_parallel(
-            sources, plan, executor="thread",
-            rebalance=True, shard_subtrees=8,
+            sources, plan,
+            CrawlSpec(rebalance=True, shard_subtrees=8),
         )
         assert sorted(merged.rows) == sorted(dataset.iter_rows())
     """
-    if spec is not None:
-        overridden = (
-            max_workers is not None
-            or crawler_factory is not Hybrid
-            or allow_partial
-            or aggregator is not None
-            or executor != "thread"
-            or rebalance
-            or estimator is not None
-            or shard_subtrees is not None
-            or shared_limits
-            or completed is not None
-            or on_region is not None
-        )
-        if overridden:
-            raise ValueError(
-                "pass either spec= or individual keyword arguments, "
-                "not both"
-            )
-    else:
-        spec = CrawlSpec(
-            executor=executor if isinstance(executor, str) else None,
-            max_workers=max_workers,
-            crawler_factory=crawler_factory,
-            allow_partial=allow_partial,
-            aggregator=aggregator,
-            rebalance=rebalance,
-            estimator=estimator,
-            shard_subtrees=shard_subtrees,
-            shared_limits=shared_limits,
-            completed=completed,
-            on_region=on_region,
-        )
-    if isinstance(executor, str):
-        executor = make_executor(spec=spec)
-    elif max_workers is not None:
-        raise ValueError(
-            "pass max_workers with an executor *name*; a CrawlExecutor "
-            "instance already carries its own worker count"
-        )
-    return executor.run(sources, plan, spec)
+    spec = spec if spec is not None else CrawlSpec()
+    return make_executor(spec=spec).run(sources, plan, spec)

@@ -1,13 +1,11 @@
 """The crawl runtime: one transport-agnostic drive loop for every backend.
 
 The paper's optimality argument is about *which queries* a crawl issues,
-never about *where* they run.  The execution layer grew four backends
-(sequential, thread, process, async), each times rebalancing, subtree
-sharding and shared limits -- and until this module existed, the
-dispatch logic was written once per combination: six near-identical
-drive loops that had to be hand-ported for every scheduling improvement.
-This module is the single copy.  It owns the **session lifecycle state
-machine** over :class:`~repro.crawl.rebalance.RegionTask` /
+never about *where* they run.  The execution layer has three backends
+(sequential, thread, process), each times rebalancing and subtree
+sharding, and the dispatch logic for all of them lives here, once.  It
+owns the **session lifecycle state machine** over
+:class:`~repro.crawl.rebalance.RegionTask` /
 :class:`~repro.crawl.rebalance.ShardTask` units -- acquire, run,
 complete / publish / merge, fail, abort-drain -- plus the aggregator and
 estimator feedback, parameterised by two small protocols:
@@ -20,22 +18,19 @@ estimator feedback, parameterised by two small protocols:
 :class:`ResultSink`
     *Where outcomes go*: the parent files them straight into the result
     grid (:class:`GridSink`); a pool worker batches them for the return
-    trip and pushes compact progress events to the control plane
-    (:class:`BatchSink`).
+    trip (:class:`BatchSink`).
 
 Three drive shapes cover every backend x feature combination:
 
 * :func:`drive_session` -- static dispatch: one session's bundle in
-  plan order (sequential, thread, async and process backends without
-  rebalancing);
+  plan order (every backend without rebalancing);
 * :func:`drive_stealing` -- the work-stealing loop, one-level
   (:class:`~repro.crawl.rebalance.WorkStealingScheduler`) or two-level
-  (:class:`~repro.crawl.rebalance.SubtreeScheduler`), run by worker
-  threads in the parent *or* by pool worker processes against a
-  coordinator-hosted scheduler proxy -- the same code either way;
+  (:class:`~repro.crawl.rebalance.SubtreeScheduler`), run by the
+  thread backend's workers;
 * :func:`drive_futures` -- the parent-side dispatcher for transports
   whose unit execution returns futures (the process backend's
-  per-worker-copy rebalanced modes).
+  rebalanced mode).
 
 :class:`ShardPolicy` decides which regions are presplit into subtree
 shards and how finely -- uniformly (the classic ``shard_subtrees=N``)
@@ -124,7 +119,7 @@ class AggregatorFeed:
     loops; a monitor only ever talks to the aggregator::
 
         feed = AggregatorFeed(aggregator, plan)
-        feed.region_counts(session=0, index=0, cost=7, tuples=40)
+        feed.region_finished(0, 0, result)  # a 7-query, 40-row region
         aggregator.totals()  # -> ProgressPoint(7, 40)
     """
 
@@ -144,16 +139,6 @@ class AggregatorFeed:
             for session, bundle in enumerate(plan.bundles):
                 if not bundle:
                     aggregator.mark_done(session)
-
-    @property
-    def active(self) -> bool:
-        """Whether anything consumes this feed (an aggregator is set).
-
-        Transports use this to skip progress plumbing that nothing
-        would read -- e.g. the shared-limit pull loops only stream
-        per-region control-plane events when a live view exists.
-        """
-        return self._aggregator is not None
 
     def listener(
         self, task: RegionTask | ShardTask
@@ -193,27 +178,14 @@ class AggregatorFeed:
         every key of that region (``live_key[1] == index``) is replaced
         by the exact merged totals.
         """
-        self.region_counts(session, index, result.cost, len(result.rows))
-
-    def region_counts(
-        self, session: int, index: int, cost: int, tuples: int
-    ) -> None:
-        """Fold a finished region given its bare (cost, tuples) counts.
-
-        The wire form of :meth:`region_finished`: the shared-limit
-        process mode relays region completions from pool workers as
-        compact events, not result objects (those return with the
-        worker's final batch), so the live aggregator view advances as
-        regions land rather than when the pool drains.
-        """
         if self._aggregator is None:
             return
         with self._lock:
             live = self._live[session]
             for key in [k for k in live if k[1] == index]:
                 del live[key]
-            self._done[session][0] += cost
-            self._done[session][1] += tuples
+            self._done[session][0] += result.cost
+            self._done[session][1] += len(result.rows)
             self._outstanding[session] -= 1
             # Atomic with the total's computation; see listener().
             self._aggregator.report(session, self._session_total(session))
@@ -276,19 +248,15 @@ class UnitRunner(abc.ABC):
         """Crawl one subtree shard of a presplit region."""
 
     def region_boundary(self) -> None:
-        """Hook fired after each region-level unit completes or fails.
+        """Hook fired after each unit completes or fails.
 
         The lease-batching seam: the process backend's pool workers
         flush unused :class:`~repro.server.limits.LimitLease` chunks
         and buffered stats back to the shared-limit control plane here,
-        so admission headroom never idles in a worker past the region
+        so admission headroom never idles in a worker past the unit
         that leased it.  In-process backends need nothing (they share
         the limit objects by reference) and inherit this no-op.
         """
-
-    def drained(self) -> None:
-        """Hook fired once when a worker's drive loop runs dry."""
-        self.region_boundary()
 
 
 class LocalUnitRunner(UnitRunner):
@@ -298,7 +266,7 @@ class LocalUnitRunner(UnitRunner):
     threads run it over the caller's sources (with live progress
     listeners wired to an :class:`AggregatorFeed`), and each process
     pool worker builds one over its unpickled source copies (no feed --
-    progress travels as events instead).
+    progress advances when the unit's result reaches the parent).
 
     Examples
     --------
@@ -472,9 +440,9 @@ class GridSink(ResultSink):
     ) -> None:
         """Fold a pool worker's returned batch into the grid.
 
-        ``update_feed=False`` for transports that already relayed the
-        worker's progress events into the feed (the shared-limit pull
-        loops) -- feeding the batch again would double-count.
+        ``update_feed=False`` files without touching the aggregator
+        feed -- for failures with no region of their own to attribute
+        (a dead worker, an empty bundle).
         """
         for key, result in results:
             if update_feed:
@@ -490,45 +458,34 @@ class GridSink(ResultSink):
 
 
 class BatchSink(ResultSink):
-    """The pool-worker sink: batch results home, stream events.
+    """The pool-worker sink: batch results for the return trip.
 
-    Results are dead weight in the coordinator, so they accumulate
-    locally and return with the worker's final batch; completions and
-    failures are additionally pushed to the control plane as compact
-    progress events (``("region", session, index, cost, tuples)`` /
-    ``("failed", session)``) so the parent's live aggregator view
-    advances while the pool still runs.  ``plane=None`` (the per-copy
-    static mode) skips the events and just batches.
+    A static process session runs its whole bundle in one pool task;
+    its outcomes accumulate here and pickle back as one batch, which
+    the parent files with :meth:`GridSink.file_batch`.
 
     Examples
     --------
     ::
 
-        sink = BatchSink(plane)
-        drive_stealing(scheduler, 0, runner, sink)
+        sink = BatchSink()
+        drive_session(0, bundle, runner, sink)
         results, failures = sink.batch
     """
 
-    def __init__(self, plane=None):
-        self._plane = plane
+    def __init__(self):
         self._results: list[tuple[RegionKey, CrawlResult]] = []
         self._failures: list[Failure] = []
 
     def region_done(self, key: RegionKey, result: CrawlResult) -> None:
-        """Batch the result; stream a compact completion event."""
+        """Batch the result."""
         self._results.append((key, result))
-        if self._plane is not None:
-            self._plane.push_event(
-                ("region", key[0], key[1], result.cost, len(result.rows))
-            )
 
     def region_failed(
         self, key: RegionKey, session: int, exc: Exception
     ) -> None:
-        """Batch the failure; stream a compact failure event."""
+        """Batch the failure."""
         self._failures.append((key, exc))
-        if self._plane is not None:
-            self._plane.push_event(("failed", session))
 
     @property
     def batch(
@@ -840,17 +797,10 @@ def drive_stealing(
     :class:`~repro.exceptions.WorkerDeparted` is re-queued on the
     scheduler (:meth:`~repro.crawl.rebalance.WorkStealingScheduler.
     requeue`) for the surviving fleet, and the loop returns so the
-    transport can ship the worker's completed batch home.  Either way
-    ``runner.drained()`` runs in a ``finally``, so unreturned
-    :class:`~repro.server.limits.LimitLease` headroom and buffered
-    stats always flush back to the control plane -- budget accounting
+    transport can replace the worker.  Either way the runner's region
+    boundary runs in a ``finally``, so a runner holding leased budget
+    headroom or buffered stats always flushes them -- budget accounting
     stays exact on every exit path, including hard failures.
-
-    The exact same function is the thread backend's worker loop, the
-    async backend's per-thread loop over bridged sources, and the
-    process backend's cross-process pull loop (where ``scheduler`` is a
-    coordinator-hosted proxy and ``sink`` a :class:`BatchSink`) -- the
-    transports differ only in what they pass in.
 
     Examples
     --------
@@ -903,7 +853,7 @@ def drive_stealing(
             ):
                 runner.region_boundary()
     finally:
-        runner.drained()
+        runner.region_boundary()
 
 
 def drive_futures(
@@ -924,8 +874,8 @@ def drive_futures(
     receives the unit and its shard budget (``None`` = crawl the region
     whole, an int = presplit it that finely).
 
-    Used by the process backend's per-worker-copy rebalanced modes,
-    where the pool workers cannot see the parent's scheduler.
+    Used by the process backend's rebalanced mode, where the pool
+    workers cannot see the parent's scheduler.
 
     Examples
     --------

@@ -1,17 +1,15 @@
 """`CrawlSpec`: one validated config object for a partitioned crawl.
 
+Every caller of the execution layer -- the CLI, the parallel front
+door, the benchmarks, the job service -- configures a crawl through a
+single frozen, validated dataclass, and
 :meth:`CrawlExecutor.run <repro.crawl.executors.CrawlExecutor.run>`
-accreted ten keyword arguments over six PRs (``rebalance``,
-``estimator``, ``shard_subtrees``, ``shared_limits``, ``completed``,
-``on_region``, ...), and every caller -- the CLI, the parallel front
-door, the benchmarks, now the job service -- re-plumbed the same flags
-by hand.  :class:`CrawlSpec` consolidates them into a single frozen,
-validated dataclass:
+takes nothing else:
 
 * the **run half** (``crawler_factory``, ``allow_partial``,
   ``aggregator``, ``rebalance``, ``estimator``, ``shard_subtrees``,
-  ``shared_limits``, ``completed``, ``on_region``) configures one
-  executor invocation -- ``executor.run(sources, plan, spec)``;
+  ``completed``, ``on_region``) configures one executor invocation --
+  ``executor.run(sources, plan, spec)``;
 * the **backend half** (``executor``, ``max_workers``,
   ``lease_chunk``) configures which executor to build --
   ``make_executor(spec=spec)`` -- so backend-specific knobs like the
@@ -62,12 +60,13 @@ ALGORITHMS: dict[str, type[Crawler]] = {
 class CrawlSpec:
     """Everything one partitioned crawl needs, as one frozen object.
 
-    Field semantics are exactly those of the keyword arguments they
-    replace on :meth:`~repro.crawl.executors.CrawlExecutor.run` and
-    :func:`~repro.crawl.executors.make_executor`; see those docstrings
-    for the full contracts.  Validation happens at construction, so an
-    invalid combination fails where the spec is *built* (the CLI, a
-    service submission) rather than deep inside a worker fleet.
+    The backend half is consumed by
+    :func:`~repro.crawl.executors.make_executor`, the run half by
+    :meth:`~repro.crawl.executors.CrawlExecutor.run`; see those
+    docstrings for the full contracts.  Validation happens at
+    construction, so an invalid combination fails where the spec is
+    *built* (the CLI, a service submission) rather than deep inside a
+    worker fleet.
 
     Examples
     --------
@@ -77,8 +76,7 @@ class CrawlSpec:
 
         spec = CrawlSpec(
             executor="process", max_workers=4,
-            rebalance=True, shard_subtrees="auto",
-            shared_limits=True, lease_chunk=16,
+            rebalance=True, shard_subtrees="auto", lease_chunk=16,
         )
         executor = make_executor(spec=spec)
         merged = executor.run(sources, plan, spec)
@@ -95,8 +93,8 @@ class CrawlSpec:
     executor: str | None = None
     #: Worker count for the backend; ``None`` picks the default.
     max_workers: int | None = None
-    #: Admission lease chunk for the process backend's shared-limit
-    #: mode (``None`` = sized from the estimator); see
+    #: Admission lease chunk for the process backend when its sources
+    #: carry limits (``None`` = sized from the estimator); see
     #: :class:`~repro.crawl.executors.ProcessExecutor`.
     lease_chunk: int | None = None
 
@@ -115,9 +113,6 @@ class CrawlSpec:
     estimator: CostEstimator | None = None
     #: ``None`` | shard target per region | ``"auto"``.
     shard_subtrees: int | str | None = None
-    #: Route limits through the shared-state control plane (process
-    #: backend).
-    shared_limits: bool = False
     #: Already-crawled results keyed by plan position (resume).
     completed: Mapping[RegionKey, CrawlResult] | None = None
     #: Callback fired per newly completed region (checkpoint seam).
@@ -159,23 +154,6 @@ class CrawlSpec:
                 f"{self.crawler_factory!r}"
             )
 
-    #: The field names of the run half -- exactly the legacy keyword
-    #: arguments ``CrawlExecutor.run`` still accepts through its
-    #: deprecation shim.
-    RUN_FIELDS = frozenset(
-        {
-            "crawler_factory",
-            "allow_partial",
-            "aggregator",
-            "rebalance",
-            "estimator",
-            "shard_subtrees",
-            "shared_limits",
-            "completed",
-            "on_region",
-        }
-    )
-
     def replace(self, **changes: Any) -> "CrawlSpec":
         """A copy with ``changes`` applied (re-validated).
 
@@ -197,7 +175,7 @@ def spec_from_args(args: Any) -> CrawlSpec:
 
     Recognised attributes: ``algorithm``, ``max_queries``,
     ``executor``, ``workers``, ``rebalance``, ``shard_subtrees``,
-    ``shared_limits``, ``lease_chunk``, ``allow_partial``.
+    ``lease_chunk``, ``allow_partial``.
 
     Examples
     --------
@@ -235,5 +213,4 @@ def spec_from_args(args: Any) -> CrawlSpec:
         allow_partial=bool(getattr(args, "allow_partial", False)),
         rebalance=bool(getattr(args, "rebalance", False)),
         shard_subtrees=getattr(args, "shard_subtrees", None),
-        shared_limits=bool(getattr(args, "shared_limits", False)),
     )

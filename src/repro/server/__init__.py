@@ -6,7 +6,7 @@ plus the client-side machinery (response cache, budgets, rate limits)
 that a real crawler deployment would carry.
 """
 
-from repro.server.client import AwaitableClient, CachingClient, PatientClient
+from repro.server.client import CachingClient, PatientClient
 from repro.server.engines import (
     IndexedEngine,
     LinearScanEngine,
@@ -14,7 +14,7 @@ from repro.server.engines import (
     VectorEngine,
 )
 from repro.server.interface import QueryInterface
-from repro.server.latency import AsyncLatencySource, LatencySource
+from repro.server.latency import LatencySource
 from repro.server.limits import (
     DailyRateLimit,
     LimitLease,
@@ -28,14 +28,12 @@ from repro.server.stats import QueryStats
 from repro.server.workload import WorkloadReport, workload_report
 
 __all__ = [
-    "AwaitableClient",
     "CachingClient",
     "PatientClient",
     "IndexedEngine",
     "LinearScanEngine",
     "QueryEngine",
     "QueryInterface",
-    "AsyncLatencySource",
     "LatencySource",
     "VectorEngine",
     "DailyRateLimit",

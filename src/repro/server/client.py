@@ -24,23 +24,15 @@ the cost accounting stays exact.  (Queries through one client are
 therefore serialised; concurrent crawl *sessions* each use their own
 client, as in :mod:`repro.crawl.executors`.)
 
-Two executor-facing paths complete the picture:
-
-* **picklable** -- a client (cache, history, stats and all) can be
-  pickled and shipped to a process-pool worker; the lock is rebuilt on
-  load and listeners, which may close over arbitrary state, are
-  dropped (:class:`~repro.crawl.executors.ProcessExecutor` documents
-  the copy semantics);
-* **awaitable** -- :class:`AwaitableClient` exposes any synchronous
-  source (server, client, :class:`~repro.web.adapter.WebSession`)
-  through an ``arun`` coroutine, which is the protocol the
-  :class:`~repro.crawl.executors.AsyncExecutor` multiplexes on its
-  event loop.
+A client (cache, history, stats and all) is also picklable, so it can
+be shipped to a process-pool worker: the lock is rebuilt on load and
+listeners, which may close over arbitrary state, are dropped
+(:class:`~repro.crawl.executors.ProcessExecutor` documents the copy
+semantics).
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
@@ -54,7 +46,7 @@ from repro.server.response import QueryResponse
 from repro.server.server import TopKServer
 from repro.server.stats import QueryStats, StatsDelta
 
-__all__ = ["CachingClient", "PatientClient", "AwaitableClient"]
+__all__ = ["CachingClient", "PatientClient"]
 
 
 class CachingClient(LocklessPickle):
@@ -325,45 +317,3 @@ class PatientClient(CachingClient):
                     raise
                 self._clock.sleep_until_next_day()
                 self._days_slept += 1
-
-
-class AwaitableClient:
-    """Awaitable facade over any synchronous query source.
-
-    ``await client.arun(query)`` runs the blocking ``source.run`` on a
-    worker thread via :func:`asyncio.to_thread`, so coroutine code --
-    and in particular the :class:`~repro.crawl.executors.AsyncExecutor`
-    -- can drive a :class:`TopKServer`, a :class:`CachingClient` or a
-    :class:`~repro.web.adapter.WebSession` without blocking the event
-    loop.  The synchronous ``run`` is forwarded too, so the same
-    wrapped source works on every executor backend.
-
-    Parameters
-    ----------
-    source:
-        Any query source exposing ``space``, ``k`` and ``run``.
-    """
-
-    def __init__(self, source):
-        self._source = source
-
-    @property
-    def space(self):
-        """The underlying data space; the wrapper is transparent."""
-        return self._source.space
-
-    @property
-    def k(self) -> int:
-        """The underlying retrieval limit."""
-        return self._source.k
-
-    async def arun(self, query: Query) -> QueryResponse:
-        """Answer ``query`` off the event loop, on a worker thread."""
-        return await asyncio.to_thread(self._source.run, query)
-
-    def run(self, query: Query) -> QueryResponse:
-        """The plain synchronous path, unchanged."""
-        return self._source.run(query)
-
-    def __repr__(self) -> str:
-        return f"AwaitableClient({self._source!r})"

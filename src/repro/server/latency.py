@@ -13,26 +13,17 @@ The wrapper is stateless apart from its configuration, hence trivially
 thread-safe, picklable whenever the wrapped source is, and transparent
 to crawlers (it forwards ``space`` and ``k`` like
 :class:`~repro.crawl.partition.SubspaceView` does).
-
-:class:`AsyncLatencySource` is the awaitable sibling: its ``arun``
-coroutine pays the round trip with :func:`asyncio.sleep`, so the
-:class:`~repro.crawl.executors.AsyncExecutor` multiplexes many
-sessions' waits on one event loop instead of pinning a thread per
-in-flight query.  It keeps a synchronous ``run`` fallback, so the same
-source object works on every executor backend and yields identical
-responses.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 from contextlib import nullcontext
 
 from repro.query.query import Query
 from repro.server.response import QueryResponse
 
-__all__ = ["LatencySource", "AsyncLatencySource"]
+__all__ = ["LatencySource"]
 
 
 class LatencySource:
@@ -85,27 +76,3 @@ class LatencySource:
 
     def __repr__(self) -> str:
         return f"LatencySource({self._source!r}, seconds={self._seconds})"
-
-
-class AsyncLatencySource(LatencySource):
-    """A latency simulator whose round trips are awaitable.
-
-    ``arun`` charges the round trip with :func:`asyncio.sleep` (the
-    event loop keeps serving other sessions during the wait) and then
-    forwards to the wrapped synchronous source -- the forwarded call is
-    the in-memory simulation, microseconds next to the simulated trip.
-    The inherited blocking ``run`` stays available, so sequential,
-    thread and process executors accept the same source unchanged and
-    produce identical responses.
-    """
-
-    async def arun(self, query: Query) -> QueryResponse:
-        """Await one round trip, then forward ``query``."""
-        if self._seconds:
-            await asyncio.sleep(self._seconds)
-        return self._source.run(query)
-
-    def __repr__(self) -> str:
-        return (
-            f"AsyncLatencySource({self._source!r}, seconds={self._seconds})"
-        )

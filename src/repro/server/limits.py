@@ -25,8 +25,8 @@ shared.  When admission must be globally exact across a process pool,
 :mod:`repro.crawl.coordinator` moves the authoritative limit into a
 coordinator process and hands the workers
 :class:`~repro.crawl.coordinator.SharedLimitClient` proxies instead
-(the process executor's ``shared_limits=True`` mode does exactly
-that).
+(the process executor does exactly that whenever its sources carry
+limits).
 
 Every limit (and the clock) exposes ``state()`` / ``restore_state()``
 -- a plain-dict snapshot of its counters -- which is how the

@@ -9,9 +9,9 @@ which is exactly what :class:`~repro.crawl.executors.ProcessExecutor`
 needs when it ships sources into pool workers.
 
 Independence is also the limitation: a copied limit admits on its own.
-When admission must stay exact across the whole pool, the executor's
-``shared_limits`` mode swaps these per-copy paths for the shared-state
-counterparts in :mod:`repro.crawl.coordinator`
+When admission must stay exact across the whole pool -- whenever the
+sources carry limits -- the executor swaps these per-copy paths for the
+shared-state counterparts in :mod:`repro.crawl.coordinator`
 (:class:`~repro.crawl.coordinator.SharedLimitClient` and friends),
 which proxy to one authoritative object instead of copying it.
 

@@ -34,9 +34,9 @@ class CrawlService:
     queries -- with every tenant's exact admission charge restored.
 
     ``backend`` picks where region units crawl -- ``thread`` (inline
-    on the fleet), ``process`` (a worker-process pool, per-tenant
-    limits coordinator-hosted for exactly-once admission) or ``async``
-    -- and ``max_pending`` bounds each tenant's pending + running jobs
+    on the fleet) or ``process`` (a worker-process pool, per-tenant
+    limits coordinator-hosted for exactly-once admission) -- and
+    ``max_pending`` bounds each tenant's pending + running jobs
     (refusals raise :class:`~repro.exceptions.RetryAfter`).
 
     Examples

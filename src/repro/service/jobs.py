@@ -22,11 +22,10 @@ Three layers extend that core:
   ships the unit to a shared :class:`~concurrent.futures.
   ProcessPoolExecutor` -- per-tenant limits rehosted on a
   :class:`~repro.crawl.coordinator.LimitCoordinator` so admission
-  stays exactly-once and lease-batched across OS processes -- and
-  ``async`` bridges awaitable sources onto a shared event loop.  All
-  three commit through the same parent-side store seam, one
-  transaction per region, so kill-and-restart re-issues zero queries
-  regardless of backend.
+  stays exactly-once and lease-batched across OS processes.  Both
+  commit through the same parent-side store seam, one transaction per
+  region, so kill-and-restart re-issues zero queries regardless of
+  backend.
 
 * **Admission control.**  ``max_pending`` bounds each tenant's pending
   + running jobs; :meth:`JobManager.submit` refuses past the bound
@@ -52,7 +51,6 @@ committed regions pre-filed: zero queries re-issued.
 
 from __future__ import annotations
 
-import asyncio
 import enum
 import itertools
 import pickle
@@ -69,7 +67,7 @@ from repro.crawl.coordinator import (
     TenantLimitRegistry,
     lease_chunk_for_plan,
 )
-from repro.crawl.executors import _bridge_source, pickle_payload
+from repro.crawl.executors import pickle_payload
 from repro.crawl.partition import (
     PartitionedResult,
     PartitionPlan,
@@ -106,7 +104,7 @@ DEFAULT_FLEET = 4
 
 #: Where a job's region units crawl (the dispatch plane is always the
 #: manager's thread fleet).
-BACKENDS = ("thread", "process", "async")
+BACKENDS = ("thread", "process")
 
 
 def rotation_order(tenants: list[str], cursor: int) -> list[str]:
@@ -289,8 +287,8 @@ class JobManager:
     Construction starts ``workers`` daemon threads; :meth:`submit`
     hands them jobs, :meth:`shutdown` drains them (each finishes its
     in-flight region, nothing else starts).  ``backend`` picks where
-    region units crawl (``thread``, ``process`` or ``async``; a job
-    spec's ``executor`` overrides per job), and ``max_pending`` bounds
+    region units crawl (``thread`` or ``process``; a job spec's
+    ``executor`` overrides per job), and ``max_pending`` bounds
     each tenant's pending + running jobs (``None`` = unbounded).  All
     public methods are thread-safe.
 
@@ -344,15 +342,13 @@ class JobManager:
         #: Submissions past the admission check but not yet inserted.
         self._reserved: dict[str, int] = {}
         self._stop = False
-        # Lazily created multi-process / async plumbing.  Guarded by
-        # its own lock so coordinator round trips never park the
-        # dispatch lock; ordering is always backend lock -> job lock.
+        # Lazily created multi-process plumbing.  Guarded by its own
+        # lock so coordinator round trips never park the dispatch lock;
+        # ordering is always backend lock -> job lock.
         self._backend_lock = threading.Lock()
         self._coordinator: LimitCoordinator | None = None
         self._pool: ProcessPoolExecutor | None = None
         self._shared_stubs: dict[str, list] = {}
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._loop_thread: threading.Thread | None = None
         self._tickets = itertools.count(1)
         #: Bytes of the last process-job payload shipped to the pool.
         self.last_payload_bytes = 0
@@ -523,11 +519,6 @@ class JobManager:
             ticket = next(self._tickets)
             self._ensure_pool()
         else:
-            if backend == "async":
-                loop = self._ensure_loop()
-                sources = [
-                    _bridge_source(source, loop) for source in sources
-                ]
             flush = None
             if stubs:
 
@@ -686,9 +677,9 @@ class JobManager:
         Each worker finishes the region it is crawling -- committed
         work is never torn -- and nothing further is dispatched;
         non-terminal jobs stay resumable from the store.  Backend
-        resources (process pool, limit coordinator, event loop) are
-        torn down after the fleet drains, with every shared tenant's
-        authoritative charge landed back in the registry first.
+        resources (process pool, limit coordinator) are torn down after
+        the fleet drains, with every shared tenant's authoritative
+        charge landed back in the registry first.
         """
         with self._cond:
             if self._stop:
@@ -704,10 +695,6 @@ class JobManager:
             self._coordinator = None
             shared = dict(self._shared_stubs)
             self._shared_stubs.clear()
-            loop = self._loop
-            self._loop = None
-            loop_thread = self._loop_thread
-            self._loop_thread = None
         if pool is not None:
             pool.shutdown(wait=True)
         if coordinator is not None:
@@ -717,11 +704,6 @@ class JobManager:
             for tenant, stubs in shared.items():
                 self._registry.pull_shared(tenant, stubs)
             coordinator.shutdown()
-        if loop is not None:
-            loop.call_soon_threadsafe(loop.stop)
-            if loop_thread is not None:
-                loop_thread.join()
-            loop.close()
 
     def __enter__(self) -> "JobManager":
         return self
@@ -804,18 +786,6 @@ class JobManager:
                 self._pool = ProcessPoolExecutor(
                     max_workers=len(self._threads)
                 )
-
-    def _ensure_loop(self) -> asyncio.AbstractEventLoop:
-        with self._backend_lock:
-            if self._loop is None:
-                self._loop = asyncio.new_event_loop()
-                self._loop_thread = threading.Thread(
-                    target=self._loop.run_forever,
-                    name="job-async-loop",
-                    daemon=True,
-                )
-                self._loop_thread.start()
-            return self._loop
 
     def _share_tenant(self, tenant: str) -> list:
         """The tenant's limits as coordinator stubs (hosted lazily).

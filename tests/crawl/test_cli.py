@@ -39,8 +39,11 @@ class TestParser:
         )
         assert args.executor == "process"
         assert args.rebalance is True
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([path, "--k", "8", "--executor", "x"])
+        for bad in ("x", "async"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    [path, "--k", "8", "--executor", bad]
+                )
 
     def test_shard_subtrees_flag_shapes(self, mixed_csv):
         from repro.crawl.sharding import DEFAULT_MAX_SHARDS
@@ -141,7 +144,7 @@ class TestExecutors:
             ["--executor", "thread", "--rebalance"],
             ["--executor", "process"],
             ["--executor", "process", "--rebalance"],
-            ["--executor", "async"],
+            ["--executor", "sequential", "--rebalance"],
             ["--executor", "sequential"],
         ],
     )
@@ -262,13 +265,14 @@ class TestExecutors:
 
 
 class TestSharedLimitsAndLiveProgress:
-    """The --budget / --shared-limits / --progress-live surface."""
+    """The --budget / --progress-live surface (no --shared-limits: any
+    --budget is enforced once across the pool on every backend)."""
 
     def test_flag_defaults(self, mixed_csv):
         path, _ = mixed_csv
         args = build_parser().parse_args([path, "--k", "8"])
         assert args.budget is None
-        assert args.shared_limits is False
+        assert not hasattr(args, "shared_limits")
         assert args.progress_live is False
 
     def test_budget_must_be_positive(self, mixed_csv, capsys):
@@ -302,7 +306,6 @@ class TestSharedLimitsAndLiveProgress:
                     "2",
                     "--executor",
                     "process",
-                    "--shared-limits",
                     "--rebalance",
                     "--budget",
                     "100000",
@@ -311,7 +314,7 @@ class TestSharedLimitsAndLiveProgress:
             == 0
         )
         out = capsys.readouterr().out
-        assert "shared limits" in out
+        assert "via process + rebalance" in out
         assert "complete" in out
 
     def test_process_shared_limits_exhaustion_exits_4(self, mixed_csv, capsys):
@@ -326,7 +329,6 @@ class TestSharedLimitsAndLiveProgress:
                     "2",
                     "--executor",
                     "process",
-                    "--shared-limits",
                     "--budget",
                     "5",
                 ]
@@ -336,6 +338,33 @@ class TestSharedLimitsAndLiveProgress:
         err = capsys.readouterr().err
         assert "budget exhausted" in err
         assert "(5 queries charged)" in err
+
+    @pytest.mark.parametrize("rebalance", [[], ["--rebalance"]])
+    def test_process_budget_is_enforced_once_across_the_pool(
+        self, mixed_csv, capsys, rebalance
+    ):
+        """A plain --budget on the process backend, no other flag: the
+        pool admits it exactly once.  One query short of the crawl's
+        exact charge, the crawl fails with that charge -- where
+        per-worker budget copies each admitted their share and let the
+        crawl finish over budget."""
+        from repro.crawl.partition import crawl_partitioned, partition_space
+        from repro.server.limits import QueryBudget
+        from repro.server.server import TopKServer
+
+        path, dataset = mixed_csv
+        plan = partition_space(dataset.space, 2)
+        exact = QueryBudget(10**6)
+        crawl_partitioned(
+            [TopKServer(dataset, 8, limits=[exact]) for _ in plan.bundles],
+            plan,
+        )
+        budget = exact.used - 1
+        argv = [path, "--k", "8", "--workers", "2", "--executor", "process"]
+        assert main([*argv, *rebalance, "--budget", str(budget)]) == 4
+        err = capsys.readouterr().err
+        assert "budget exhausted" in err
+        assert f"({budget} queries charged)" in err
 
     def test_progress_live_prints_session_lines(self, mixed_csv, capsys):
         path, _ = mixed_csv
@@ -350,7 +379,7 @@ class TestSharedLimitsAndLiveProgress:
 
     def test_single_worker_notes_inert_flags(self, mixed_csv, capsys):
         path, _ = mixed_csv
-        assert main([path, "--k", "8", "--shared-limits"]) == 0
+        assert main([path, "--k", "8", "--rebalance"]) == 0
         assert "--workers > 1" in capsys.readouterr().err
 
 

@@ -4,11 +4,10 @@ The executor abstraction promises that the
 :class:`~repro.crawl.partition.PartitionedResult` is a pure function of
 (sources, plan, crawler factory) -- never of the backend, the worker
 count, or the stealing schedule.  These tests pin that contract:
-sequential, thread, process and async backends, with and without
+sequential, thread and process backends, with and without
 rebalancing, against the sequential reference, field by field.
 """
 
-import asyncio
 import functools
 import pickle
 
@@ -19,7 +18,6 @@ from repro.crawl.spec import CrawlSpec
 from repro.crawl.base import ProgressAggregator, SessionState
 from repro.crawl.executors import (
     EXECUTORS,
-    AsyncExecutor,
     ProcessExecutor,
     SequentialExecutor,
     ThreadExecutor,
@@ -32,8 +30,8 @@ from repro.crawl.rebalance import CostEstimator
 from repro.dataspace.dataset import Dataset
 from repro.dataspace.space import DataSpace
 from repro.exceptions import QueryBudgetExhausted, SchemaError
-from repro.server.client import AwaitableClient, CachingClient
-from repro.server.latency import AsyncLatencySource, LatencySource
+from repro.server.client import CachingClient
+from repro.server.latency import LatencySource
 from repro.server.limits import QueryBudget
 from repro.server.server import TopKServer
 from repro.server.stats import QueryStats
@@ -45,7 +43,7 @@ SESSIONS = 3
 #: Every backend x rebalance combination the parity contract covers.
 MATRIX = [
     (name, rebalance)
-    for name in ("sequential", "thread", "process", "async")
+    for name in ("sequential", "thread", "process")
     for rebalance in (False, True)
 ]
 
@@ -115,12 +113,11 @@ class TestParity:
         assert sorted(result.rows) == sorted(dataset.iter_rows())
 
     def test_fewer_workers_than_sessions(self, dataset, plan, reference):
-        for name in ("thread", "async"):
-            executor = make_executor(name, max_workers=2)
-            result = executor.run(
-                make_sources(dataset), plan, CrawlSpec(rebalance=True)
-            )
-            assert_identical(result, reference)
+        executor = make_executor("thread", max_workers=2)
+        result = executor.run(
+            make_sources(dataset), plan, CrawlSpec(rebalance=True)
+        )
+        assert_identical(result, reference)
 
     def test_rebalance_with_seeded_estimator(self, dataset, plan, reference):
         """Priors from a previous crawl steer, never change, results."""
@@ -137,17 +134,39 @@ class TestParity:
         assert estimator.total_observed() == reference.cost
 
     def test_latency_wrapped_sources(self, dataset, plan):
-        """The same parity through latency wrappers, sync and async."""
-        def wrapped(cls):
+        """The same parity through latency wrappers on worker threads."""
+        def wrapped():
             return [
-                cls(TopKServer(dataset, k=32), 0.0005)
+                LatencySource(TopKServer(dataset, k=32), 0.0005)
                 for _ in range(SESSIONS)
             ]
 
-        reference = crawl_partitioned(wrapped(LatencySource), plan)
-        result = AsyncExecutor(max_workers=SESSIONS).run(
-            wrapped(AsyncLatencySource), plan, CrawlSpec(rebalance=True))
+        reference = crawl_partitioned(wrapped(), plan)
+        result = ThreadExecutor(max_workers=SESSIONS).run(
+            wrapped(), plan, CrawlSpec(rebalance=True))
         assert_identical(result, reference)
+
+    def test_web_adapter_sources_on_threads(self, dataset):
+        """Thread sessions against repro.web, through its plain run."""
+
+        def web_sources():
+            return [
+                LatencySource(
+                    WebSession(HiddenWebSite(TopKServer(dataset, k=32))),
+                    0.0005,
+                )
+                for _ in range(2)
+            ]
+
+        # The web layer reconstructs the space from the search form, so
+        # the plan must be built against the reconstructed schema.
+        plan = partition_space(web_sources()[0].space, 2)
+        reference = crawl_partitioned(web_sources(), plan)
+        result = ThreadExecutor(max_workers=2).run(
+            web_sources(), plan, CrawlSpec(rebalance=True)
+        )
+        assert_identical(result, reference)
+        assert sorted(result.rows) == sorted(dataset.iter_rows())
 
 
 class TestProcessBackend:
@@ -192,63 +211,16 @@ class TestProcessBackend:
         assert clone.cost == client.cost
 
 
-class TestAsyncBackend:
-    def test_web_adapter_through_awaitable_client(self, dataset):
-        """Asyncio sessions against repro.web, via the awaitable shim."""
-
-        def web_sources():
-            return [
-                AwaitableClient(
-                    WebSession(HiddenWebSite(TopKServer(dataset, k=32)))
-                )
-                for _ in range(2)
-            ]
-
-        # The web layer reconstructs the space from the search form, so
-        # the plan must be built against the reconstructed schema.
-        plan = partition_space(web_sources()[0].space, 2)
-        reference = crawl_partitioned(web_sources(), plan)
-        result = AsyncExecutor(max_workers=2).run(web_sources(), plan)
-        assert_identical(result, reference)
-        assert sorted(result.rows) == sorted(dataset.iter_rows())
-
-    def test_many_sessions_do_not_starve_the_default_pool(self, dataset):
-        """Regression: session loops must not share asyncio's default
-        executor with AwaitableClient.arun -- with at least as many
-        blocked session workers as default-pool threads (cpu_count + 4)
-        the crawl used to deadlock on single-core hosts."""
-        plan = partition_space(dataset.space, 6)  # every value of make
-
-        def sources():
-            return [
-                AwaitableClient(TopKServer(dataset, k=32))
-                for _ in range(plan.sessions)
-            ]
-
-        reference = crawl_partitioned(sources(), plan)
-        result = AsyncExecutor(max_workers=plan.sessions).run(
-            sources(), plan, CrawlSpec(rebalance=True))
-        assert_identical(result, reference)
-
-    def test_awaitable_client_arun_off_loop(self, dataset):
-        from repro.query.query import Query
-
-        client = AwaitableClient(TopKServer(dataset, k=32))
-        query = Query.full(dataset.space)
-        response = asyncio.run(client.arun(query))
-        assert response == client.run(query)
-
-
 class TestValidation:
     def test_unknown_backend_name(self):
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor("fiber")
 
     def test_registry_names(self):
-        assert set(EXECUTORS) == {"sequential", "thread", "process", "async"}
+        assert set(EXECUTORS) == {"sequential", "thread", "process"}
 
     def test_nonpositive_workers(self):
-        for name in ("thread", "process", "async"):
+        for name in ("thread", "process"):
             with pytest.raises(ValueError):
                 make_executor(name, max_workers=0)
 
@@ -267,18 +239,17 @@ class TestValidation:
         assert 1 <= default_workers(10_000) <= 10_000
 
     def test_instance_executor_rejects_max_workers(self, dataset, plan):
-        from repro.crawl.parallel import crawl_partitioned_parallel
-
+        """An instance carries its own worker count: a spec asking for
+        another one is rejected, never silently ignored."""
         with pytest.raises(ValueError, match="max_workers"):
-            crawl_partitioned_parallel(
-                make_sources(dataset),
-                plan,
-                max_workers=2,
-                executor=ThreadExecutor(),
+            ThreadExecutor().run(
+                make_sources(dataset), plan, CrawlSpec(max_workers=2)
             )
-        # An instance without max_workers is fine.
-        result = crawl_partitioned_parallel(
-            make_sources(dataset), plan, executor=ThreadExecutor(2)
+        # A spec that leaves max_workers unset (or agrees) is fine.
+        result = ThreadExecutor(2).run(make_sources(dataset), plan)
+        assert result.complete
+        result = ThreadExecutor(2).run(
+            make_sources(dataset), plan, CrawlSpec(max_workers=2)
         )
         assert result.complete
 

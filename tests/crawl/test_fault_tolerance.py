@@ -4,7 +4,8 @@ The tentpole contract under test: a crawl fleet survives losing
 workers.  A departing worker (anything that raises
 :class:`~repro.exceptions.WorkerDeparted`) hands its in-flight region
 or shard back to the scheduler via ``requeue()``, its lease/stats flush
-runs in the drive loop's ``finally``, and the executors submit
+runs on the way out (the drive loop's ``finally``, the pool wire
+functions' unit boundary), and the executors submit
 replacements -- so the crawl completes with the *exact* bytes and the
 *exact* budget charge of an undisturbed run.  A fleet that keeps
 departing past the replacement cap fails loudly instead of hanging.
@@ -18,8 +19,8 @@ Three layers, mirroring where the machinery lives:
   departing at every unit position and a second loop resuming to full
   parity;
 * executor tests -- kill-at-every-region-boundary sweeps and mid-crawl
-  query-level deaths across the thread, process (per-copy and
-  shared-limit) and async backends.
+  query-level deaths across the thread and process backends (the
+  latter with and without budgeted sources).
 """
 
 import threading
@@ -29,11 +30,7 @@ import numpy as np
 import pytest
 
 from repro.crawl.spec import CrawlSpec
-from repro.crawl.executors import (
-    AsyncExecutor,
-    ProcessExecutor,
-    ThreadExecutor,
-)
+from repro.crawl.executors import ProcessExecutor, ThreadExecutor
 from repro.crawl.base import ProgressAggregator
 from repro.crawl.hybrid import Hybrid
 from repro.crawl.partition import crawl_partitioned, partition_space
@@ -154,11 +151,12 @@ class DepartingRunner(UnitRunner):
         self._inner = inner
         self._die_at = die_at
         self.calls = 0
-        self.drains = 0
+        self.unflushed = False
 
     def _tick(self):
         self.calls += 1
         if self.calls == self._die_at:
+            self.unflushed = True
             raise WorkerDeparted(
                 f"injected departure at unit #{self.calls}"
             )
@@ -176,11 +174,8 @@ class DepartingRunner(UnitRunner):
         return self._inner.shard(task)
 
     def region_boundary(self):
+        self.unflushed = False
         self._inner.region_boundary()
-
-    def drained(self):
-        self.drains += 1
-        self._inner.drained()
 
 
 @dataclass(frozen=True)
@@ -365,11 +360,10 @@ class TestDriveLoopDeparture:
             scheduler = WorkStealingScheduler(plan.bundles)
             sink = GridSink(plan, AggregatorFeed(None, plan))
             assert drive_stealing(scheduler, 0, runner, sink) is False
-            # The finally-clause contract: the departed loop still ran
-            # its drain hook, so leases/stats can never leak.
-            assert runner.drains == 1
+            # The finally-clause contract: the departed loop still
+            # flushed its region boundary, so leases/stats never leak.
+            assert not runner.unflushed
             assert drive_stealing(scheduler, 0, runner, sink) is True
-            assert runner.drains == 2
             assert scheduler.done()
             assert not scheduler.failed_keys()
             assert not sink.failures
@@ -475,7 +469,7 @@ class TestElasticProcess:
     def test_futures_dispatch_redispatches_departed_units(
         self, dataset, plan, reference, tmp_path
     ):
-        """Per-copy rebalanced mode: each pool worker departs once (at
+        """Limit-free rebalanced mode: each pool worker departs once (at
         its second region attempt) and the parent dispatcher re-submits
         the unit to a surviving slot."""
         marker = tmp_path / "departures"
@@ -493,10 +487,10 @@ class TestElasticProcess:
     def test_shared_limits_departure_keeps_budget_exact(
         self, dataset, plan, reference, baseline_queries, tmp_path
     ):
-        """Cross-process pull loops under the shared-limit plane: each
-        worker departs once, replacements pull the requeued units, and
-        the written-back budgets carry the exact fleet-wide charge --
-        the lease flush in the drive loop's finally at work."""
+        """Budgeted sources put the pool on the shared-limit plane:
+        each worker departs once, the parent dispatcher re-submits the
+        requeued units, and the written-back budgets carry the exact
+        fleet-wide charge -- the unit-boundary lease flush at work."""
         budgets = [QueryBudget(10**6) for _ in range(SESSIONS)]
         sources = [
             TopKServer(dataset, k=32, limits=[budgets[i]])
@@ -507,19 +501,9 @@ class TestElasticProcess:
             sources,
             plan,
             CrawlSpec(
-                rebalance=True,
-                shared_limits=True,
-                crawler_factory=DepartAt(2, marker=marker),
+                rebalance=True, crawler_factory=DepartAt(2, marker=marker)
             ),
         )
         assert_identical(result, reference)
         assert [b.used for b in budgets] == baseline_queries
         assert marker.exists() and marker.read_text().count("departed") >= 1
-
-
-class TestElasticAsync:
-    def test_rejoin_after_departure_matches(self, dataset, plan, reference):
-        result = AsyncExecutor(max_workers=SESSIONS).run(
-            make_sources(dataset),
-            plan, CrawlSpec(rebalance=True, crawler_factory=DepartAt(3)))
-        assert_identical(result, reference)

@@ -21,6 +21,7 @@ from repro.crawl.hybrid import Hybrid
 from repro.crawl.parallel import crawl_partitioned_parallel, default_workers
 from repro.crawl.partition import crawl_partitioned, partition_space
 from repro.crawl.rank_shrink import RankShrink
+from repro.crawl.spec import CrawlSpec
 from repro.datasets.adult import adult_numeric
 from repro.datasets.nsf import nsf
 from repro.dataspace.dataset import Dataset
@@ -76,7 +77,7 @@ class TestMatchesSequential:
 
         sequential = crawl_partitioned(sources(), plan)
         parallel = crawl_partitioned_parallel(
-            sources(), plan, max_workers=workers
+            sources(), plan, CrawlSpec(max_workers=workers)
         )
         assert_identical(parallel, sequential)
         assert parallel.complete
@@ -94,7 +95,9 @@ class TestMatchesSequential:
             sources(), plan, crawler_factory=RankShrink
         )
         parallel = crawl_partitioned_parallel(
-            sources(), plan, max_workers=SESSIONS, crawler_factory=RankShrink
+            sources(),
+            plan,
+            CrawlSpec(max_workers=SESSIONS, crawler_factory=RankShrink),
         )
         assert_identical(parallel, sequential)
         assert sorted(parallel.rows) == sorted(dataset.iter_rows())
@@ -109,7 +112,9 @@ class TestMatchesSequential:
 
         sequential = crawl_partitioned(sources(), plan, crawler_factory=Hybrid)
         parallel = crawl_partitioned_parallel(
-            sources(), plan, max_workers=SESSIONS, crawler_factory=Hybrid
+            sources(),
+            plan,
+            CrawlSpec(max_workers=SESSIONS, crawler_factory=Hybrid),
         )
         assert_identical(parallel, sequential)
         assert sorted(parallel.rows) == sorted(dataset.iter_rows())
@@ -127,7 +132,7 @@ class TestMatchesSequential:
 
         sequential = crawl_partitioned(sources(), plan, allow_partial=True)
         parallel = crawl_partitioned_parallel(
-            sources(), plan, max_workers=2, allow_partial=True
+            sources(), plan, CrawlSpec(max_workers=2, allow_partial=True)
         )
         assert not parallel.complete
         assert 0 < len(parallel.rows) < dataset.n
@@ -141,7 +146,7 @@ class TestMatchesSequential:
             TopKServer(dataset, k=32),
         ]
         with pytest.raises(QueryBudgetExhausted):
-            crawl_partitioned_parallel(sources, plan, max_workers=2)
+            crawl_partitioned_parallel(sources, plan, CrawlSpec(max_workers=2))
 
 
 class TestValidation:
@@ -156,7 +161,7 @@ class TestValidation:
         plan = partition_space(dataset.space, 2)
         sources = [TopKServer(dataset, k=32) for _ in range(2)]
         with pytest.raises(ValueError):
-            crawl_partitioned_parallel(sources, plan, max_workers=0)
+            crawl_partitioned_parallel(sources, plan, CrawlSpec(max_workers=0))
 
     def test_rejects_mismatched_aggregator(self):
         dataset = mixed_dataset()
@@ -164,7 +169,7 @@ class TestValidation:
         sources = [TopKServer(dataset, k=32) for _ in range(2)]
         with pytest.raises(ValueError):
             crawl_partitioned_parallel(
-                sources, plan, aggregator=ProgressAggregator(5)
+                sources, plan, CrawlSpec(aggregator=ProgressAggregator(5))
             )
 
     def test_default_workers_bounds(self):
@@ -179,7 +184,9 @@ class TestProgress:
         sources = [TopKServer(dataset, k=32) for _ in range(SESSIONS)]
         aggregator = ProgressAggregator(SESSIONS)
         merged = crawl_partitioned_parallel(
-            sources, plan, max_workers=SESSIONS, aggregator=aggregator
+            sources,
+            plan,
+            CrawlSpec(max_workers=SESSIONS, aggregator=aggregator),
         )
         totals = aggregator.totals()
         assert totals.queries == merged.cost

@@ -254,20 +254,6 @@ class TestBatchSink:
         assert [key for key, _ in results] == [(0, 1)]
         assert [key for key, _ in failures] == [(1, 0)]
 
-    def test_streams_events_through_a_plane(self):
-        class _Plane:
-            def __init__(self):
-                self.events = []
-
-            def push_event(self, event):
-                self.events.append(event)
-
-        plane = _Plane()
-        sink = BatchSink(plane)
-        sink.region_done((2, 1), _FakeResult(cost=5, rows=[(1,), (2,)]))
-        sink.region_failed((0, 0), 0, RuntimeError("x"))
-        assert plane.events == [("region", 2, 1, 5, 2), ("failed", 0)]
-
 
 class TestGridSink:
     def test_file_batch_respects_update_feed(self, plan):

@@ -277,7 +277,7 @@ class TestExecutorParity:
 
     MATRIX = [
         (name, rebalance)
-        for name in ("sequential", "thread", "process", "async")
+        for name in ("sequential", "thread", "process")
         for rebalance in (False, True)
     ]
 
@@ -616,7 +616,6 @@ class TestAdaptiveShardBudgets:
         ("sequential", False),
         ("thread", False),
         ("thread", True),
-        ("async", True),
         ("process", True),
     ]
 

@@ -1,21 +1,21 @@
 """Shared-limit control plane: exact accounting across processes.
 
-The process backend's ``shared_limits=True`` mode must keep every
-interface limit *globally* exact -- one authoritative
+Whenever its sources carry a limit, the process backend must keep
+every interface limit *globally* exact -- one authoritative
 ``QueryBudget``/``DailyRateLimit``/``SimulatedClock``/``QueryStats``
 admits and accounts for the whole pool -- while the merged result stays
 byte-identical to the sequential executor on limit-bearing plans.
 These tests pin:
 
 * the coordinator primitives (exactly-once admission, identity-memoised
-  sharing, write-back, source rewiring);
-* byte-parity of the process backend under ``shared_limits`` across
+  sharing, write-back, source rewiring, limit detection);
+* byte-parity of the process backend on budgeted sources across
   static / rebalanced / subtree-sharded dispatch, with the charged cost
   equal to the sequential count exactly;
 * limit-exhaustion behaviour: a budget that runs out mid-crawl raises
   (or, with ``allow_partial``, truncates) identically across
-  sequential, thread and shared-limit process execution, never
-  over-admitting by even one query;
+  sequential, thread and process execution, never over-admitting by
+  even one query;
 * a hypothesis property: no interleaving of racing admitters can
   double-admit -- exactly ``min(budget, attempts)`` admissions succeed.
 """
@@ -35,6 +35,7 @@ from repro.crawl.coordinator import (
     SharedClock,
     SharedDailyLimit,
     SharedStats,
+    carries_limits,
 )
 from repro.crawl.executors import ProcessExecutor, make_executor
 from repro.crawl.partition import crawl_partitioned, partition_space
@@ -52,7 +53,7 @@ from repro.server.stats import QueryStats
 
 SESSIONS = 3
 
-#: Shared-limit dispatch shapes the parity contract covers.
+#: Process dispatch shapes the budgeted parity contract covers.
 SHARED_MATRIX = [
     pytest.param({}, id="static"),
     pytest.param({"rebalance": True}, id="rebalance"),
@@ -267,7 +268,7 @@ class TestProcessSharedParity:
         result = ProcessExecutor(max_workers=2).run(
             budgeted_sources(dataset, budget),
             plan,
-            CrawlSpec(shared_limits=True, **kwargs),
+            CrawlSpec(**kwargs),
         )
         assert_identical(result, expected)
         assert budget.used == expected_charge
@@ -280,7 +281,7 @@ class TestProcessSharedParity:
         ProcessExecutor(max_workers=2).run(
             shared_sources,
             plan,
-            CrawlSpec(shared_limits=True, rebalance=True),
+            CrawlSpec(rebalance=True),
         )
         for sequential, shared in zip(seq_sources, shared_sources):
             assert shared.stats.queries == sequential.stats.queries
@@ -298,9 +299,7 @@ class TestProcessSharedParity:
         result = ProcessExecutor(max_workers=2).run(
             budgeted_sources(dataset, QueryBudget(100_000)),
             plan,
-            CrawlSpec(
-                shared_limits=True, rebalance=True, estimator=estimator
-            ),
+            CrawlSpec(rebalance=True, estimator=estimator),
         )
         assert_identical(result, expected)
         # Every region's exact cost crossed the process boundary back.
@@ -313,7 +312,7 @@ class TestProcessSharedParity:
         merged = ProcessExecutor(max_workers=2).run(
             budgeted_sources(dataset, QueryBudget(100_000)),
             plan,
-            CrawlSpec(shared_limits=True, aggregator=aggregator, **kwargs),
+            CrawlSpec(aggregator=aggregator, **kwargs),
         )
         assert aggregator.states() == (SessionState.DONE,) * SESSIONS
         totals = aggregator.totals()
@@ -323,7 +322,7 @@ class TestProcessSharedParity:
 
 class TestLimitExhaustion:
     """Satellite: a budget that runs out mid-crawl behaves identically
-    across sequential, thread and shared-limit process execution."""
+    across sequential, thread and process execution."""
 
     CAP = 12
 
@@ -331,16 +330,12 @@ class TestLimitExhaustion:
         pytest.param("sequential", {}, id="sequential"),
         pytest.param("thread", {}, id="thread"),
         pytest.param("thread", {"rebalance": True}, id="thread-rebalance"),
-        pytest.param("async", {}, id="async"),
+        pytest.param("process", {}, id="process"),
+        pytest.param("process", {"rebalance": True}, id="process-rebalance"),
         pytest.param(
             "process",
-            {"shared_limits": True, "rebalance": True},
-            id="process-shared",
-        ),
-        pytest.param(
-            "process",
-            {"shared_limits": True, "rebalance": True, "shard_subtrees": 4},
-            id="process-shared-sharded",
+            {"rebalance": True, "shard_subtrees": 4},
+            id="process-rebalance-sharded",
         ),
     ]
 
@@ -373,20 +368,19 @@ class TestLimitExhaustion:
         assert budget.used == self.CAP
         assert budget.remaining == 0
 
-    def test_without_sharing_each_worker_over_admits(self, dataset, plan):
-        """The bug the control plane fixes, pinned as a contrast: plain
-        per-worker budget copies admit independently, so the pool as a
-        whole issues more queries than the budget allows."""
+    def test_process_pool_admits_the_budget_once(self, dataset, plan):
+        """No flag needed: budgeted sources alone route admission
+        through the control plane, so the pool as a whole never spends
+        more than the one budget -- and the caller's object reads it."""
         budget = QueryBudget(self.CAP)
         result = ProcessExecutor(max_workers=2).run(
             budgeted_sources(dataset, budget),
             plan,
             CrawlSpec(allow_partial=True, rebalance=True),
         )
-        # Each worker's copy stopped at CAP, but the fleet's total
-        # spend exceeded it -- and the caller's budget saw nothing.
-        assert budget.used == 0
-        assert result.cost > 0
+        assert not result.complete
+        assert budget.used == self.CAP
+        assert budget.remaining == 0
 
 
 class TestNoDoubleAdmission:
@@ -492,6 +486,157 @@ class TestAbortDrain:
 
 class _FakePlan:
     shards = (object(),)
+
+
+class TestCarriesLimits:
+    """The process backend's one switch for the control plane."""
+
+    def test_limit_free_stacks_carry_no_limits(self, dataset):
+        plain = TopKServer(dataset, k=32)
+        assert not carries_limits([plain, LatencySource(plain, 0.0)])
+        assert not carries_limits([])
+
+    def test_a_limit_anywhere_in_any_stack_counts(self, dataset):
+        from repro.web.adapter import WebSession
+        from repro.web.site import HiddenWebSite
+
+        budgeted = TopKServer(dataset, k=32, limits=[QueryBudget(5)])
+        plain = TopKServer(dataset, k=32)
+        assert carries_limits([plain, budgeted])
+        assert carries_limits([LatencySource(CachingClient(budgeted), 0.0)])
+        assert carries_limits([WebSession(HiddenWebSite(budgeted))])
+
+    def test_a_patient_clients_daily_quota_counts(self, dataset):
+        clock = SimulatedClock()
+        server = TopKServer(
+            dataset, k=32, limits=[DailyRateLimit(1000, clock)]
+        )
+        assert carries_limits([PatientClient(server, clock)])
+
+    @pytest.mark.parametrize("kwargs", SHARED_MATRIX)
+    def test_process_backend_starts_the_coordinator_only_for_limits(
+        self, kwargs, dataset, plan, reference, monkeypatch
+    ):
+        from repro.crawl import executors
+
+        started = []
+
+        class Spy(LimitCoordinator):
+            def start(self):
+                started.append(self)
+                return super().start()
+
+        monkeypatch.setattr(executors, "LimitCoordinator", Spy)
+        expected, expected_charge = reference
+        plain = [TopKServer(dataset, k=32) for _ in range(SESSIONS)]
+        result = ProcessExecutor(max_workers=2).run(
+            plain, plan, CrawlSpec(**kwargs)
+        )
+        assert_identical(result, expected)
+        assert started == []
+        budget = QueryBudget(100_000)
+        result = ProcessExecutor(max_workers=2).run(
+            budgeted_sources(dataset, budget), plan, CrawlSpec(**kwargs)
+        )
+        assert_identical(result, expected)
+        assert len(started) == 1
+        assert budget.used == expected_charge
+
+    def test_one_budgeted_session_is_enough(self, dataset, plan):
+        """A limit on one session's server puts the whole pool on the
+        plane: that session's budget is charged exactly once."""
+
+        def sources(budget):
+            return [
+                TopKServer(dataset, k=32, limits=[budget]),
+                TopKServer(dataset, k=32),
+                TopKServer(dataset, k=32),
+            ]
+
+        sequential_budget = QueryBudget(100_000)
+        expected = crawl_partitioned(sources(sequential_budget), plan)
+        budget = QueryBudget(100_000)
+        result = ProcessExecutor(max_workers=2).run(
+            sources(budget), plan, CrawlSpec(rebalance=True)
+        )
+        assert_identical(result, expected)
+        assert budget.used == sequential_budget.used > 0
+
+
+class TestPoolUnitFlush:
+    """Every pool wire function returns its worker's leased headroom
+    before the unit's result leaves the worker: under futures dispatch
+    an idle worker would otherwise sit on charged budget units."""
+
+    #: Small enough that the first region presplits into shards.
+    K = 8
+
+    @classmethod
+    def sources(cls, dataset, budget):
+        return [
+            TopKServer(dataset, k=cls.K, limits=[budget])
+            for _ in range(SESSIONS)
+        ]
+
+    @pytest.fixture
+    def worker(self, dataset):
+        from repro.crawl import executors
+        from repro.crawl.hybrid import Hybrid
+
+        budget = QueryBudget(100_000)
+        with LimitCoordinator() as coordinator:
+            shared = coordinator.share_sources(self.sources(dataset, budget))
+            coordinator.set_lease_chunk(64)
+            stub = next(
+                stub
+                for stub in coordinator.shared_stubs()
+                if isinstance(stub, SharedBudget)
+            )
+            # Turn this process into a pool worker, then back again.
+            executors._process_init(
+                executors.pickle_payload(
+                    shared, Hybrid, coordinator.shared_stubs()
+                )
+            )
+            try:
+                yield executors, stub
+            finally:
+                executors._process_init(executors.pickle_payload((), Hybrid))
+
+    @classmethod
+    def reference(cls, dataset):
+        """An in-process runner over a local budget: the exact charges."""
+        from repro.crawl.hybrid import Hybrid
+        from repro.crawl.runtime import LocalUnitRunner
+
+        budget = QueryBudget(100_000)
+        runner = LocalUnitRunner(cls.sources(dataset, budget), Hybrid, False)
+        return runner, budget
+
+    def test_region_unit_flushes(self, worker, dataset, plan):
+        from repro.crawl.rebalance import RegionTask
+
+        executors, stub = worker
+        region = plan.bundles[0][0]
+        executors._pool_region(0, 0, region, False)
+        runner, budget = self.reference(dataset)
+        runner.region(RegionTask(0, 0, region))
+        assert stub.used == budget.used
+
+    def test_presplit_and_shard_units_flush(self, worker, dataset, plan):
+        from repro.crawl.rebalance import RegionTask, ShardTask
+
+        executors, stub = worker
+        runner, budget = self.reference(dataset)
+        region = plan.bundles[0][0]
+        shard_plan = executors._pool_presplit(0, 0, region, False, 4)
+        runner.presplit(RegionTask(0, 0, region), 4)
+        assert shard_plan.shards
+        assert stub.used == budget.used
+        for shard in shard_plan.shards:
+            executors._pool_shard(0, 0, region, shard, False)
+            runner.shard(ShardTask(0, 0, region, shard))
+            assert stub.used == budget.used
 
 
 class TestRewireValidation:
@@ -712,9 +857,7 @@ class TestRoundTripReduction:
         budget = QueryBudget(100_000)
         sources = budgeted_sources(dataset, budget)
         executor = ProcessExecutor(max_workers=2, lease_chunk=lease_chunk)
-        result = executor.run(
-            sources, plan, CrawlSpec(shared_limits=True)
-        )
+        result = executor.run(sources, plan)
         return result, budget.used, sources[0].stats.round_trips
 
     def test_leased_crawl_is_identical_with_far_fewer_round_trips(
@@ -752,7 +895,7 @@ class TestRoundTripReduction:
         sources = budgeted_sources(dataset, budget)
         assert sources[0].stats.round_trips == 0
         ProcessExecutor(max_workers=2).run(
-            sources, plan, CrawlSpec(shared_limits=True, rebalance=True)
+            sources, plan, CrawlSpec(rebalance=True)
         )
         # Fleet-wide plane chatter written back into every stats object.
         totals = {source.stats.round_trips for source in sources}

@@ -1,14 +1,13 @@
-"""CrawlSpec: one config object, same bytes as the legacy kwargs.
+"""CrawlSpec: one config object, the only way to configure a crawl.
 
-The spec redesign promises three things: a spec-driven run is
-byte-identical to the equivalent legacy-kwargs run on every backend;
-the legacy keyword path still works but warns; and the flag->spec
+The spec promises three things: a spec-driven run is byte-identical to
+the sequential reference; the executor layer takes nothing but a spec
+(keyword configuration is rejected outright); and the flag->spec
 mapping (`spec_from_args`) is the single source of truth both CLIs
 share.  These tests pin all three.
 """
 
 import functools
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -115,32 +114,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             spec.replace(executor="bogus")
 
-    def test_run_fields_match_dataclass(self):
-        """RUN_FIELDS is exactly the non-backend half of the spec."""
-        import dataclasses
-
-        names = {field.name for field in dataclasses.fields(CrawlSpec)}
-        backend = {"executor", "max_workers", "lease_chunk"}
-        assert CrawlSpec.RUN_FIELDS == names - backend
 
 
 class TestParity:
-    """spec= and legacy kwargs produce byte-identical results."""
-
-    @pytest.mark.parametrize(
-        "name", ["sequential", "thread", "process", "async"]
-    )
-    def test_spec_matches_legacy_kwargs(self, name, dataset, plan):
-        executor = make_executor(name, max_workers=SESSIONS)
-        with pytest.warns(DeprecationWarning):
-            legacy = executor.run(
-                make_sources(dataset), plan, rebalance=True
-            )
-        via_spec = executor.run(
-            make_sources(dataset), plan, CrawlSpec(rebalance=True)
-        )
-        assert_identical(via_spec, legacy)
-        assert via_spec.complete
+    """Spec-driven runs are byte-identical to the sequential reference."""
 
     def test_spec_matches_sequential_reference(self, dataset, plan):
         reference = crawl_partitioned(make_sources(dataset), plan)
@@ -171,26 +148,15 @@ class TestParity:
 
     def test_parallel_front_door_takes_spec(self, dataset, plan):
         reference = crawl_partitioned(make_sources(dataset), plan)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result = crawl_partitioned_parallel(
-                make_sources(dataset),
-                plan,
-                spec=CrawlSpec(executor="thread", rebalance=True),
-            )
+        result = crawl_partitioned_parallel(
+            make_sources(dataset),
+            plan,
+            spec=CrawlSpec(executor="thread", rebalance=True),
+        )
         assert_identical(result, reference)
 
-    def test_parallel_front_door_kwargs_do_not_warn(self, dataset, plan):
-        """The front door builds the spec itself -- no deprecation."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result = crawl_partitioned_parallel(
-                make_sources(dataset), plan, executor="thread"
-            )
-        assert result.complete
-
     def test_parallel_rejects_spec_plus_kwargs(self, dataset, plan):
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             crawl_partitioned_parallel(
                 make_sources(dataset),
                 plan,
@@ -200,14 +166,11 @@ class TestParity:
 
 
 class TestDeprecationShim:
-    def test_legacy_kwargs_warn(self, dataset, plan):
-        executor = ThreadExecutor(max_workers=SESSIONS)
-        with pytest.warns(DeprecationWarning, match="CrawlSpec"):
-            executor.run(make_sources(dataset), plan, allow_partial=True)
+    """Keyword configuration is rejected: the spec is the only input."""
 
     def test_spec_plus_legacy_is_an_error(self, dataset, plan):
         executor = ThreadExecutor(max_workers=SESSIONS)
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             executor.run(
                 make_sources(dataset),
                 plan,
@@ -280,7 +243,6 @@ class TestSpecFromArgs:
             workers=4,
             rebalance=True,
             shard_subtrees="auto",
-            shared_limits=True,
             lease_chunk=8,
             allow_partial=True,
         )
@@ -291,7 +253,6 @@ class TestSpecFromArgs:
         assert spec.max_workers == 4
         assert spec.rebalance is True
         assert spec.shard_subtrees == "auto"
-        assert spec.shared_limits is True
         assert spec.lease_chunk == 8
         assert spec.allow_partial is True
 

@@ -2,7 +2,7 @@
 
 The service tests run against the thread backend by default (fast,
 in-process, the tier-1 shape).  Setting ``REPRO_SERVICE_BACKENDS`` to
-a comma-separated subset of ``thread,process,async`` re-parametrizes
+a comma-separated subset of ``thread,process`` re-parametrizes
 every test that takes the ``service_backend`` fixture -- CI's matrix
 sets ``process`` to drive the same contracts through the worker-pool
 path (coordinator-hosted tenant limits, pickled region units).

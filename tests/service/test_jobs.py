@@ -7,7 +7,7 @@ tenant fails only its own job; ``rows`` works mid-crawl; and a
 killed-and-restarted server resumes from SQLite re-issuing zero
 queries for committed regions.  The contracts are backend-agnostic:
 tests taking the ``service_backend`` fixture re-run under the
-process/async backends when ``REPRO_SERVICE_BACKENDS`` says so.
+process backend when ``REPRO_SERVICE_BACKENDS`` says so.
 
 The admission layer (bounded per-tenant pending queues, priority
 classes) is pinned by hypothesis property suites: arbitrary
@@ -172,7 +172,7 @@ class TestLifecycle:
                 dataset,
                 K,
                 name="demo",
-                spec=CrawlSpec(executor="async"),
+                spec=CrawlSpec(executor="process"),
                 sessions=SESSIONS,
             )
             status = service.wait(job, timeout=60)

@@ -211,3 +211,50 @@ class TestAlgorithmNames:
         assert SliceCover.name == "slice-cover"
         assert LazySliceCover.name == "lazy-slice-cover"
         assert Hybrid.name == "hybrid"
+
+
+class TestExecutionSurface:
+    """One transport per concern: the option surface stays this small."""
+
+    def test_three_backends(self):
+        from repro.crawl import EXECUTORS
+        from repro.service.jobs import BACKENDS
+
+        assert set(EXECUTORS) == {"sequential", "thread", "process"}
+        assert BACKENDS == ("thread", "process")
+
+    def test_spec_has_no_shared_limits_knob(self):
+        import dataclasses
+
+        from repro.crawl import CrawlSpec
+
+        names = {field.name for field in dataclasses.fields(CrawlSpec)}
+        assert "shared_limits" not in names
+        assert len(names) == 11
+
+    def test_run_takes_a_spec_not_keywords(self):
+        from repro.crawl import ThreadExecutor
+        from repro.crawl.partition import partition_space
+        from repro.datasets.synthetic import random_dataset
+        from repro.dataspace.space import DataSpace
+        from repro.server.server import TopKServer
+
+        space = DataSpace.mixed([("c", 3)], ["x"])
+        dataset = random_dataset(space, 40, seed=1, numeric_range=(0, 30))
+        plan = partition_space(dataset.space, 2)
+        sources = [TopKServer(dataset, k=32) for _ in plan.bundles]
+        with pytest.raises(TypeError):
+            ThreadExecutor(2).run(sources, plan, rebalance=True)
+
+    @pytest.mark.parametrize(
+        "flags", [["--executor", "async"], ["--shared-limits"]]
+    )
+    def test_cli_rejects_async_and_shared_limits(
+        self, flags, tmp_path, capsys
+    ):
+        from repro.crawl.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(tmp_path / "data.csv"), "--k", "8", *flags])
+        assert excinfo.value.code == 2
+        assert "error" in capsys.readouterr().err

@@ -43,7 +43,6 @@ METRICS: dict[str, dict] = {
     "process_over_thread": {"min_cpus": 2},
     "speedup_vs_sequential.thread": {"min_cpus": 2},
     "speedup_vs_sequential.process": {"min_cpus": 2},
-    "speedup_vs_sequential.async": {"min_cpus": 2},
     "sharding_over_region_stealing": {},
     # Shared-limit control-plane chatter: more round trips than the
     # baseline means per-query admission crept back in.
