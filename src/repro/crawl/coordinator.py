@@ -62,9 +62,9 @@ it two ways, without giving up a single unit of exactness:
   per-query admission would have squeaked through (admission is
   *conservative*, never over).  The executor therefore clamps the
   auto-sized chunk against the budgets' remaining headroom
-  (:meth:`LimitCoordinator.clamp_lease_chunk`): tight budgets degrade
-  to exact per-query admission, and batching only engages when the
-  budget dwarfs what the fleet could strand.
+  (:func:`clamp_lease_chunk`): tight budgets degrade to exact
+  per-query admission, and batching only engages when the budget
+  dwarfs what the fleet could strand.
 * **Buffered stats.**  :class:`SharedStats` accumulates recordings
   locally (phases attributed per worker) and ships the aggregate as
   one :meth:`~repro.server.stats.QueryStats.merge_counts` delta per
@@ -109,7 +109,9 @@ __all__ = [
     "SharedStats",
     "TenantLimitRegistry",
     "carries_limits",
+    "clamp_lease_chunk",
     "lease_chunk_for_plan",
+    "set_lease_chunk",
 ]
 
 #: Lease chunk used when the estimator knows nothing about the plan.
@@ -177,6 +179,46 @@ def lease_chunk_for_plan(plan, estimator: CostEstimator | None) -> int:
         return DEFAULT_LEASE_CHUNK
     mean = sum(estimator.estimate(key) for key in keys) / len(keys)
     return max(1, min(MAX_LEASE_CHUNK, round(mean)))
+
+
+def clamp_lease_chunk(stubs, chunk: int, fleet: int) -> int:
+    """Cap an estimator-sized chunk against the budgets' headroom.
+
+    A fleet of ``fleet`` workers can strand at most ``fleet x chunk``
+    leased-but-unissued units between region boundaries; near a
+    budget's edge that stranding could refuse a crawl per-query
+    admission would have satisfied.  Clamping the chunk to
+    ``remaining // (4 x fleet)`` for every :class:`SharedBudget` in
+    ``stubs`` keeps the whole fleet's possible stranding under a
+    quarter of the tightest remaining budget -- and collapses to exact
+    per-query admission (chunk 1) on tight budgets, where
+    sequential-equivalent exhaustion behaviour matters most.  Only the
+    stubs passed in bound the chunk: the job service passes one
+    tenant's, so a poor tenant never shrinks a rich one's batching.
+    """
+    if fleet < 1:
+        raise ValueError(f"fleet must be positive, got {fleet}")
+    for stub in stubs:
+        if isinstance(stub, SharedBudget):
+            chunk = min(chunk, max(1, stub.remaining // (4 * fleet)))
+    return max(1, chunk)
+
+
+def set_lease_chunk(stubs, chunk: int) -> None:
+    """Set the admission lease chunk on every budget stub in ``stubs``.
+
+    Applied to :class:`SharedBudget` stubs only: a budget chunk is a
+    pure round-trip amortisation, while clock-coupled limits (a
+    :class:`~repro.server.limits.DailyRateLimit` rolling over under the
+    lessee's feet) stay at exact per-query admission.  Call before
+    pickling the stubs' sources into a pool -- the chunk travels with
+    them.
+    """
+    if chunk < 1:
+        raise ValueError(f"lease chunk must be positive, got {chunk}")
+    for stub in stubs:
+        if isinstance(stub, SharedBudget):
+            stub.lease_chunk = chunk
 
 
 class TenantLimitRegistry:
@@ -1009,44 +1051,6 @@ class LimitCoordinator:
             for stub in self._shared.values()
             if isinstance(stub, (SharedLimitClient, SharedStats))
         ]
-
-    def clamp_lease_chunk(self, chunk: int, fleet: int) -> int:
-        """Cap an estimator-sized chunk against the budgets' headroom.
-
-        A fleet of ``fleet`` workers can strand at most
-        ``fleet x chunk`` leased-but-unissued units between region
-        boundaries; near a budget's edge that stranding could refuse a
-        crawl per-query admission would have satisfied.  Clamping the
-        chunk to ``remaining // (4 x fleet)`` keeps the whole fleet's
-        possible stranding under a quarter of the remaining budget --
-        and collapses to exact per-query admission (chunk 1) on tight
-        budgets, where sequential-equivalent exhaustion behaviour
-        matters most.  Explicit ``lease_chunk`` overrides are the
-        caller's business and are deliberately not clamped.
-        """
-        if fleet < 1:
-            raise ValueError(f"fleet must be positive, got {fleet}")
-        for stub in self._shared.values():
-            if isinstance(stub, SharedBudget):
-                cap = max(1, stub.remaining // (4 * fleet))
-                chunk = min(chunk, cap)
-        return max(1, chunk)
-
-    def set_lease_chunk(self, chunk: int) -> None:
-        """Set the admission lease chunk on every budget stub.
-
-        Applied to :class:`SharedBudget` stubs only: a budget chunk is
-        a pure round-trip amortisation, while clock-coupled limits (a
-        :class:`~repro.server.limits.DailyRateLimit` rolling over under
-        the lessee's feet) stay at exact per-query admission.  Call
-        after :meth:`share_sources` and before pickling the rewired
-        clones -- the chunk travels with them into the pool.
-        """
-        if chunk < 1:
-            raise ValueError(f"lease chunk must be positive, got {chunk}")
-        for stub in self._shared.values():
-            if isinstance(stub, SharedBudget):
-                stub.lease_chunk = chunk
 
     def writeback(self) -> None:
         """Copy the authoritative counters back into the originals.

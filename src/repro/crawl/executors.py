@@ -82,25 +82,33 @@ from __future__ import annotations
 
 import abc
 import contextlib
+import functools
 import hashlib
 import io
+import itertools
 import os
 import pickle
+import threading
+from collections import OrderedDict
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
-from typing import Callable, Mapping, Sequence
+from concurrent.futures.process import BrokenProcessPool
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.crawl.base import Crawler, CrawlResult
+from repro.crawl.base import CrawlResult
 from repro.crawl.coordinator import (
     LimitCoordinator,
     carries_limits,
+    clamp_lease_chunk,
     lease_chunk_for_plan,
+    set_lease_chunk,
 )
 from repro.crawl.partition import (
     PartitionedResult,
@@ -115,7 +123,7 @@ from repro.crawl.runtime import (
     GridSink,
     LocalUnitRunner,
     ShardPolicy,
-    crawl_region_unit,
+    UnitRunner,
     drive_futures,
     drive_session,
     drive_stealing,
@@ -129,6 +137,8 @@ __all__ = [
     "SequentialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
+    "PoolUnitRunner",
+    "WorkerPool",
     "EXECUTORS",
     "make_executor",
     "default_workers",
@@ -373,7 +383,9 @@ class ThreadExecutor(CrawlExecutor):
     The rebalanced pool is *elastic*: a worker whose loop departs
     (:class:`~repro.exceptions.WorkerDeparted`) has already re-queued
     its in-flight unit, and the parent submits a replacement worker in
-    its place; a worker that dies outside the loop's own unit handling
+    its place -- the scheduler's departure bound fails units once a
+    fleet keeps departing, so replacements run dry instead of spinning;
+    a worker that dies outside the loop's own unit handling
     aborts the scheduler (so surviving workers run dry instead of
     blocking forever on a shard that will never land) and ranks its
     failure after every real region failure.
@@ -410,28 +422,23 @@ class ThreadExecutor(CrawlExecutor):
             plan, spec.estimator, policy, _completed_costs(completed)
         )
         workers = self._workers(upper)
-        # An injected departure fault may fire on every unit; cap the
-        # replacement submissions so a pathological runner cannot spin
-        # the pool forever.  Each real unit can cost at most a few
-        # departures before some worker survives long enough to run it.
-        max_spawns = 4 * (workers + scheduler.total_tasks)
         aborted = False
+        spawned = itertools.count()
         with ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="crawl-steal"
         ) as pool:
 
-            def spawn(worker: int):
+            def spawn():
                 return pool.submit(
                     drive_stealing,
                     scheduler,
-                    worker % plan.sessions,
+                    next(spawned) % plan.sessions,
                     runner,
                     sink,
                     policy,
                 )
 
-            pending = {spawn(worker) for worker in range(workers)}
-            spawned = workers
+            pending = {spawn() for _ in range(workers)}
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
@@ -450,31 +457,8 @@ class ThreadExecutor(CrawlExecutor):
                             update_feed=False,
                         )
                         continue
-                    if ran_dry or aborted:
-                        continue
-                    if spawned < max_spawns:
-                        pending.add(spawn(spawned))
-                        spawned += 1
-                    elif not pending:
-                        # Every worker departed and the replacement
-                        # budget is spent: abort so the failure is loud
-                        # instead of a half-filled grid.
-                        scheduler.abort()
-                        aborted = True
-                        sink.file_batch(
-                            [],
-                            [
-                                (
-                                    (plan.sessions, 0),
-                                    WorkerDeparted(
-                                        "every replacement worker "
-                                        "departed; giving up after "
-                                        f"{spawned} spawns"
-                                    ),
-                                )
-                            ],
-                            update_feed=False,
-                        )
+                    if not (ran_dry or aborted):
+                        pending.add(spawn())
         if aborted:
             for session in range(plan.sessions):
                 sink.feed.cancelled(session)
@@ -483,11 +467,6 @@ class ThreadExecutor(CrawlExecutor):
 # ----------------------------------------------------------------------
 # Process transport: per-worker source copies, units over pickle
 # ----------------------------------------------------------------------
-_WORKER_SOURCES: tuple | None = None
-_WORKER_FACTORY: Callable[..., Crawler] | None = None
-_WORKER_STUBS: list = []
-
-
 #: Arrays smaller than this skip content hashing in the payload
 #: de-duplicator: the digest would cost more than the bytes it saves.
 _DEDUP_MIN_BYTES = 256
@@ -558,99 +537,224 @@ def pickle_payload(sources, crawler_factory, stubs=()) -> bytes:
         ) from exc
 
 
-def _process_init(payload: bytes) -> None:
-    """Pool initializer: unpickle the sources once per worker process.
+#: Payload tickets, drawn in the parent: one counter for every pool,
+#: so a ticket names one payload for the life of the process and a
+#: resubmitted service job (new sources, fresh crawler state) never
+#: hits a stale worker-side cache entry.
+_TICKETS = itertools.count(1)
 
-    The payload also carries the coordinator's shared-limit stubs
-    (empty unless the sources carry limits); pickled in one stream with
-    the sources, the unpickled stubs are exactly the objects the source
-    clones reference, so the worker's runners can flush leases and
-    buffered stats at every unit boundary.
+#: This pool worker's unpickled ``(sources, factory, stubs)`` payloads
+#: by ticket, least recently used first.
+_PAYLOADS: OrderedDict[int, tuple] = OrderedDict()
+_PAYLOAD_LIMIT = 16
+
+
+def _cached_runner(
+    ticket: int, payload: bytes | None, allow_partial: bool = False
+) -> LocalUnitRunner:
+    """This worker's runner for ``ticket``, unpickling ``payload`` once.
+
+    Also the initializer of a pool built with a payload, which fills
+    the cache before the first unit.  Pickled in one stream with the
+    sources, the unpickled stubs are exactly the objects the source
+    clones reference, so the runner's region boundary flushes the
+    leases and buffered stats those sources hold.
     """
-    global _WORKER_SOURCES, _WORKER_FACTORY, _WORKER_STUBS
-    _WORKER_SOURCES, _WORKER_FACTORY, stubs = pickle.loads(payload)
-    _WORKER_STUBS = list(stubs)
-
-
-def _flush_worker_stubs() -> None:
-    """Return leases / land buffered stats for this worker's stubs."""
-    for stub in _WORKER_STUBS:
-        stub.flush()
-
-
-def _worker_runner(allow_partial: bool) -> LocalUnitRunner:
-    """This pool worker's runner over its unpickled source copies."""
-    assert _WORKER_SOURCES is not None and _WORKER_FACTORY is not None
-    return LocalUnitRunner(
-        _WORKER_SOURCES,
-        _WORKER_FACTORY,
-        allow_partial,
-        flush=_flush_worker_stubs if _WORKER_STUBS else None,
-    )
+    entry = _PAYLOADS.get(ticket)
+    if entry is None:
+        entry = _PAYLOADS[ticket] = pickle.loads(payload)
+        while len(_PAYLOADS) > _PAYLOAD_LIMIT:
+            _PAYLOADS.popitem(last=False)
+    else:
+        _PAYLOADS.move_to_end(ticket)
+    sources, factory, stubs = entry
+    return LocalUnitRunner(sources, factory, allow_partial, stubs=stubs)
 
 
 def _pool_session(
+    ticket: int,
+    allow_partial: bool,
     session: int,
     bundle,
-    allow_partial: bool,
     policy,
     skip: frozenset = frozenset(),
 ):
     """Wire form of :func:`~repro.crawl.runtime.drive_session`."""
     sink = BatchSink()
-    drive_session(
-        session, bundle, _worker_runner(allow_partial), sink, policy, skip
-    )
+    runner = _cached_runner(ticket, None, allow_partial)
+    drive_session(session, bundle, runner, sink, policy, skip)
     return sink.batch
 
 
-def _pool_region(session: int, index: int, region, allow_partial: bool):
-    """Crawl one region in a pool worker, against the worker's copy.
+def _pool_unit(
+    ticket: int,
+    payload: bytes | None,
+    allow_partial: bool,
+    task: RegionTask | ShardTask,
+    budget: int | None,
+):
+    """Run one unit in a pool worker; its outcome pickles back.
 
-    Goes through :func:`~repro.crawl.runtime.crawl_region_unit`, whose
-    region-boundary flush returns leased budget headroom on every exit
+    A region crawls whole (``budget`` is ``None``) or is presplit that
+    finely; a shard crawls its subtree.  The shard may run in another
+    worker than its region's presplit did: both crawl deterministic
+    copies of the session source, so the results are identical.  The
+    region boundary returns the worker's leased headroom on every exit
     path -- an idle pool worker must never sit on charged units.
     """
-    return crawl_region_unit(
-        RegionTask(session, index, region), _worker_runner(allow_partial)
-    )
-
-
-def _pool_presplit(
-    session: int, index: int, region, allow_partial: bool, max_shards: int
-):
-    """Presplit one region in a pool worker; the plan pickles back."""
-    runner = _worker_runner(allow_partial)
+    runner = _cached_runner(ticket, payload, allow_partial)
     try:
-        return runner.presplit(RegionTask(session, index, region), max_shards)
+        if isinstance(task, ShardTask):
+            return runner.shard(task)
+        if budget is None:
+            return runner.region(task)
+        return runner.presplit(task, budget)
     finally:
         runner.region_boundary()
 
 
-def _pool_shard(session: int, index: int, region, shard, allow_partial: bool):
-    """Crawl one subtree shard in a pool worker.
+class WorkerPool:
+    """A process pool made on first use and replaced when a worker dies.
 
-    The shard may run in a different worker than its region's presplit
-    did; both crawl deterministic *copies* of the session source, so
-    the responses -- and therefore the results -- are identical.  Like
-    the other wire functions it flushes the worker's stubs on exit.
+    With ``payload`` (from :func:`pickle_payload`), the pool
+    initializer unpickles it once per worker under :attr:`ticket`, so
+    units run against it carry a few integers; without one, each
+    :class:`PoolUnitRunner` ships its own payload with every unit.  A
+    dead worker breaks a :class:`~concurrent.futures.
+    ProcessPoolExecutor` for good: :meth:`replace` retires it, and the
+    next :meth:`current` starts a fresh one.
+
+    Examples
+    --------
+    ::
+
+        pool = WorkerPool(4)
+        payload = pickle_payload(sources, Hybrid)
+        runner = PoolUnitRunner(pool, False, payload=payload)
+        result = crawl_region_unit(task, runner)
+        pool.shutdown()
     """
-    runner = _worker_runner(allow_partial)
-    try:
-        return runner.shard(ShardTask(session, index, region, shard))
-    finally:
-        runner.region_boundary()
+
+    def __init__(
+        self,
+        max_workers: int,
+        *,
+        mp_context=None,
+        payload: bytes | None = None,
+    ):
+        #: Ticket of the installed payload (``None`` without one).
+        self.ticket: int | None = None
+        initargs: tuple = ()
+        if payload is not None:
+            self.ticket = next(_TICKETS)
+            initargs = (self.ticket, payload)
+        self._make = functools.partial(
+            ProcessPoolExecutor,
+            max_workers=max_workers,
+            mp_context=mp_context,
+            initializer=_cached_runner if initargs else None,
+            initargs=initargs,
+        )
+        self._lock = threading.Lock()
+        self._pool: ProcessPoolExecutor | None = None
+
+    def current(self) -> ProcessPoolExecutor:
+        """The live pool, started on first use."""
+        with self._lock:
+            if self._pool is None:
+                self._pool = self._make()
+            return self._pool
+
+    def replace(self, broken: ProcessPoolExecutor) -> None:
+        """Retire ``broken`` unless a racing caller already did."""
+        with self._lock:
+            if self._pool is not broken:
+                return
+            self._pool = None
+        broken.shutdown(wait=False)
+
+    def shutdown(self) -> None:
+        """Wait for the live pool's tasks, then stop its workers."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+
+class PoolUnitRunner(UnitRunner):
+    """Run units on a :class:`WorkerPool`, one pool task per unit.
+
+    :meth:`submit` ships a unit and returns its future (what
+    :func:`~repro.crawl.runtime.drive_futures` dispatches with); the
+    blocking :meth:`region` / :meth:`presplit` / :meth:`shard` wait for
+    it, so :func:`~repro.crawl.runtime.crawl_region_unit` runs a unit
+    through the pool as it would in-process.  In the worker, a
+    :class:`~repro.crawl.runtime.LocalUnitRunner` crawls the unit and
+    flushes the stubs before the result leaves, so this runner's own
+    region boundary has nothing to do.
+
+    ``payload`` rides along with every unit and is unpickled once per
+    worker under this runner's own ticket; without it, units run
+    against the pool's installed payload.  A blocking call whose pool
+    broke under it retires the pool and raises
+    :class:`~repro.exceptions.WorkerDeparted`, so the caller requeues
+    the unit onto a fresh pool.
+    """
+
+    def __init__(
+        self,
+        pool: WorkerPool,
+        allow_partial: bool,
+        *,
+        payload: bytes | None = None,
+    ):
+        if payload is None and pool.ticket is None:
+            raise ValueError("the pool has no installed payload; pass one")
+        ticket = pool.ticket if payload is None else next(_TICKETS)
+        self._pool = pool
+        self._args = (ticket, payload, allow_partial)
+
+    def submit(
+        self, task: RegionTask | ShardTask, budget: int | None = None
+    ) -> Future:
+        """Ship one unit (presplit ``budget``-fine if set); its future."""
+        return self._pool.current().submit(
+            _pool_unit, *self._args, task, budget
+        )
+
+    def _wait(self, task, budget):
+        pool = self._pool.current()
+        try:
+            return pool.submit(_pool_unit, *self._args, task, budget).result()
+        except BrokenProcessPool as exc:
+            self._pool.replace(pool)
+            raise WorkerDeparted(
+                f"process pool worker died mid-unit: {exc}"
+            ) from exc
+
+    def region(self, task: RegionTask) -> CrawlResult:
+        """Crawl one whole region in a pool worker."""
+        return self._wait(task, None)
+
+    def presplit(self, task: RegionTask, max_shards: int):
+        """Presplit one region in a pool worker; the plan pickles back."""
+        return self._wait(task, max_shards)
+
+    def shard(self, task: ShardTask) -> CrawlResult:
+        """Crawl one subtree shard in a pool worker."""
+        return self._wait(task, None)
 
 
 class ProcessExecutor(CrawlExecutor):
     """Region crawls on a process pool, for CPU-bound simulated engines.
 
     Sources and the crawler factory are pickled once and shipped to
-    each worker via the pool initializer (so per-task overhead is a few
-    integers, not a dataset).  Requires the serving stack's picklable
-    paths: servers, clients, limits and engines all drop their locks on
-    pickle and rebuild them on load.  Cache listeners do not survive
-    the trip, and each worker crawls its own *copy* of the sources.
+    each worker via the pool initializer of a :class:`WorkerPool` (so
+    per-task overhead is a few integers, not a dataset).  Requires the
+    serving stack's picklable paths: servers, clients, limits and
+    engines all drop their locks on pickle and rebuild them on load.
+    Cache listeners do not survive the trip, and each worker crawls its
+    own *copy* of the sources.
 
     Copies would admit a limit once per worker, so whenever a source
     stack carries a server-side limit
@@ -667,8 +771,11 @@ class ProcessExecutor(CrawlExecutor):
     Without ``rebalance``, one pool task per session preserves the
     thread backend's dispatch shape.  With ``rebalance``, the parent
     runs the runtime's futures dispatcher
-    (:func:`~repro.crawl.runtime.drive_futures`), always picking from
-    the session with the largest estimated remaining cost.
+    (:func:`~repro.crawl.runtime.drive_futures`) over a
+    :class:`PoolUnitRunner`, always picking from the session with the
+    largest estimated remaining cost.  A pool worker that dies fails
+    the crawl with :class:`~concurrent.futures.process.
+    BrokenProcessPool`; only the job service replaces the pool.
 
     Progress reporting is completion-grained: the aggregator sees a
     session advance when a region (or, without rebalancing, a bundle)
@@ -707,13 +814,6 @@ class ProcessExecutor(CrawlExecutor):
             workers = os.cpu_count() or 1
         return max(1, min(workers, upper))
 
-    def _payload(self, sources, crawler_factory, stubs=()) -> bytes:
-        payload = pickle_payload(sources, crawler_factory, stubs)
-        # Operator-side introspection: the bytes shipped per worker at
-        # pool start-up (benchmarks gate this; see bench_hot_path.py).
-        self.payload_bytes = len(payload)
-        return payload
-
     def _execute(self, sources, plan, sink, spec, policy, completed):
         workers = self._workers(self._pool_upper(plan, spec.rebalance, policy))
         with contextlib.ExitStack() as stack:
@@ -727,26 +827,31 @@ class ProcessExecutor(CrawlExecutor):
                 # read the exact charge, even after an exhaustion.
                 stack.callback(coordinator.writeback)
                 sources = coordinator.share_sources(sources)
+                stubs = coordinator.shared_stubs()
                 chunk = self._lease_chunk
                 if chunk is None:
-                    chunk = coordinator.clamp_lease_chunk(
-                        lease_chunk_for_plan(plan, spec.estimator), workers
+                    chunk = clamp_lease_chunk(
+                        stubs,
+                        lease_chunk_for_plan(plan, spec.estimator),
+                        workers,
                     )
-                coordinator.set_lease_chunk(chunk)
-                stubs = coordinator.shared_stubs()
-            payload = self._payload(sources, spec.crawler_factory, stubs)
-            pool = stack.enter_context(
-                ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=self._mp_context,
-                    initializer=_process_init,
-                    initargs=(payload,),
-                )
+                set_lease_chunk(stubs, chunk)
+            payload = pickle_payload(sources, spec.crawler_factory, stubs)
+            # Operator-side introspection: the bytes shipped per worker at
+            # pool start-up (benchmarks gate this; see bench_hot_path.py).
+            self.payload_bytes = len(payload)
+            pool = WorkerPool(
+                workers, mp_context=self._mp_context, payload=payload
             )
+            stack.callback(pool.shutdown)
             if spec.rebalance:
-                self._drain_rebalanced(
-                    pool, workers, plan, sink, spec, policy, completed
+                # The pool workers cannot see the parent's scheduler,
+                # so the parent is the only dispatcher.
+                scheduler, _ = steal_setup(
+                    plan, spec.estimator, policy, _completed_costs(completed)
                 )
+                runner = PoolUnitRunner(pool, spec.allow_partial)
+                drive_futures(scheduler, runner.submit, sink, workers, policy)
             else:
                 self._drain_static(
                     pool, plan, sink, spec.allow_partial, policy, completed
@@ -773,11 +878,12 @@ class ProcessExecutor(CrawlExecutor):
         """
         skip = frozenset(completed)
         tasks = {
-            pool.submit(
+            pool.current().submit(
                 _pool_session,
+                pool.ticket,
+                allow_partial,
                 session,
                 plan.bundles[session],
-                allow_partial,
                 policy,
                 skip,
             ): session
@@ -799,52 +905,6 @@ class ProcessExecutor(CrawlExecutor):
                 continue
             sink.file_batch(results, failures)
 
-    def _drain_rebalanced(
-        self, pool, workers, plan, sink, spec, policy, completed
-    ):
-        """Parent-side futures dispatch over the pool.
-
-        The pool workers cannot see the parent's scheduler, so the
-        parent runs :func:`~repro.crawl.runtime.drive_futures`: it is
-        the only dispatcher, acquiring units non-blockingly and
-        shipping each to the pool as its own future.  A unit raising
-        :class:`~repro.exceptions.WorkerDeparted` is re-queued by the
-        dispatcher and re-submitted to a surviving pool slot.
-        """
-        scheduler, _ = steal_setup(
-            plan, spec.estimator, policy, _completed_costs(completed)
-        )
-        allow_partial = spec.allow_partial
-
-        def submit(task, budget):
-            if isinstance(task, ShardTask):
-                return pool.submit(
-                    _pool_shard,
-                    task.session,
-                    task.index,
-                    task.region,
-                    task.shard,
-                    allow_partial,
-                )
-            if budget is not None:
-                return pool.submit(
-                    _pool_presplit,
-                    task.session,
-                    task.index,
-                    task.region,
-                    allow_partial,
-                    budget,
-                )
-            return pool.submit(
-                _pool_region,
-                task.session,
-                task.index,
-                task.region,
-                allow_partial,
-            )
-
-        drive_futures(scheduler, submit, sink, workers, policy)
-
 
 #: Backend registry, keyed by the CLI's ``--executor`` names.
 EXECUTORS: dict[str, type[CrawlExecutor]] = {
@@ -865,16 +925,14 @@ def make_executor(
     With ``spec=`` the backend half of a
     :class:`~repro.crawl.spec.CrawlSpec` drives construction: the
     registry name comes from ``spec.executor`` (explicit ``name`` wins,
-    ``"thread"`` if neither is set), ``spec.max_workers`` fills in when
-    ``max_workers`` is not given, and backend-specific knobs ride along
-    -- today ``spec.lease_chunk`` reaches the process backend's
-    constructor, which has no other spec-able home.
+    ``"thread"`` if neither is set) and ``spec.max_workers`` fills in
+    when ``max_workers`` is not given.
 
     Examples
     --------
     ::
 
-        spec = CrawlSpec(executor="process", max_workers=4, lease_chunk=8)
+        spec = CrawlSpec(executor="process", max_workers=4)
         executor = make_executor(spec=spec)
         merged = executor.run(sources, plan, spec)
     """
@@ -892,10 +950,4 @@ def make_executor(
         raise ValueError(
             f"unknown executor {name!r}; expected one of: {known}"
         ) from None
-    if (
-        spec is not None
-        and spec.lease_chunk is not None
-        and cls is ProcessExecutor
-    ):
-        return cls(max_workers=max_workers, lease_chunk=spec.lease_chunk)
     return cls(max_workers=max_workers)

@@ -40,9 +40,12 @@ Both schedulers are *elastic*: a worker that leaves a running crawl
 (:class:`~repro.exceptions.WorkerDeparted`) hands its acquired region
 or shard back via ``requeue()`` -- the unit returns to the front of its
 home queue, any surviving or newly joined worker picks it up, and the
-exactly-once accounting is untouched.  Both also accept a ``completed``
-map of pre-crawled region costs (a resumed crawl's checkpoint), which
-enter the books as done without ever being enqueued.
+exactly-once accounting is untouched.  Departures are bounded: past
+``max_departures`` a departing unit is failed instead of requeued, so
+a fleet whose every replacement departs ends instead of spinning.
+Both also accept a ``completed`` map of pre-crawled region costs (a
+resumed crawl's checkpoint), which enter the books as done without
+ever being enqueued.
 """
 
 from __future__ import annotations
@@ -320,6 +323,12 @@ class WorkStealingScheduler:
             for session, bundle in enumerate(bundles)
         ]
         self._total = sum(len(q) for q in self._queues)
+        #: Departures seen so far, and how many :meth:`requeue` takes
+        #: back before it fails the departing unit instead: enough for
+        #: every region to ride out a few kills, few enough that a
+        #: fleet that never survives a unit terminates.
+        self.departures = 0
+        self.max_departures = 4 * (self._total + 1)
         self._in_flight: dict[RegionKey, int | None] = {}
         self._failed: set[RegionKey] = set()
         self._aborted = False
@@ -450,8 +459,11 @@ class WorkStealingScheduler:
         -- any surviving (or newly joined) worker picks it up next, and
         the crawl completes with full parity.  The task returns to the
         front of its own session's queue so plan order is preserved for
-        that session's next acquirer.  Returns ``False`` (and drops the
-        task silently) when an abort already wrote the task off; raises
+        that session's next acquirer.  Every call counts one departure;
+        past :attr:`max_departures` the task is failed instead and
+        ``False`` returned -- the caller files the failure.  Also
+        returns ``False`` (dropping the task silently) when an abort
+        already wrote the task off; raises
         :class:`~repro.exceptions.AlgorithmInvariantError` if the task
         was never in flight -- only an acquirer may hand work back.
 
@@ -476,11 +488,20 @@ class WorkStealingScheduler:
                 "may requeue it"
             )
         del self._in_flight[task.key]
+        if not self._departed_locked():
+            self._failed.add(task.key)
+            return False
         self._queues[task.session].appendleft(task)
         value = self.estimator.estimate(task.key)
         self._cached_estimate[task.key] = value
         self._queued_cost[task.session] += value
         return True
+
+    def _departed_locked(self) -> bool:
+        # Caller holds self._lock.  Counts one departure; False once
+        # the bound is spent.
+        self.departures += 1
+        return self.departures <= self.max_departures
 
     def _check_in_flight(self, task: RegionTask) -> bool:
         # Caller holds self._lock.  Returns False when the task should
@@ -833,17 +854,21 @@ class SubtreeScheduler(WorkStealingScheduler):
                         "is not in flight"
                     )
                 live.in_flight -= 1
-                live.pending.clear()
-                if not live.failed:
-                    live.failed = True
-                    self._failed.add(task.key)
-                if live.in_flight == 0:
-                    del self._live[task.key]
-                self._cond.notify_all()
+                self._fail_live_locked(task.key, live)
             return
         super().fail(task)
         with self._cond:
             self._cond.notify_all()
+
+    def _fail_live_locked(self, key: RegionKey, live: _LiveRegion) -> None:
+        # Caller holds self._cond and has already retired the shard.
+        live.pending.clear()
+        if not live.failed:
+            live.failed = True
+            self._failed.add(key)
+        if live.in_flight == 0:
+            del self._live[key]
+        self._cond.notify_all()
 
     def fail_region(self, key: RegionKey) -> None:
         """Mark a region failed after its merge step raised."""
@@ -862,14 +887,13 @@ class SubtreeScheduler(WorkStealingScheduler):
         waiters blocked in :meth:`acquire` are notified -- requeued work
         is new work.  A shard of a region a sibling failure already
         wrote off is drained silently (``False``), mirroring
-        :meth:`fail`'s drain semantics.
+        :meth:`fail`'s drain semantics; past :attr:`max_departures` the
+        shard fails its region like :meth:`fail` (``False``).
         """
         if not isinstance(task, ShardTask):
             with self._cond:
-                requeued = self._requeue_locked(task)
-                if requeued:
-                    self._cond.notify_all()
-                return requeued
+                self._cond.notify_all()
+                return self._requeue_locked(task)
         with self._cond:
             live = self._live.get(task.key)
             if live is None:
@@ -886,6 +910,9 @@ class SubtreeScheduler(WorkStealingScheduler):
                 if live.in_flight == 0 and not live.pending:
                     del self._live[task.key]
                 self._cond.notify_all()
+                return False
+            if not self._departed_locked():
+                self._fail_live_locked(task.key, live)
                 return False
             live.pending.appendleft(task)
             self._cond.notify_all()

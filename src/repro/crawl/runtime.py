@@ -14,7 +14,10 @@ estimator feedback, parameterised by two small protocols:
     *How one unit of work executes* on a substrate: crawl a region,
     presplit it, crawl one subtree shard.  The in-process backends use
     :class:`LocalUnitRunner` over the caller's sources; the process
-    backend builds one per pool worker over its pickled source copies.
+    backend and the job service use
+    :class:`~repro.crawl.executors.PoolUnitRunner`, which ships each
+    unit to a pool worker running a :class:`LocalUnitRunner` over its
+    unpickled source copies.
 :class:`ResultSink`
     *Where outcomes go*: the parent files them straight into the result
     grid (:class:`GridSink`); a pool worker batches them for the return
@@ -90,6 +93,7 @@ __all__ = [
     "BatchSink",
     "ShardPolicy",
     "crawl_region_unit",
+    "requeue_departed",
     "run_region",
     "drive_session",
     "drive_stealing",
@@ -262,11 +266,13 @@ class UnitRunner(abc.ABC):
 class LocalUnitRunner(UnitRunner):
     """Run units against in-memory sources, one fresh crawler per unit.
 
-    The one concrete runner every backend uses: the parent's worker
-    threads run it over the caller's sources (with live progress
-    listeners wired to an :class:`AggregatorFeed`), and each process
-    pool worker builds one over its unpickled source copies (no feed --
-    progress advances when the unit's result reaches the parent).
+    The one runner that crawls: the parent's worker threads run it over
+    the caller's sources (with live progress listeners wired to an
+    :class:`AggregatorFeed`), and each process pool worker builds one
+    over its unpickled source copies (no feed -- progress advances when
+    the unit's result reaches the parent).  ``stubs`` are the
+    shared-limit stubs the sources admit through (see
+    :mod:`repro.crawl.coordinator`); the region boundary flushes them.
 
     Examples
     --------
@@ -285,13 +291,13 @@ class LocalUnitRunner(UnitRunner):
         allow_partial: bool,
         *,
         feed: AggregatorFeed | None = None,
-        flush: Callable[[], None] | None = None,
+        stubs: Sequence = (),
     ):
         self._sources = sources
         self._factory = crawler_factory
         self._allow_partial = allow_partial
         self._feed = feed
-        self._flush = flush
+        self._stubs = tuple(stubs)
 
     def _listener(self, task):
         if self._feed is None:
@@ -348,9 +354,9 @@ class LocalUnitRunner(UnitRunner):
                 prof.record("runtime.shard", profiling.clock() - start)
 
     def region_boundary(self) -> None:
-        """Flush shared-limit leases/stats when the transport has any."""
-        if self._flush is not None:
-            self._flush()
+        """Return leased headroom and land buffered stats of the stubs."""
+        for stub in self._stubs:
+            stub.flush()
 
 
 class ResultSink(abc.ABC):
@@ -672,9 +678,8 @@ def run_region(
     ``policy`` budgets the region -- presplit into subtree shards and
     merged back byte-identically), file the outcome into ``sink``, and
     flush the runner's region boundary.  Returns whether the region
-    succeeded; the failure is filed, never raised.  Every drive loop
-    bottoms out here, and schedulers that dispatch single regions from
-    their own queues (the job service's fleet) call it directly.
+    succeeded; the failure is filed, never raised.  Static dispatch
+    (:func:`drive_session`) bottoms out here.
 
     Examples
     --------
@@ -690,6 +695,27 @@ def run_region(
         return False
     sink.region_done(task.key, result)
     return True
+
+
+def requeue_departed(scheduler, task, sink: ResultSink, exc) -> bool:
+    """Hand a departed worker's unit back, or file it as given up.
+
+    Every drive shape (and the job service's fleet) treats
+    :class:`~repro.exceptions.WorkerDeparted` the same way: the worker
+    is gone, not the unit, so the unit goes back to the scheduler.  The
+    scheduler bounds the departures it takes back; past the bound it
+    fails the unit and this files a ``WorkerDeparted`` saying so, which
+    is how a fleet whose every replacement departs ends loudly.
+    Returns whether the unit was requeued.
+    """
+    if scheduler.requeue(task):
+        return True
+    if scheduler.departures > scheduler.max_departures:
+        gave_up = WorkerDeparted(
+            f"{exc}; giving up after {scheduler.departures} departures"
+        )
+        sink.region_failed(task.key, task.session, gave_up)
+    return False
 
 
 def drive_session(
@@ -794,13 +820,14 @@ def drive_stealing(
 
     Returns ``True`` when the loop ran the scheduler dry, ``False``
     when the worker *departed* mid-crawl: a unit that raises
-    :class:`~repro.exceptions.WorkerDeparted` is re-queued on the
-    scheduler (:meth:`~repro.crawl.rebalance.WorkStealingScheduler.
-    requeue`) for the surviving fleet, and the loop returns so the
-    transport can replace the worker.  Either way the runner's region
-    boundary runs in a ``finally``, so a runner holding leased budget
-    headroom or buffered stats always flushes them -- budget accounting
-    stays exact on every exit path, including hard failures.
+    :class:`~repro.exceptions.WorkerDeparted` goes through
+    :func:`requeue_departed` (back to the surviving fleet, or failed
+    once the scheduler's departure bound is spent), and the loop
+    returns so the transport can replace the worker.  Either way the
+    runner's region boundary runs in a ``finally``, so a runner holding
+    leased budget headroom or buffered stats always flushes them --
+    budget accounting stays exact on every exit path, including hard
+    failures.
 
     Examples
     --------
@@ -819,8 +846,8 @@ def drive_stealing(
             if isinstance(task, ShardTask):
                 try:
                     payload = runner.shard(task)
-                except WorkerDeparted:
-                    scheduler.requeue(task)
+                except WorkerDeparted as exc:
+                    requeue_departed(scheduler, task, sink, exc)
                     return False
                 except Exception as exc:  # noqa: BLE001 - re-raised by run()
                     scheduler.fail(task)
@@ -840,8 +867,8 @@ def drive_stealing(
                     payload = runner.region(task)
                 else:
                     payload = runner.presplit(task, budget)
-            except WorkerDeparted:
-                scheduler.requeue(task)
+            except WorkerDeparted as exc:
+                requeue_departed(scheduler, task, sink, exc)
                 return False
             except Exception as exc:  # noqa: BLE001 - re-raised by run()
                 scheduler.fail(task)
@@ -869,10 +896,13 @@ def drive_futures(
     single dispatcher thread: units are acquired non-blockingly (the
     dispatcher is the only acquirer, so an empty poll really means
     nothing is runnable yet), shipped through ``submit`` (which returns
-    a future -- e.g. ``ProcessPoolExecutor.submit`` of a pool wire
-    function), and transitioned as their futures land.  ``submit``
+    a future -- e.g. :meth:`~repro.crawl.executors.PoolUnitRunner.
+    submit`), and transitioned as their futures land.  ``submit``
     receives the unit and its shard budget (``None`` = crawl the region
-    whole, an int = presplit it that finely).
+    whole, an int = presplit it that finely).  A unit whose future
+    raises :class:`~repro.exceptions.WorkerDeparted` goes through
+    :func:`requeue_departed`, so the scheduler's departure bound ends
+    a fleet that never survives.
 
     Used by the process backend's rebalanced mode, where the pool
     workers cannot see the parent's scheduler.
@@ -881,10 +911,8 @@ def drive_futures(
     --------
     ::
 
-        def submit(task, budget):
-            return pool.submit(crawl_region_in_worker, task)
-
-        drive_futures(scheduler, submit, sink, workers=4)
+        runner = PoolUnitRunner(pool, allow_partial=False)
+        drive_futures(scheduler, runner.submit, sink, workers=4)
     """
     in_flight: dict[Future, RegionTask | ShardTask] = {}
 
@@ -908,11 +936,10 @@ def drive_futures(
             task = in_flight.pop(future)
             try:
                 payload = future.result()
-            except WorkerDeparted:
-                # The worker is gone, not the unit: put it back on the
-                # queue and let the refill below re-dispatch it to a
+            except WorkerDeparted as exc:
+                # The refill below re-dispatches a requeued unit to a
                 # surviving pool slot.
-                scheduler.requeue(task)
+                requeue_departed(scheduler, task, sink, exc)
             except Exception as exc:  # noqa: BLE001 - re-raised by run()
                 scheduler.fail(task)
                 sink.region_failed(task.key, task.session, exc)

@@ -10,11 +10,8 @@ takes nothing else:
   ``aggregator``, ``rebalance``, ``estimator``, ``shard_subtrees``,
   ``completed``, ``on_region``) configures one executor invocation --
   ``executor.run(sources, plan, spec)``;
-* the **backend half** (``executor``, ``max_workers``,
-  ``lease_chunk``) configures which executor to build --
-  ``make_executor(spec=spec)`` -- so backend-specific knobs like the
-  process backend's admission lease chunk ride the spec instead of
-  constructor-only arguments.
+* the **backend half** (``executor``, ``max_workers``) configures
+  which executor to build -- ``make_executor(spec=spec)``.
 
 Specs are plain frozen dataclasses: derive variants with
 :func:`dataclasses.replace`, ship them across process boundaries
@@ -76,7 +73,7 @@ class CrawlSpec:
 
         spec = CrawlSpec(
             executor="process", max_workers=4,
-            rebalance=True, shard_subtrees="auto", lease_chunk=16,
+            rebalance=True, shard_subtrees="auto",
         )
         executor = make_executor(spec=spec)
         merged = executor.run(sources, plan, spec)
@@ -93,10 +90,6 @@ class CrawlSpec:
     executor: str | None = None
     #: Worker count for the backend; ``None`` picks the default.
     max_workers: int | None = None
-    #: Admission lease chunk for the process backend when its sources
-    #: carry limits (``None`` = sized from the estimator); see
-    #: :class:`~repro.crawl.executors.ProcessExecutor`.
-    lease_chunk: int | None = None
 
     # -- run half: consumed by CrawlExecutor.run(sources, plan, spec) -
     #: Crawler class (or picklable factory) applied per region.
@@ -132,10 +125,6 @@ class CrawlSpec:
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError(
                 f"max_workers must be positive, got {self.max_workers}"
-            )
-        if self.lease_chunk is not None and self.lease_chunk < 1:
-            raise ValueError(
-                f"lease_chunk must be positive, got {self.lease_chunk}"
             )
         shards = self.shard_subtrees
         if shards is not None and shards != "auto":
@@ -175,7 +164,7 @@ def spec_from_args(args: Any) -> CrawlSpec:
 
     Recognised attributes: ``algorithm``, ``max_queries``,
     ``executor``, ``workers``, ``rebalance``, ``shard_subtrees``,
-    ``lease_chunk``, ``allow_partial``.
+    ``allow_partial``.
 
     Examples
     --------
@@ -208,7 +197,6 @@ def spec_from_args(args: Any) -> CrawlSpec:
     return CrawlSpec(
         executor=executor,
         max_workers=int(workers) if workers is not None else None,
-        lease_chunk=getattr(args, "lease_chunk", None),
         crawler_factory=factory,
         allow_partial=bool(getattr(args, "allow_partial", False)),
         rebalance=bool(getattr(args, "rebalance", False)),

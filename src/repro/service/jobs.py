@@ -17,10 +17,12 @@ independently), never stalling anyone else's.
 Three layers extend that core:
 
 * **Backends.**  The fleet threads are the *dispatch* plane; where a
-  region unit actually crawls is the job's ``backend``.  ``thread``
-  crawls inline on the fleet thread (the original shape), ``process``
-  ships the unit to a shared :class:`~concurrent.futures.
-  ProcessPoolExecutor` -- per-tenant limits rehosted on a
+  region unit actually crawls is the job's runner.  ``thread`` uses a
+  :class:`~repro.crawl.runtime.LocalUnitRunner` (the unit crawls
+  inline on the fleet thread), ``process`` a
+  :class:`~repro.crawl.executors.PoolUnitRunner` over the manager's
+  one shared :class:`~repro.crawl.executors.WorkerPool` -- per-tenant
+  limits rehosted on a
   :class:`~repro.crawl.coordinator.LimitCoordinator` so admission
   stays exactly-once and lease-batched across OS processes.  Both
   commit through the same parent-side store seam, one transaction per
@@ -37,11 +39,14 @@ Three layers extend that core:
 * **Elasticity.**  A unit that raises
   :class:`~repro.exceptions.WorkerDeparted` (a killed pool worker, an
   injected fault) is re-queued at the front of its home session --
-  never lost, never re-charged -- up to a per-job departure cap.
+  never lost, never re-charged -- until the job scheduler's departure
+  bound gives up on it.  A dead pool worker also gets the pool
+  replaced.
 
 Regions execute through the runtime's
-:func:`~repro.crawl.runtime.crawl_region_unit` -- the same unit of
-work every batch executor bottoms out in -- so a job's stored output
+:func:`~repro.crawl.runtime.crawl_region_unit` on either backend --
+the same unit of work every batch executor bottoms out in -- so a
+job's stored output
 is byte-identical to the standalone crawl of the same spec.  Completed
 regions stream into the :class:`~repro.service.store.ResultStore`
 (rows plus the tenant's exact charge, one transaction per region), and
@@ -51,40 +56,35 @@ committed regions pre-filed: zero queries re-issued.
 
 from __future__ import annotations
 
+import contextlib
 import enum
-import itertools
-import pickle
 import threading
-from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.crawl.base import CrawlResult
 from repro.crawl.coordinator import (
     LimitCoordinator,
-    SharedBudget,
     TenantLimitRegistry,
+    clamp_lease_chunk,
     lease_chunk_for_plan,
+    set_lease_chunk,
 )
-from repro.crawl.executors import pickle_payload
+from repro.crawl.executors import PoolUnitRunner, WorkerPool, pickle_payload
 from repro.crawl.partition import (
     PartitionedResult,
     PartitionPlan,
     _merge_session_results,
     partition_space,
 )
-from repro.crawl.rebalance import (
-    RegionKey,
-    RegionTask,
-    WorkStealingScheduler,
-)
+from repro.crawl.rebalance import RegionKey, WorkStealingScheduler
 from repro.crawl.runtime import (
     AggregatorFeed,
     GridSink,
     LocalUnitRunner,
     ShardPolicy,
+    UnitRunner,
     crawl_region_unit,
+    requeue_departed,
 )
 from repro.crawl.spec import CrawlSpec
 from repro.exceptions import RetryAfter, WorkerDeparted
@@ -178,107 +178,21 @@ class JobStatus:
     priority: int = 0
 
 
+@dataclass(eq=False)
 class _Job:
     """Manager-internal live state of one active job."""
 
-    def __init__(
-        self,
-        job_id: int,
-        tenant: str,
-        name: str,
-        plan: PartitionPlan,
-        scheduler: WorkStealingScheduler,
-        sink: GridSink,
-        runner: LocalUnitRunner | None,
-        policy: ShardPolicy | None,
-        *,
-        priority: int = 0,
-        backend: str = "thread",
-        allow_partial: bool = False,
-        payload: bytes | None = None,
-        ticket: int = 0,
-    ):
-        self.job_id = job_id
-        self.tenant = tenant
-        self.name = name
-        self.plan = plan
-        self.scheduler = scheduler
-        self.sink = sink
-        self.runner = runner
-        self.policy = policy
-        self.priority = priority
-        self.backend = backend
-        self.allow_partial = allow_partial
-        self.payload = payload
-        self.ticket = ticket
-        self.state = JobState.PENDING
-        self.error: str | None = None
-        self.departures = 0
-        total = sum(len(bundle) for bundle in plan.bundles)
-        #: Departures tolerated before a unit's next departure is a
-        #: region failure: generous enough for every region to ride out
-        #: a few kills, small enough that a permanently departing fleet
-        #: terminates instead of spinning.
-        self.departure_cap = 4 * (total + 1)
-
-
-# ----------------------------------------------------------------------
-# Process-backend wire: per-worker cached runners keyed by job ticket
-# ----------------------------------------------------------------------
-#: Unpickled (runner) per job ticket, one cache per pool worker.  Keyed
-#: by the manager's monotonically increasing ticket -- never the job
-#: id -- so a *resubmitted* job (new sources, fresh crawler state)
-#: can never hit a stale cache entry from its previous life.
-_UNIT_RUNNERS: OrderedDict[int, LocalUnitRunner] = OrderedDict()
-_UNIT_RUNNER_LIMIT = 16
-
-
-def _unit_runner(
-    ticket: int, payload: bytes, allow_partial: bool
-) -> LocalUnitRunner:
-    """This pool worker's runner for one job, unpickled once."""
-    runner = _UNIT_RUNNERS.get(ticket)
-    if runner is not None:
-        _UNIT_RUNNERS.move_to_end(ticket)
-        return runner
-    sources, factory, stubs = pickle.loads(payload)
-
-    def flush() -> None:
-        for stub in stubs:
-            stub.flush()
-
-    runner = LocalUnitRunner(
-        sources, factory, allow_partial, flush=flush if stubs else None
-    )
-    _UNIT_RUNNERS[ticket] = runner
-    while len(_UNIT_RUNNERS) > _UNIT_RUNNER_LIMIT:
-        _UNIT_RUNNERS.popitem(last=False)
-    return runner
-
-
-def _pool_run_unit(
-    ticket: int,
-    payload: bytes,
-    session: int,
-    index: int,
-    region,
-    budget: int | None,
-    allow_partial: bool,
-):
-    """Crawl one region unit in a pool worker; the result pickles back.
-
-    The payload rides along with every task (the pool outlives any one
-    job, so an initializer cannot know future jobs' sources) but is
-    unpickled once per worker per job.  The runner's region boundary
-    flushes the worker's shared-limit leases on every exit path, so
-    the authoritative charge is exact by the time the parent commits
-    the result -- and a :class:`~repro.exceptions.WorkerDeparted`
-    raised mid-unit travels back pickled for the parent to re-queue.
-    """
-    runner = _unit_runner(ticket, payload, allow_partial)
-    return crawl_region_unit(
-        RegionTask(session, index, region), runner, budget
-    )
+    job_id: int
+    tenant: str
+    name: str
+    plan: PartitionPlan
+    scheduler: WorkStealingScheduler
+    sink: GridSink
+    runner: UnitRunner
+    policy: ShardPolicy | None
+    priority: int = 0
+    state: JobState = JobState.PENDING
+    error: str | None = None
 
 
 class JobManager:
@@ -342,14 +256,14 @@ class JobManager:
         #: Submissions past the admission check but not yet inserted.
         self._reserved: dict[str, int] = {}
         self._stop = False
-        # Lazily created multi-process plumbing.  Guarded by its own
-        # lock so coordinator round trips never park the dispatch lock;
+        # Lazily created limit hosting.  Guarded by its own lock so
+        # coordinator round trips never park the dispatch lock;
         # ordering is always backend lock -> job lock.
         self._backend_lock = threading.Lock()
         self._coordinator: LimitCoordinator | None = None
-        self._pool: ProcessPoolExecutor | None = None
         self._shared_stubs: dict[str, list] = {}
-        self._tickets = itertools.count(1)
+        #: The process backend's pool, started by its first unit.
+        self._pool = WorkerPool(workers)
         #: Bytes of the last process-job payload shipped to the pool.
         self.last_payload_bytes = 0
         self._threads = [
@@ -411,159 +325,114 @@ class JobManager:
         if spec is None:
             spec = CrawlSpec()
         backend = self._resolve_backend(spec)
-        self._reserve_slot(tenant)
-        try:
-            return self._submit_reserved(
-                tenant,
-                dataset,
-                k,
-                name=name,
-                spec=spec,
-                backend=backend,
-                sessions=sessions,
-                seed=seed,
-                priority=priority,
-                wrap_source=wrap_source,
+        with self._reservation(tenant):
+            count = sessions or spec.max_workers or len(self._threads)
+            plan = partition_space(dataset.space, count)
+            job_id, completed = self._store.open_job(
+                tenant, name, plan, k, priority=priority
             )
-        finally:
-            self._release_slot(tenant)
-
-    def _submit_reserved(
-        self,
-        tenant: str,
-        dataset,
-        k: int,
-        *,
-        name: str,
-        spec: CrawlSpec,
-        backend: str,
-        sessions: int | None,
-        seed: int,
-        priority: int,
-        wrap_source,
-    ) -> int:
-        count = sessions or spec.max_workers or len(self._threads)
-        plan = partition_space(dataset.space, count)
-        job_id, completed = self._store.open_job(
-            tenant, name, plan, k, priority=priority
-        )
-        if backend == "process":
-            stubs = self._share_tenant(tenant)
-        else:
-            with self._backend_lock:
-                stubs = self._shared_stubs.get(tenant)
-        # Once a tenant's limits are rehosted on the coordinator, every
-        # job of that tenant -- whatever its backend -- admits through
-        # the stubs: one authoritative copy, one exact charge.
-        limits = (
-            stubs if stubs is not None else self._registry.limits(tenant)
-        )
-        sources = [
-            TopKServer(dataset, k, priority_seed=seed, limits=limits)
-            for _ in range(plan.sessions)
-        ]
-        if wrap_source is not None:
-            sources = [wrap_source(source) for source in sources]
-        feed = AggregatorFeed(spec.aggregator, plan)
-
-        if stubs:
-            # Commit-time charge reads pull the authoritative counters
-            # out of the coordinator (flushing parked leases) and land
-            # them in the registry's local objects on the way.
-            def charge() -> dict:
-                return self._registry.pull_shared(tenant, stubs)
-        else:
-
-            def charge() -> dict:
-                return self._registry.charges()[tenant]
-
-        def on_region(key: RegionKey, result: CrawlResult) -> None:
-            # The durability boundary: the region, its rows and the
-            # tenant's exact charge commit as one transaction.  The
-            # charge snapshot is a callable so the store reads it at
-            # commit time, inside its critical section -- workers
-            # committing concurrently for one tenant would otherwise
-            # race stale snapshots into the last write.
-            self._store.region_done(
-                job_id, key, result, tenant_charge=(tenant, charge)
+            if backend == "process":
+                stubs = self._share_tenant(tenant)
+            else:
+                with self._backend_lock:
+                    stubs = self._shared_stubs.get(tenant)
+            # Once a tenant's limits are rehosted on the coordinator, every
+            # job of that tenant -- whatever its backend -- admits through
+            # the stubs: one authoritative copy, one exact charge.
+            limits = (
+                stubs if stubs is not None else self._registry.limits(tenant)
             )
-            if spec.on_region is not None:
-                spec.on_region(key, result)
+            sources = [
+                TopKServer(dataset, k, priority_seed=seed, limits=limits)
+                for _ in range(plan.sessions)
+            ]
+            if wrap_source is not None:
+                sources = [wrap_source(source) for source in sources]
+            feed = AggregatorFeed(spec.aggregator, plan)
 
-        sink = GridSink(plan, feed, completed, on_region)
-        scheduler = WorkStealingScheduler(
-            plan.bundles,
-            spec.estimator,
-            {key: result.cost for key, result in completed.items()},
-        )
-        policy = ShardPolicy.resolve(
-            spec.shard_subtrees, plan, spec.estimator, len(self._threads)
-        )
-        runner: LocalUnitRunner | None = None
-        payload: bytes | None = None
-        ticket = 0
-        if backend == "process":
             if stubs:
-                chunk = spec.lease_chunk
-                if chunk is None:
-                    chunk = self._clamp_tenant_chunk(
-                        stubs, lease_chunk_for_plan(plan, spec.estimator)
-                    )
-                for stub in stubs:
-                    if isinstance(stub, SharedBudget):
-                        stub.lease_chunk = chunk
-            payload = pickle_payload(sources, spec.crawler_factory, stubs)
-            # Operator-side introspection: bytes shipped per dispatched
-            # process job (benchmarks gate this; lower is better).
-            self.last_payload_bytes = len(payload)
-            ticket = next(self._tickets)
-            self._ensure_pool()
-        else:
-            flush = None
-            if stubs:
+                # Commit-time charge reads pull the authoritative counters
+                # out of the coordinator (flushing parked leases) and land
+                # them in the registry's local objects on the way.
+                def charge() -> dict:
+                    return self._registry.pull_shared(tenant, stubs)
+            else:
 
-                def flush() -> None:
-                    for stub in stubs:
-                        stub.flush()
+                def charge() -> dict:
+                    return self._registry.charges()[tenant]
 
-            runner = LocalUnitRunner(
-                sources,
-                spec.crawler_factory,
-                spec.allow_partial,
-                feed=feed,
-                flush=flush,
-            )
-        job = _Job(
-            job_id,
-            tenant,
-            name,
-            plan,
-            scheduler,
-            sink,
-            runner,
-            policy,
-            priority=priority,
-            backend=backend,
-            allow_partial=spec.allow_partial,
-            payload=payload,
-            ticket=ticket,
-        )
-        with self._cond:
-            if self._stop:
-                raise RuntimeError("JobManager is shut down")
-            if job_id in self._jobs and not self._jobs[job_id].state.terminal:
-                raise ValueError(
-                    f"job {tenant!r}/{name!r} is already active"
+            def on_region(key: RegionKey, result: CrawlResult) -> None:
+                # The durability boundary: the region, its rows and the
+                # tenant's exact charge commit as one transaction.  The
+                # charge snapshot is a callable so the store reads it at
+                # commit time, inside its critical section -- workers
+                # committing concurrently for one tenant would otherwise
+                # race stale snapshots into the last write.
+                self._store.region_done(
+                    job_id, key, result, tenant_charge=(tenant, charge)
                 )
-            self._jobs[job_id] = job
-            if job_id not in self._order:
-                self._order.append(job_id)
-            if scheduler.done():
-                # Every region was already in the store: the resumed
-                # job is complete before a single worker touches it.
-                self._finalize_locked(job)
-            self._cond.notify_all()
-        return job_id
+                if spec.on_region is not None:
+                    spec.on_region(key, result)
+
+            sink = GridSink(plan, feed, completed, on_region)
+            scheduler = WorkStealingScheduler(
+                plan.bundles,
+                spec.estimator,
+                {key: result.cost for key, result in completed.items()},
+            )
+            policy = ShardPolicy.resolve(
+                spec.shard_subtrees, plan, spec.estimator, len(self._threads)
+            )
+            runner: UnitRunner
+            if backend == "process":
+                # Clamped against this tenant's budget only: one poor
+                # tenant never shrinks a rich one's batching.
+                chunk = lease_chunk_for_plan(plan, spec.estimator)
+                fleet = len(self._threads)
+                set_lease_chunk(stubs, clamp_lease_chunk(stubs, chunk, fleet))
+                payload = pickle_payload(sources, spec.crawler_factory, stubs)
+                # Operator-side introspection: bytes shipped per dispatched
+                # process job (benchmarks gate this; lower is better).
+                self.last_payload_bytes = len(payload)
+                runner = PoolUnitRunner(
+                    self._pool, spec.allow_partial, payload=payload
+                )
+            else:
+                runner = LocalUnitRunner(
+                    sources,
+                    spec.crawler_factory,
+                    spec.allow_partial,
+                    feed=feed,
+                    stubs=stubs or (),
+                )
+            job = _Job(
+                job_id,
+                tenant,
+                name,
+                plan,
+                scheduler,
+                sink,
+                runner,
+                policy,
+                priority=priority,
+            )
+            with self._cond:
+                if self._stop:
+                    raise RuntimeError("JobManager is shut down")
+                active = self._jobs.get(job_id)
+                if active is not None and not active.state.terminal:
+                    raise ValueError(
+                        f"job {tenant!r}/{name!r} is already active"
+                    )
+                self._jobs[job_id] = job
+                if job_id not in self._order:
+                    self._order.append(job_id)
+                if scheduler.done():
+                    # Every region was already in the store: the resumed
+                    # job is complete before a single worker touches it.
+                    self._finalize_locked(job)
+                self._cond.notify_all()
+            return job_id
 
     def cancel(self, job_id: int) -> bool:
         """Cancel an active job; returns whether anything was stopped.
@@ -688,15 +557,12 @@ class JobManager:
             self._cond.notify_all()
         for thread in self._threads:
             thread.join()
+        self._pool.shutdown()
         with self._backend_lock:
-            pool = self._pool
-            self._pool = None
             coordinator = self._coordinator
             self._coordinator = None
             shared = dict(self._shared_stubs)
             self._shared_stubs.clear()
-        if pool is not None:
-            pool.shutdown(wait=True)
         if coordinator is not None:
             # Land the exact authoritative charges in the registry's
             # local objects before the coordinator process goes away;
@@ -721,13 +587,15 @@ class JobManager:
                 depth += 1
         return depth
 
-    def _reserve_slot(self, tenant: str) -> None:
-        """Admit one submission against the tenant's pending bound.
+    @contextlib.contextmanager
+    def _reservation(self, tenant: str):
+        """Hold one submission's slot against the tenant's pending bound.
 
         The reservation closes the check-then-insert window: two
         racing submitters both seeing ``bound - 1`` jobs must not both
         pass.  Refusal is clean -- raised before the store, the
-        registry or the backend plumbing is touched.
+        registry or the backend plumbing is touched.  The slot is
+        released on exit, when a submitted job already counts itself.
         """
         with self._cond:
             if self._max_pending is not None:
@@ -742,15 +610,16 @@ class JobManager:
                         bound=self._max_pending,
                     )
             self._reserved[tenant] = self._reserved.get(tenant, 0) + 1
-
-    def _release_slot(self, tenant: str) -> None:
-        with self._cond:
-            remaining = self._reserved.get(tenant, 0) - 1
-            if remaining > 0:
-                self._reserved[tenant] = remaining
-            else:
-                self._reserved.pop(tenant, None)
-            self._cond.notify_all()
+        try:
+            yield
+        finally:
+            with self._cond:
+                remaining = self._reserved.get(tenant, 0) - 1
+                if remaining > 0:
+                    self._reserved[tenant] = remaining
+                else:
+                    self._reserved.pop(tenant, None)
+                self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # Backend plumbing
@@ -769,23 +638,6 @@ class JobManager:
                 f"unknown backend {backend!r}; expected one of: {known}"
             )
         return backend
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._backend_lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=len(self._threads)
-                )
-            return self._pool
-
-    def _revive_pool(self, broken: ProcessPoolExecutor) -> None:
-        """Replace a broken pool (a worker process actually died)."""
-        with self._backend_lock:
-            if self._pool is broken:
-                broken.shutdown(wait=False)
-                self._pool = ProcessPoolExecutor(
-                    max_workers=len(self._threads)
-                )
 
     def _share_tenant(self, tenant: str) -> list:
         """The tenant's limits as coordinator stubs (hosted lazily).
@@ -820,21 +672,6 @@ class JobManager:
             stubs = self._registry.share(tenant, self._coordinator)
             self._shared_stubs[tenant] = stubs
             return stubs
-
-    def _clamp_tenant_chunk(self, stubs: list, chunk: int) -> int:
-        """Cap a lease chunk against *this tenant's* budget headroom.
-
-        The coordinator's own ``clamp_lease_chunk`` scans every shared
-        budget it hosts -- across tenants -- which would let one poor
-        tenant shrink a rich tenant's batching.  The service clamps
-        per tenant: only the stubs at hand bound the chunk.
-        """
-        fleet = len(self._threads)
-        for stub in stubs:
-            if isinstance(stub, SharedBudget):
-                cap = max(1, stub.remaining // (4 * fleet))
-                chunk = min(chunk, cap)
-        return max(1, chunk)
 
     # ------------------------------------------------------------------
     # The fleet
@@ -880,60 +717,6 @@ class JobManager:
                         return job, task
         return None
 
-    def _run_unit(self, job: _Job, task) -> CrawlResult:
-        """Crawl one acquired unit on the job's backend (raises)."""
-        budget = (
-            job.policy.budget_for(task.key)
-            if job.policy is not None
-            else None
-        )
-        if job.backend != "process":
-            return crawl_region_unit(task, job.runner, budget)
-        pool = self._pool
-        if pool is None:
-            pool = self._ensure_pool()
-        try:
-            future = pool.submit(
-                _pool_run_unit,
-                job.ticket,
-                job.payload,
-                task.session,
-                task.index,
-                task.region,
-                budget,
-                job.allow_partial,
-            )
-            return future.result()
-        except BrokenProcessPool as exc:
-            self._revive_pool(pool)
-            raise WorkerDeparted(
-                f"process pool worker died mid-unit: {exc}"
-            ) from exc
-
-    def _requeue_departed(self, job: _Job, task) -> bool:
-        """Put a departed unit back at the front of its home session.
-
-        Returns whether the unit was re-queued; past the job's
-        departure cap (or on a terminal job, whose scheduler is
-        aborted) the departure is handled as a region failure instead.
-        """
-        with self._cond:
-            job.departures += 1
-            if job.state.terminal or job.departures > job.departure_cap:
-                return False
-            if not job.scheduler.requeue(task):
-                return False
-            self._cond.notify_all()
-            return True
-
-    def _fail_unit(self, job: _Job, task, exc: BaseException) -> None:
-        job.sink.region_failed(task.key, task.session, exc)
-        job.scheduler.fail(task)
-        with self._cond:
-            if not job.state.terminal and job.scheduler.done():
-                self._finalize_locked(job)
-            self._cond.notify_all()
-
     def _worker_loop(self) -> None:
         while True:
             with self._cond:
@@ -946,23 +729,33 @@ class JobManager:
                 if item is None:
                     return
             job, task = item
+            budget = (
+                job.policy.budget_for(task.key)
+                if job.policy is not None
+                else None
+            )
             try:
-                result = self._run_unit(job, task)
+                result = crawl_region_unit(task, job.runner, budget)
             except WorkerDeparted as exc:
-                # The worker is gone, not the unit: requeue and let
-                # the fleet re-attempt (exactly-once charges survive
-                # because doomed attempts flushed their leases).
-                if not self._requeue_departed(job, task):
-                    self._fail_unit(job, task, exc)
+                # The worker is gone, not the unit: requeue it for the
+                # fleet (the doomed attempt flushed its leases, so the
+                # charge stays exact) or file it once the scheduler
+                # gives up.  Under the lock, so no worker finalises the
+                # job between the unit's write-off and its filing.
+                with self._cond:
+                    requeue_departed(job.scheduler, task, job.sink, exc)
             except Exception as exc:  # noqa: BLE001 - filed, not raised
-                self._fail_unit(job, task, exc)
+                # Filed before the scheduler hears of it, for the same
+                # reason: done() must never precede the failure.
+                job.sink.region_failed(task.key, task.session, exc)
+                job.scheduler.fail(task)
             else:
                 job.sink.region_done(task.key, result)
                 job.scheduler.complete(task, result.cost)
-                with self._cond:
-                    if not job.state.terminal and job.scheduler.done():
-                        self._finalize_locked(job)
-                    self._cond.notify_all()
+            with self._cond:
+                if not job.state.terminal and job.scheduler.done():
+                    self._finalize_locked(job)
+                self._cond.notify_all()
 
     def _finalize_locked(self, job: _Job) -> None:
         # Caller holds self._lock.

@@ -8,7 +8,8 @@ runs on the way out (the drive loop's ``finally``, the pool wire
 functions' unit boundary), and the executors submit
 replacements -- so the crawl completes with the *exact* bytes and the
 *exact* budget charge of an undisturbed run.  A fleet that keeps
-departing past the replacement cap fails loudly instead of hanging.
+departing past the scheduler's departure bound fails loudly instead of
+hanging, on every backend.
 
 Three layers, mirroring where the machinery lives:
 
@@ -24,6 +25,7 @@ Three layers, mirroring where the machinery lives:
 """
 
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,7 @@ from repro.crawl.runtime import (
     LocalUnitRunner,
     ShardPolicy,
     UnitRunner,
+    drive_futures,
     drive_stealing,
     steal_setup,
 )
@@ -335,6 +338,35 @@ class TestRequeue:
         assert scheduler.done()
         assert scheduler.failed_keys() == {(0, 0)}
 
+    def test_requeue_past_the_bound_fails_the_region(self):
+        scheduler = WorkStealingScheduler([["a0"], ["b0"]])
+        assert scheduler.max_departures == 4 * (2 + 1)
+        for _ in range(scheduler.max_departures):
+            assert scheduler.requeue(scheduler.acquire(0)) is True
+        task = scheduler.acquire(0)
+        assert scheduler.requeue(task) is False
+        assert scheduler.departures > scheduler.max_departures
+        assert scheduler.failed_keys() == {task.key}
+        # The other region is still served.
+        other = scheduler.acquire(0)
+        assert other.key != task.key
+        scheduler.complete(other, 1)
+        assert scheduler.done()
+
+    def test_shard_requeue_past_the_bound_fails_its_region(self):
+        scheduler = SubtreeScheduler([["r0"]])
+        region = scheduler.acquire(0)
+        scheduler.publish(region, FakeShardPlan((FakeShard(0), FakeShard(1))))
+        scheduler.departures = scheduler.max_departures
+        shard0 = scheduler.acquire(0)
+        shard1 = scheduler.acquire(0)
+        assert scheduler.requeue(shard0) is False
+        assert scheduler.failed_keys() == {(0, 0)}
+        # The in-flight sibling drains like a late completion.
+        assert scheduler.complete_shard(shard1, FakeResult(1)) is None
+        assert scheduler.acquire(0) is None
+        assert scheduler.done()
+
     def test_shard_never_in_flight_raises(self):
         scheduler = SubtreeScheduler([["r0"]])
         with pytest.raises(AlgorithmInvariantError, match="not in flight"):
@@ -398,6 +430,38 @@ class TestDriveLoopDeparture:
             if drained and runner.calls < die_at:
                 break  # past the last unit: the whole space was swept
             die_at += 1
+
+
+    def test_futures_dispatch_gives_up_on_a_fleet_that_always_departs(
+        self, plan
+    ):
+        """Every future raises WorkerDeparted: the dispatcher must end,
+        every region failed with a give-up, instead of requeueing
+        forever."""
+        scheduler = WorkStealingScheduler(plan.bundles)
+        sink = GridSink(plan, AggregatorFeed(None, plan))
+        submissions = 0
+
+        def submit(task, budget):
+            nonlocal submissions
+            submissions += 1
+            assert submissions < 10_000, "drive_futures never gave up"
+            future = Future()
+            future.set_exception(WorkerDeparted("injected: gone"))
+            return future
+
+        drive_futures(scheduler, submit, sink, workers=2)
+        assert scheduler.done()
+        assert scheduler.failed_keys() == {
+            (session, index)
+            for session, bundle in enumerate(plan.bundles)
+            for index in range(len(bundle))
+        }
+        assert {key for key, _ in sink.failures} == scheduler.failed_keys()
+        assert all(
+            isinstance(exc, WorkerDeparted) and "giving up" in str(exc)
+            for _, exc in sink.failures
+        )
 
 
 # ----------------------------------------------------------------------
@@ -507,3 +571,18 @@ class TestElasticProcess:
         assert_identical(result, reference)
         assert [b.used for b in budgets] == baseline_queries
         assert marker.exists() and marker.read_text().count("departed") >= 1
+
+    def test_fleet_that_never_survives_fails_loudly(self, dataset, plan):
+        aggregator = ProgressAggregator(SESSIONS)
+        with pytest.raises(WorkerDeparted, match="giving up"):
+            ProcessExecutor(max_workers=2).run(
+                make_sources(dataset),
+                plan,
+                CrawlSpec(
+                    rebalance=True,
+                    aggregator=aggregator,
+                    crawler_factory=AlwaysDepart(),
+                ),
+            )
+        # No session is left reading as in-flight after the give-up.
+        assert aggregator.all_terminal()

@@ -36,6 +36,8 @@ from repro.crawl.coordinator import (
     SharedDailyLimit,
     SharedStats,
     carries_limits,
+    clamp_lease_chunk,
+    set_lease_chunk,
 )
 from repro.crawl.executors import ProcessExecutor, make_executor
 from repro.crawl.partition import crawl_partitioned, partition_space
@@ -564,8 +566,8 @@ class TestCarriesLimits:
 
 
 class TestPoolUnitFlush:
-    """Every pool wire function returns its worker's leased headroom
-    before the unit's result leaves the worker: under futures dispatch
+    """The pool wire function returns its worker's leased headroom
+    before any unit's result leaves the worker: under futures dispatch
     an idle worker would otherwise sit on charged budget units."""
 
     #: Small enough that the first region presplits into shards.
@@ -586,22 +588,20 @@ class TestPoolUnitFlush:
         budget = QueryBudget(100_000)
         with LimitCoordinator() as coordinator:
             shared = coordinator.share_sources(self.sources(dataset, budget))
-            coordinator.set_lease_chunk(64)
+            stubs = coordinator.shared_stubs()
+            set_lease_chunk(stubs, 64)
             stub = next(
-                stub
-                for stub in coordinator.shared_stubs()
-                if isinstance(stub, SharedBudget)
+                stub for stub in stubs if isinstance(stub, SharedBudget)
             )
-            # Turn this process into a pool worker, then back again.
-            executors._process_init(
-                executors.pickle_payload(
-                    shared, Hybrid, coordinator.shared_stubs()
-                )
+            # Install a payload as a pool worker would, then drop it.
+            ticket = next(executors._TICKETS)
+            executors._cached_runner(
+                ticket, executors.pickle_payload(shared, Hybrid, stubs)
             )
             try:
-                yield executors, stub
+                yield executors, ticket, stub
             finally:
-                executors._process_init(executors.pickle_payload((), Hybrid))
+                executors._PAYLOADS.pop(ticket, None)
 
     @classmethod
     def reference(cls, dataset):
@@ -616,26 +616,29 @@ class TestPoolUnitFlush:
     def test_region_unit_flushes(self, worker, dataset, plan):
         from repro.crawl.rebalance import RegionTask
 
-        executors, stub = worker
+        executors, ticket, stub = worker
         region = plan.bundles[0][0]
-        executors._pool_region(0, 0, region, False)
+        task = RegionTask(0, 0, region)
+        executors._pool_unit(ticket, None, False, task, None)
         runner, budget = self.reference(dataset)
-        runner.region(RegionTask(0, 0, region))
+        runner.region(task)
         assert stub.used == budget.used
 
     def test_presplit_and_shard_units_flush(self, worker, dataset, plan):
         from repro.crawl.rebalance import RegionTask, ShardTask
 
-        executors, stub = worker
+        executors, ticket, stub = worker
         runner, budget = self.reference(dataset)
         region = plan.bundles[0][0]
-        shard_plan = executors._pool_presplit(0, 0, region, False, 4)
-        runner.presplit(RegionTask(0, 0, region), 4)
+        task = RegionTask(0, 0, region)
+        shard_plan = executors._pool_unit(ticket, None, False, task, 4)
+        runner.presplit(task, 4)
         assert shard_plan.shards
         assert stub.used == budget.used
         for shard in shard_plan.shards:
-            executors._pool_shard(0, 0, region, shard, False)
-            runner.shard(ShardTask(0, 0, region, shard))
+            shard_task = ShardTask(0, 0, region, shard)
+            executors._pool_unit(ticket, None, False, shard_task, None)
+            runner.shard(shard_task)
             assert stub.used == budget.used
 
 
@@ -742,7 +745,7 @@ class TestLeaseBatching:
         daily = DailyRateLimit(5, clock)
         shared_daily = coordinator.share(daily)
         budget_stub = coordinator.share(QueryBudget(50))
-        coordinator.set_lease_chunk(10)
+        set_lease_chunk(coordinator.shared_stubs(), 10)
         assert budget_stub.lease_chunk == 10
         assert shared_daily.lease_chunk == 1
         shared_daily.admit()
@@ -750,27 +753,29 @@ class TestLeaseBatching:
 
     def test_set_lease_chunk_rejects_nonpositive(self, coordinator):
         with pytest.raises(ValueError):
-            coordinator.set_lease_chunk(0)
+            set_lease_chunk(coordinator.shared_stubs(), 0)
 
     def test_clamp_collapses_tight_budgets_to_per_query(self, coordinator):
         """The conservative-admission guard: a chunk may never let the
         fleet strand more than a quarter of the remaining budget, and a
         tight budget degrades to exact per-query admission."""
-        coordinator.share(QueryBudget(12))
-        assert coordinator.clamp_lease_chunk(32, fleet=3) == 1
-        coordinator.share(QueryBudget(100_000))
-        # The tightest shared budget still governs.
-        assert coordinator.clamp_lease_chunk(32, fleet=3) == 1
+        tight = coordinator.share(QueryBudget(12))
+        assert clamp_lease_chunk([tight], 32, fleet=3) == 1
+        roomy = coordinator.share(QueryBudget(100_000))
+        # The tightest budget among the stubs still governs.
+        assert clamp_lease_chunk([tight, roomy], 32, fleet=3) == 1
         with pytest.raises(ValueError):
-            coordinator.clamp_lease_chunk(32, fleet=0)
+            clamp_lease_chunk([tight], 32, fleet=0)
 
-    def test_clamp_leaves_roomy_budgets_alone(self):
-        with LimitCoordinator() as coordinator:
-            coordinator.share(QueryBudget(100_000))
-            assert coordinator.clamp_lease_chunk(32, fleet=4) == 32
-            # No budgets shared at all: nothing to clamp against.
-        with LimitCoordinator() as coordinator:
-            assert coordinator.clamp_lease_chunk(32, fleet=4) == 32
+    def test_clamp_leaves_roomy_budgets_alone(self, coordinator):
+        roomy = coordinator.share(QueryBudget(100_000))
+        assert clamp_lease_chunk([roomy], 32, fleet=4) == 32
+        # Only the stubs passed in bound the chunk: another tenant's
+        # tight budget on the same coordinator does not.
+        coordinator.share(QueryBudget(12))
+        assert clamp_lease_chunk([roomy], 32, fleet=4) == 32
+        # No budgets at all: nothing to clamp against.
+        assert clamp_lease_chunk([], 32, fleet=4) == 32
 
 
 class TestLeaseExactnessProperty:

@@ -87,10 +87,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_workers"):
             CrawlSpec(max_workers=0)
 
-    def test_bad_lease_chunk(self):
-        with pytest.raises(ValueError, match="lease_chunk"):
-            CrawlSpec(lease_chunk=-1)
-
     @pytest.mark.parametrize("bad", [0, -2, True, 1.5, "many"])
     def test_bad_shard_subtrees(self, bad):
         with pytest.raises(ValueError, match="shard_subtrees"):
@@ -205,15 +201,6 @@ class TestMakeExecutor:
             make_executor(spec=CrawlSpec()), ThreadExecutor
         )
 
-    def test_lease_chunk_reaches_process_backend(self):
-        spec = CrawlSpec(executor="process", lease_chunk=16)
-        executor = make_executor(spec=spec)
-        assert executor._lease_chunk == 16
-
-    def test_lease_chunk_ignored_elsewhere(self):
-        spec = CrawlSpec(executor="thread", lease_chunk=16)
-        assert isinstance(make_executor(spec=spec), ThreadExecutor)
-
     def test_name_overrides_spec_backend(self):
         spec = CrawlSpec(executor="process")
         executor = make_executor("thread", spec=spec)
@@ -243,7 +230,6 @@ class TestSpecFromArgs:
             workers=4,
             rebalance=True,
             shard_subtrees="auto",
-            lease_chunk=8,
             allow_partial=True,
         )
         spec = spec_from_args(args)
@@ -253,7 +239,6 @@ class TestSpecFromArgs:
         assert spec.max_workers == 4
         assert spec.rebalance is True
         assert spec.shard_subtrees == "auto"
-        assert spec.lease_chunk == 8
         assert spec.allow_partial is True
 
     def test_unknown_algorithm(self):

@@ -21,6 +21,13 @@ always runs both):
   tenant's lifetime charge equals the standalone crawl's queries
   exactly -- committed regions re-issued **zero** queries.
 
+A third shape is process-only:
+
+* **Dead pool worker** -- a pool worker process exits mid-job.  The
+  broken pool is replaced, the unit is requeued onto the new one, and
+  the job completes byte-identical with the exact charge; a second job
+  then runs on the replaced pool.
+
 Departures are injected at crawler *construction* (mirroring the
 executor fault suite), so a doomed attempt never issues a query and
 charge arithmetic stays exact across the crash.
@@ -116,6 +123,30 @@ class DieAfter:
             with open(self.marker, "a") as handle:
                 handle.write(f"{os.getpid()}\n")
             raise WorkerDeparted("chaos: the worker is gone for good")
+        return Hybrid(view)
+
+
+class ExitOnce:
+    """Crawler factory: the first construction in a pool worker kills
+    that worker process outright (``os._exit``), once per marker file.
+
+    The marker is created with ``O_EXCL``, so exactly one worker dies
+    however many race; the parent process never exits.
+    """
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+        self.parent = os.getpid()
+
+    def __call__(self, view):
+        if os.getpid() != self.parent:
+            try:
+                fd = os.open(self.marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                pass
+            else:
+                os.close(fd)
+                os._exit(1)
         return Hybrid(view)
 
 
@@ -272,4 +303,44 @@ class TestKillRestartSweep:
             assert (
                 revived.registry.budget("acme").used
                 == standalone_queries
+            )
+
+
+class TestDeadPoolWorker:
+    def test_dead_worker_is_replaced_and_the_job_completes(
+        self, tmp_path, dataset, standalone, standalone_queries
+    ):
+        marker = tmp_path / "exited"
+        # One fleet worker, so one unit is in flight when the pool
+        # breaks: a second in-flight unit would be killed mid-crawl and
+        # its charged queries re-issued on the replacement.
+        with CrawlService(
+            tmp_path / "crawl.db", workers=1, backend="process"
+        ) as service:
+            service.register_tenant("acme", budget=100_000)
+            job = service.submit(
+                "acme",
+                dataset,
+                K,
+                name="demo",
+                spec=CrawlSpec(crawler_factory=ExitOnce(marker)),
+                sessions=SESSIONS,
+            )
+            status = service.wait(job, timeout=120)
+            assert marker.exists(), "no pool worker ever exited"
+            assert status.state is JobState.DONE
+            assert service.rows(job) == list(standalone.rows)
+            assert (
+                service.registry.budget("acme").used
+                == standalone_queries
+            )
+            # The replaced pool serves the next job.
+            again = service.submit(
+                "acme", dataset, K, name="again", sessions=SESSIONS
+            )
+            assert service.wait(again, timeout=120).state is JobState.DONE
+            assert service.rows(again) == list(standalone.rows)
+            assert (
+                service.registry.budget("acme").used
+                == 2 * standalone_queries
             )

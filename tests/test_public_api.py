@@ -230,7 +230,8 @@ class TestExecutionSurface:
 
         names = {field.name for field in dataclasses.fields(CrawlSpec)}
         assert "shared_limits" not in names
-        assert len(names) == 11
+        assert "lease_chunk" not in names
+        assert len(names) == 10
 
     def test_run_takes_a_spec_not_keywords(self):
         from repro.crawl import ThreadExecutor
