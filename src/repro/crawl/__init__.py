@@ -78,13 +78,11 @@ from repro.crawl.rebalance import (
 )
 from repro.crawl.runtime import (
     AggregatorFeed,
-    BatchSink,
     GridSink,
     LocalUnitRunner,
     ResultSink,
     ShardPolicy,
     UnitRunner,
-    drive_futures,
     drive_session,
     drive_stealing,
     run_region,
@@ -144,12 +142,10 @@ __all__ = [
     "LocalUnitRunner",
     "ResultSink",
     "GridSink",
-    "BatchSink",
     "ShardPolicy",
     "run_region",
     "drive_session",
     "drive_stealing",
-    "drive_futures",
     "DEFAULT_MAX_SHARDS",
     "SubtreeShard",
     "TrunkSegment",

@@ -335,6 +335,7 @@ def _main(args: argparse.Namespace) -> int:
     algorithm = ALGORITHMS[args.algorithm]
     budget = QueryBudget(args.budget) if args.budget is not None else None
     limits = [budget] if budget is not None else []
+    writer = None
     try:
         if args.workers == 1:
             server = TopKServer(
@@ -375,7 +376,6 @@ def _main(args: argparse.Namespace) -> int:
                 for _ in range(plan.sessions)
             ]
             completed = {}
-            writer = None
             if args.resume is not None:
                 checkpoint = load_crawl_checkpoint(
                     args.resume, plan, args.k
@@ -471,6 +471,11 @@ def _main(args: argparse.Namespace) -> int:
             f"budget exhausted: {exc} ({budget.used} queries charged)",
             file=sys.stderr,
         )
+        if writer is not None:
+            # Record the refusal itself: no region need land after it,
+            # and a file still reading "not refused" makes every resume
+            # restore the exhausted window.
+            writer.write()
         if checkpoint_path is not None:
             print(
                 f"progress checkpointed to {checkpoint_path}; continue "

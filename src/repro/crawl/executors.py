@@ -10,12 +10,14 @@ may run the grid in any order, on any substrate, and the merged
 plan position, costs summed, progress canonically interleaved -- is
 byte-identical to the sequential executor's.
 
-The dispatch logic itself lives in :mod:`repro.crawl.runtime`: one
-transport-agnostic drive loop (static sessions, work stealing, or
-futures dispatch) over :class:`~repro.crawl.runtime.UnitRunner` /
-:class:`~repro.crawl.runtime.ResultSink` protocols.  This module only
-supplies the transports -- how workers are spawned, how a unit's code
-reaches them, and whether sources are shared or copied:
+The dispatch logic itself lives in :mod:`repro.crawl.runtime`: two
+transport-agnostic pull loops (static sessions and work stealing) over
+the :class:`~repro.crawl.runtime.UnitRunner` /
+:class:`~repro.crawl.runtime.ResultSink` protocols.  Both pooled
+backends run those loops on parent threads through one
+:meth:`CrawlExecutor._execute`; a backend supplies only the runner its
+loops call -- how a unit's code reaches a worker, and whether sources
+are shared or copied:
 
 :class:`SequentialExecutor`
     One region after another, in plan order, in the calling thread.
@@ -25,8 +27,9 @@ reaches them, and whether sources are shared or copied:
     reference.  Wins on latency-bound sessions: threads overlap the
     per-query round trips.
 :class:`ProcessExecutor`
-    A :class:`concurrent.futures.ProcessPoolExecutor`; sources and the
-    crawler factory are pickled once into each worker (the serving
+    A :class:`WorkerPool` of processes, one per parent thread, each
+    thread waiting on the unit it handed over; sources and the crawler
+    factory are pickled once into each worker (the serving
     stack's lock-dropping ``__getstate__`` paths make servers, clients
     and limits picklable).  Wins on CPU-bound simulated workloads,
     where the GIL caps the thread backend at a single core.  When a
@@ -92,7 +95,6 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import (
     FIRST_COMPLETED,
-    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
@@ -119,12 +121,10 @@ from repro.crawl.partition import (
 from repro.crawl.rebalance import RegionKey, RegionTask, ShardTask
 from repro.crawl.runtime import (
     AggregatorFeed,
-    BatchSink,
     GridSink,
     LocalUnitRunner,
     ShardPolicy,
     UnitRunner,
-    drive_futures,
     drive_session,
     drive_stealing,
     steal_setup,
@@ -171,11 +171,12 @@ def _completed_costs(
 class CrawlExecutor(abc.ABC):
     """Runs a partition plan's region grid and merges deterministically.
 
-    Subclasses implement :meth:`_execute` -- the *transport*: spawn
-    workers on some substrate and point them at the runtime's drive
-    loops (:mod:`repro.crawl.runtime`), which own all scheduling
-    semantics.  :meth:`run` owns validation, shard-policy resolution,
-    the deterministic merge, and the drain-then-raise failure contract.
+    :meth:`run` owns validation, shard-policy resolution, the
+    deterministic merge, and the drain-then-raise failure contract;
+    :meth:`_execute` points parent threads at the runtime's pull loops
+    (:mod:`repro.crawl.runtime`), which own all scheduling semantics.
+    A backend supplies only :meth:`_runner` -- the *transport* those
+    loops hand each unit to.
 
     Examples
     --------
@@ -320,17 +321,104 @@ class CrawlExecutor(abc.ABC):
             plan, tuple(tuple(session) for session in sink.grid)
         )
 
-    @abc.abstractmethod
-    def _execute(
-        self,
-        sources: Sequence,
-        plan: PartitionPlan,
-        sink: GridSink,
-        spec: CrawlSpec,
-        policy: ShardPolicy | None,
-        completed: Mapping[RegionKey, CrawlResult],
-    ) -> None:
-        """Spawn workers and point them at the runtime's drive loops."""
+    @contextlib.contextmanager
+    def _runner(self, sources, plan, spec, workers, feed):
+        """The unit runner the drive loops call, live for one crawl.
+
+        In-process by default: one :class:`~repro.crawl.runtime.
+        LocalUnitRunner` over the caller's sources, shared by reference
+        (so limits and stats are exact without any coordination), with
+        live progress wired to ``feed``.  A backend that moves units
+        elsewhere overrides this and tears its transport down on exit.
+        """
+        yield LocalUnitRunner(
+            sources, spec.crawler_factory, spec.allow_partial, feed=feed
+        )
+
+    def _execute(self, sources, plan, sink, spec, policy, completed):
+        """Run the grid on parent threads pulling units through a runner.
+
+        Without ``rebalance`` one thread per session runs
+        :func:`~repro.crawl.runtime.drive_session`; with it, the
+        worker threads run the shared
+        :func:`~repro.crawl.runtime.drive_stealing` loop (worker ``j``
+        calls session ``j % sessions`` home).
+
+        The rebalanced fleet is *elastic*: a worker whose loop departs
+        (:class:`~repro.exceptions.WorkerDeparted`) has already
+        re-queued its in-flight unit, and a replacement worker takes
+        its place -- the scheduler's departure bound fails units once a
+        fleet keeps departing, so replacements run dry instead of
+        spinning.  A worker that dies outside the loop's own unit
+        handling aborts the scheduler (so surviving workers run dry
+        instead of blocking forever on a shard that will never land)
+        and ranks its failure after every real region failure.
+        """
+        if spec.rebalance:
+            scheduler, upper = steal_setup(
+                plan, spec.estimator, policy, _completed_costs(completed)
+            )
+        else:
+            upper = plan.sessions
+        workers = self._workers(upper)
+        with self._runner(sources, plan, spec, workers, sink.feed) as runner:
+            if not spec.rebalance:
+                skip = frozenset(completed)
+                with ThreadPoolExecutor(
+                    max_workers=workers, thread_name_prefix="crawl-session"
+                ) as pool:
+                    tasks = [
+                        pool.submit(
+                            drive_session,
+                            session,
+                            plan.bundles[session],
+                            runner,
+                            sink,
+                            policy,
+                            skip,
+                        )
+                        for session in range(plan.sessions)
+                    ]
+                    for task in tasks:
+                        task.result()
+                return
+            aborted = False
+            spawned = itertools.count()
+            with ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="crawl-steal"
+            ) as pool:
+
+                def spawn():
+                    return pool.submit(
+                        drive_stealing,
+                        scheduler,
+                        next(spawned) % plan.sessions,
+                        runner,
+                        sink,
+                        policy,
+                    )
+
+                pending = {spawn() for _ in range(workers)}
+                while pending:
+                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        try:
+                            ran_dry = future.result()
+                        except Exception as exc:  # noqa: BLE001 - see run()
+                            # A hard failure outside the loop's own
+                            # unit handling: abort so siblings blocked
+                            # on a live region's condition run dry.  It
+                            # has no region: the position past the plan
+                            # ranks it after every region failure.
+                            scheduler.abort()
+                            aborted = True
+                            sink.failures.append(((plan.sessions, 0), exc))
+                            continue
+                        if not (ran_dry or aborted):
+                            pending.add(spawn())
+        if aborted:
+            for session in range(plan.sessions):
+                sink.feed.cancelled(session)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(max_workers={self._max_workers})"
@@ -353,115 +441,35 @@ class SequentialExecutor(CrawlExecutor):
         return 1
 
     def _execute(self, sources, plan, sink, spec, policy, completed):
-        runner = LocalUnitRunner(
-            sources, spec.crawler_factory, spec.allow_partial, feed=sink.feed
-        )
         skip = frozenset(completed)
-        for session in range(plan.sessions):
-            ok = drive_session(
-                session, plan.bundles[session], runner, sink, policy, skip
-            )
-            if not ok:
-                # Stopping at the first failure abandons the remaining
-                # sessions; mark them cancelled so aggregator snapshots
-                # never show a never-started session as running.
-                for later in range(session + 1, plan.sessions):
-                    sink.feed.cancelled(later)
-                return
+        with self._runner(sources, plan, spec, 1, sink.feed) as runner:
+            for session in range(plan.sessions):
+                ok = drive_session(
+                    session, plan.bundles[session], runner, sink, policy, skip
+                )
+                if not ok:
+                    # Stopping at the first failure abandons the
+                    # remaining sessions; mark them cancelled so
+                    # aggregator snapshots never show a never-started
+                    # session as running.
+                    for later in range(session + 1, plan.sessions):
+                        sink.feed.cancelled(later)
+                    return
 
 
 class ThreadExecutor(CrawlExecutor):
-    """One worker thread per session; work stealing when rebalancing.
+    """Worker threads over the caller's sources, shared by reference.
 
-    Without ``rebalance`` the pool runs one static
-    :func:`~repro.crawl.runtime.drive_session` per session; with it,
-    ``max_workers`` threads run the shared
-    :func:`~repro.crawl.runtime.drive_stealing` loop (worker ``j``
-    calls session ``j % sessions`` home).  Sources are shared by
-    reference, so limits and stats are exact without any coordination.
-
-    The rebalanced pool is *elastic*: a worker whose loop departs
-    (:class:`~repro.exceptions.WorkerDeparted`) has already re-queued
-    its in-flight unit, and the parent submits a replacement worker in
-    its place -- the scheduler's departure bound fails units once a
-    fleet keeps departing, so replacements run dry instead of spinning;
-    a worker that dies outside the loop's own unit handling
-    aborts the scheduler (so surviving workers run dry instead of
-    blocking forever on a shard that will never land) and ranks its
-    failure after every real region failure.
+    Runs :meth:`CrawlExecutor._execute` with the default in-process
+    runner: one :func:`~repro.crawl.runtime.drive_session` thread per
+    session, or ``max_workers`` elastic
+    :func:`~repro.crawl.runtime.drive_stealing` threads with
+    ``rebalance``.  Wins on latency-bound sessions: the threads overlap
+    the per-query round trips, and limits and stats are exact without
+    any coordination.
     """
 
     name = "thread"
-
-    def _execute(self, sources, plan, sink, spec, policy, completed):
-        runner = LocalUnitRunner(
-            sources, spec.crawler_factory, spec.allow_partial, feed=sink.feed
-        )
-        if not spec.rebalance:
-            workers = self._workers(plan.sessions)
-            skip = frozenset(completed)
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="crawl-session"
-            ) as pool:
-                tasks = [
-                    pool.submit(
-                        drive_session,
-                        session,
-                        plan.bundles[session],
-                        runner,
-                        sink,
-                        policy,
-                        skip,
-                    )
-                    for session in range(plan.sessions)
-                ]
-                for task in tasks:
-                    task.result()
-            return
-        scheduler, upper = steal_setup(
-            plan, spec.estimator, policy, _completed_costs(completed)
-        )
-        workers = self._workers(upper)
-        aborted = False
-        spawned = itertools.count()
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="crawl-steal"
-        ) as pool:
-
-            def spawn():
-                return pool.submit(
-                    drive_stealing,
-                    scheduler,
-                    next(spawned) % plan.sessions,
-                    runner,
-                    sink,
-                    policy,
-                )
-
-            pending = {spawn() for _ in range(workers)}
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    try:
-                        ran_dry = future.result()
-                    except Exception as exc:  # noqa: BLE001 - see run()
-                        # A hard failure outside the loop's own unit
-                        # handling: abort so siblings blocked on a live
-                        # region's condition run dry, and rank this
-                        # failure after every real region failure.
-                        scheduler.abort()
-                        aborted = True
-                        sink.file_batch(
-                            [],
-                            [((plan.sessions, 0), exc)],
-                            update_feed=False,
-                        )
-                        continue
-                    if not (ran_dry or aborted):
-                        pending.add(spawn())
-        if aborted:
-            for session in range(plan.sessions):
-                sink.feed.cancelled(session)
 
 
 # ----------------------------------------------------------------------
@@ -571,21 +579,6 @@ def _cached_runner(
     return LocalUnitRunner(sources, factory, allow_partial, stubs=stubs)
 
 
-def _pool_session(
-    ticket: int,
-    allow_partial: bool,
-    session: int,
-    bundle,
-    policy,
-    skip: frozenset = frozenset(),
-):
-    """Wire form of :func:`~repro.crawl.runtime.drive_session`."""
-    sink = BatchSink()
-    runner = _cached_runner(ticket, None, allow_partial)
-    drive_session(session, bundle, runner, sink, policy, skip)
-    return sink.batch
-
-
 def _pool_unit(
     ticket: int,
     payload: bytes | None,
@@ -684,11 +677,10 @@ class WorkerPool:
 class PoolUnitRunner(UnitRunner):
     """Run units on a :class:`WorkerPool`, one pool task per unit.
 
-    :meth:`submit` ships a unit and returns its future (what
-    :func:`~repro.crawl.runtime.drive_futures` dispatches with); the
-    blocking :meth:`region` / :meth:`presplit` / :meth:`shard` wait for
-    it, so :func:`~repro.crawl.runtime.crawl_region_unit` runs a unit
-    through the pool as it would in-process.  In the worker, a
+    The blocking :meth:`region` / :meth:`presplit` / :meth:`shard` ship
+    a unit and wait for its outcome, so the drive loops and
+    :func:`~repro.crawl.runtime.crawl_region_unit` run a unit through
+    the pool as they would in-process.  In the worker, a
     :class:`~repro.crawl.runtime.LocalUnitRunner` crawls the unit and
     flushes the stubs before the result leaves, so this runner's own
     region boundary has nothing to do.
@@ -713,14 +705,6 @@ class PoolUnitRunner(UnitRunner):
         ticket = pool.ticket if payload is None else next(_TICKETS)
         self._pool = pool
         self._args = (ticket, payload, allow_partial)
-
-    def submit(
-        self, task: RegionTask | ShardTask, budget: int | None = None
-    ) -> Future:
-        """Ship one unit (presplit ``budget``-fine if set); its future."""
-        return self._pool.current().submit(
-            _pool_unit, *self._args, task, budget
-        )
 
     def _wait(self, task, budget):
         pool = self._pool.current()
@@ -768,18 +752,18 @@ class ProcessExecutor(CrawlExecutor):
     fleet's coordinator ``round_trips`` -- after the crawl (also after
     an exhaustion failure).  Limit-free crawls start no coordinator.
 
-    Without ``rebalance``, one pool task per session preserves the
-    thread backend's dispatch shape.  With ``rebalance``, the parent
-    runs the runtime's futures dispatcher
-    (:func:`~repro.crawl.runtime.drive_futures`) over a
-    :class:`PoolUnitRunner`, always picking from the session with the
-    largest estimated remaining cost.  A pool worker that dies fails
-    the crawl with :class:`~concurrent.futures.process.
-    BrokenProcessPool`; only the job service replaces the pool.
+    Dispatch is the thread backend's: :meth:`CrawlExecutor._execute`
+    runs the same pull loops on parent threads, one per pool worker,
+    and only the runner differs -- a :class:`PoolUnitRunner`, whose
+    blocking calls each wait on one pool task.  Every region is filed
+    (``on_region``, progress, failure ranking) as it lands.  A pool
+    worker that dies breaks the pool: the runner replaces it and
+    raises :class:`~repro.exceptions.WorkerDeparted`, so a rebalanced
+    crawl requeues the unit onto the fresh pool and a static crawl
+    fails that region, exactly as a departed thread worker would.
 
     Progress reporting is completion-grained: the aggregator sees a
-    session advance when a region (or, without rebalancing, a bundle)
-    finishes, not per query.
+    session advance when a region finishes, not per query.
     """
 
     name = "process"
@@ -814,8 +798,14 @@ class ProcessExecutor(CrawlExecutor):
             workers = os.cpu_count() or 1
         return max(1, min(workers, upper))
 
-    def _execute(self, sources, plan, sink, spec, policy, completed):
-        workers = self._workers(self._pool_upper(plan, spec.rebalance, policy))
+    @contextlib.contextmanager
+    def _runner(self, sources, plan, spec, workers, feed):
+        """A :class:`PoolUnitRunner` over a started pool of ``workers``.
+
+        The pool, and the limit coordinator when the sources carry
+        limits, live until the drive loops have drained; ``feed`` is
+        unused, because progress advances as results reach the parent.
+        """
         with contextlib.ExitStack() as stack:
             stubs = ()
             if carries_limits(sources):
@@ -844,66 +834,11 @@ class ProcessExecutor(CrawlExecutor):
                 workers, mp_context=self._mp_context, payload=payload
             )
             stack.callback(pool.shutdown)
-            if spec.rebalance:
-                # The pool workers cannot see the parent's scheduler,
-                # so the parent is the only dispatcher.
-                scheduler, _ = steal_setup(
-                    plan, spec.estimator, policy, _completed_costs(completed)
-                )
-                runner = PoolUnitRunner(pool, spec.allow_partial)
-                drive_futures(scheduler, runner.submit, sink, workers, policy)
-            else:
-                self._drain_static(
-                    pool, plan, sink, spec.allow_partial, policy, completed
-                )
-
-    @staticmethod
-    def _pool_upper(plan, rebalance, policy) -> int:
-        """How many pool workers the plan can possibly keep busy."""
-        if rebalance:
-            upper = sum(len(bundle) for bundle in plan.bundles)
-            if policy is not None:
-                upper = max(upper, policy.max_budget)
-            return max(1, upper)
-        return max(1, plan.sessions)
-
-    def _drain_static(
-        self, pool, plan, sink, allow_partial, policy, completed
-    ):
-        """One pool task per session, each a worker-side session loop.
-
-        Not folded into the futures dispatcher: stealing reorders the
-        queries, and a limit fires by cumulative query order, so the
-        two dispatch shapes exhaust a budget at different points.
-        """
-        skip = frozenset(completed)
-        tasks = {
-            pool.current().submit(
-                _pool_session,
-                pool.ticket,
-                allow_partial,
-                session,
-                plan.bundles[session],
-                policy,
-                skip,
-            ): session
-            for session in range(plan.sessions)
-        }
-        for future, session in tasks.items():
-            bundle = plan.bundles[session]
-            try:
-                results, failures = future.result()
-            except Exception as exc:  # noqa: BLE001 - re-raised by run()
-                if bundle:
-                    sink.region_failed((session, 0), session, exc)
-                else:
-                    # An empty bundle has no region to attribute a pool
-                    # failure to (its session is already marked done).
-                    sink.file_batch(
-                        [], [((session, 0), exc)], update_feed=False
-                    )
-                continue
-            sink.file_batch(results, failures)
+            # Start the pool from this thread, before any drive-loop
+            # thread exists: forked from a drive-loop thread instead,
+            # each worker peaks several megabytes higher.
+            pool.current().submit(int).result()
+            yield PoolUnitRunner(pool, spec.allow_partial)
 
 
 #: Backend registry, keyed by the CLI's ``--executor`` names.

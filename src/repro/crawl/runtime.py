@@ -15,25 +15,22 @@ estimator feedback, parameterised by two small protocols:
     presplit it, crawl one subtree shard.  The in-process backends use
     :class:`LocalUnitRunner` over the caller's sources; the process
     backend and the job service use
-    :class:`~repro.crawl.executors.PoolUnitRunner`, which ships each
-    unit to a pool worker running a :class:`LocalUnitRunner` over its
-    unpickled source copies.
+    :class:`~repro.crawl.executors.PoolUnitRunner`, whose blocking calls
+    ship each unit to a pool worker running a :class:`LocalUnitRunner`
+    over its unpickled source copies.
 :class:`ResultSink`
-    *Where outcomes go*: the parent files them straight into the result
-    grid (:class:`GridSink`); a pool worker batches them for the return
-    trip (:class:`BatchSink`).
+    *Where outcomes go*: the parent files each one straight into the
+    result grid (:class:`GridSink`) as it lands.
 
-Three drive shapes cover every backend x feature combination:
+Two pull loops cover every backend x feature combination; in each, a
+parent thread asks for its own next unit and waits on the runner:
 
 * :func:`drive_session` -- static dispatch: one session's bundle in
   plan order (every backend without rebalancing);
 * :func:`drive_stealing` -- the work-stealing loop, one-level
   (:class:`~repro.crawl.rebalance.WorkStealingScheduler`) or two-level
   (:class:`~repro.crawl.rebalance.SubtreeScheduler`), run by the
-  thread backend's workers;
-* :func:`drive_futures` -- the parent-side dispatcher for transports
-  whose unit execution returns futures (the process backend's
-  rebalanced mode).
+  pooled backends' workers.
 
 :class:`ShardPolicy` decides which regions are presplit into subtree
 shards and how finely -- uniformly (the classic ``shard_subtrees=N``)
@@ -55,7 +52,6 @@ from __future__ import annotations
 import abc
 import math
 import threading
-from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -90,14 +86,12 @@ __all__ = [
     "LocalUnitRunner",
     "ResultSink",
     "GridSink",
-    "BatchSink",
     "ShardPolicy",
     "crawl_region_unit",
     "requeue_departed",
     "run_region",
     "drive_session",
     "drive_stealing",
-    "drive_futures",
     "steal_setup",
 ]
 
@@ -362,10 +356,8 @@ class LocalUnitRunner(UnitRunner):
 class ResultSink(abc.ABC):
     """Where a drive loop files unit outcomes.
 
-    Exactly two implementations exist -- :class:`GridSink` in the
-    parent, :class:`BatchSink` in pool workers -- and the drive loops
-    cannot tell them apart, which is what makes one loop serve both
-    in-process and cross-process transports.
+    The executors and the job service file into a :class:`GridSink`;
+    the drive loops see only this protocol.
     """
 
     @abc.abstractmethod
@@ -384,8 +376,9 @@ class GridSink(ResultSink):
 
     Owns the mutable result grid and failure list the executor's
     deterministic merge consumes, plus the :class:`AggregatorFeed`
-    that keeps live progress truthful.  Thread-safe: worker threads of
-    the in-process backends all file through one instance.
+    that keeps live progress truthful.  Thread-safe: the worker threads
+    of every pooled backend file through one instance, whichever
+    substrate ran the unit.
 
     Examples
     --------
@@ -436,69 +429,6 @@ class GridSink(ResultSink):
         with self._lock:
             self.failures.append((key, exc))
         self.feed.failed_session(session)
-
-    def file_batch(
-        self,
-        results: list[tuple[RegionKey, CrawlResult]],
-        failures: list[Failure],
-        *,
-        update_feed: bool = True,
-    ) -> None:
-        """Fold a pool worker's returned batch into the grid.
-
-        ``update_feed=False`` files without touching the aggregator
-        feed -- for failures with no region of their own to attribute
-        (a dead worker, an empty bundle).
-        """
-        for key, result in results:
-            if update_feed:
-                self.region_done(key, result)
-            else:
-                self.grid[key[0]][key[1]] = result
-        for key, exc in failures:
-            if update_feed:
-                self.region_failed(key, key[0], exc)
-            else:
-                with self._lock:
-                    self.failures.append((key, exc))
-
-
-class BatchSink(ResultSink):
-    """The pool-worker sink: batch results for the return trip.
-
-    A static process session runs its whole bundle in one pool task;
-    its outcomes accumulate here and pickle back as one batch, which
-    the parent files with :meth:`GridSink.file_batch`.
-
-    Examples
-    --------
-    ::
-
-        sink = BatchSink()
-        drive_session(0, bundle, runner, sink)
-        results, failures = sink.batch
-    """
-
-    def __init__(self):
-        self._results: list[tuple[RegionKey, CrawlResult]] = []
-        self._failures: list[Failure] = []
-
-    def region_done(self, key: RegionKey, result: CrawlResult) -> None:
-        """Batch the result."""
-        self._results.append((key, result))
-
-    def region_failed(
-        self, key: RegionKey, session: int, exc: Exception
-    ) -> None:
-        """Batch the failure."""
-        self._failures.append((key, exc))
-
-    @property
-    def batch(
-        self,
-    ) -> tuple[list[tuple[RegionKey, CrawlResult]], list[Failure]]:
-        """The worker's return payload: (completed results, failures)."""
-        return self._results, self._failures
 
 
 # ----------------------------------------------------------------------
@@ -739,7 +669,8 @@ def drive_session(
 
     Examples
     --------
-    One worker per session is the whole static thread backend::
+    One thread per session is the whole static dispatch of both pooled
+    backends::
 
         for session in range(plan.sessions):
             pool.submit(
@@ -807,7 +738,7 @@ def drive_stealing(
     sink: ResultSink,
     policy: ShardPolicy | None = None,
 ) -> bool:
-    """One worker's work-stealing drive loop, any transport.
+    """One worker's work-stealing pull loop, any runner.
 
     Drains the scheduler until it runs dry: acquire the next unit
     (own-session regions first, then stolen regions, then -- under a
@@ -881,77 +812,6 @@ def drive_stealing(
                 runner.region_boundary()
     finally:
         runner.region_boundary()
-
-
-def drive_futures(
-    scheduler,
-    submit: Callable[[RegionTask | ShardTask, int | None], Future],
-    sink: ResultSink,
-    workers: int,
-    policy: ShardPolicy | None = None,
-) -> None:
-    """Parent-side dispatch over a future-returning transport.
-
-    The same state machine as :func:`drive_stealing`, driven from a
-    single dispatcher thread: units are acquired non-blockingly (the
-    dispatcher is the only acquirer, so an empty poll really means
-    nothing is runnable yet), shipped through ``submit`` (which returns
-    a future -- e.g. :meth:`~repro.crawl.executors.PoolUnitRunner.
-    submit`), and transitioned as their futures land.  ``submit``
-    receives the unit and its shard budget (``None`` = crawl the region
-    whole, an int = presplit it that finely).  A unit whose future
-    raises :class:`~repro.exceptions.WorkerDeparted` goes through
-    :func:`requeue_departed`, so the scheduler's departure bound ends
-    a fleet that never survives.
-
-    Used by the process backend's rebalanced mode, where the pool
-    workers cannot see the parent's scheduler.
-
-    Examples
-    --------
-    ::
-
-        runner = PoolUnitRunner(pool, allow_partial=False)
-        drive_futures(scheduler, runner.submit, sink, workers=4)
-    """
-    in_flight: dict[Future, RegionTask | ShardTask] = {}
-
-    def submit_next() -> bool:
-        task = scheduler.acquire(block=False)
-        if task is None:
-            return False
-        if isinstance(task, ShardTask) or policy is None:
-            budget = None
-        else:
-            budget = policy.budget_for(task.key)
-        in_flight[submit(task, budget)] = task
-        return True
-
-    for _ in range(workers):
-        if not submit_next():
-            break
-    while in_flight:
-        done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
-        for future in done:
-            task = in_flight.pop(future)
-            try:
-                payload = future.result()
-            except WorkerDeparted as exc:
-                # The refill below re-dispatches a requeued unit to a
-                # surviving pool slot.
-                requeue_departed(scheduler, task, sink, exc)
-            except Exception as exc:  # noqa: BLE001 - re-raised by run()
-                scheduler.fail(task)
-                sink.region_failed(task.key, task.session, exc)
-            else:
-                presplit = (
-                    policy is not None
-                    and not isinstance(task, ShardTask)
-                    and policy.budget_for(task.key) is not None
-                )
-                _transition(scheduler, task, payload, sink, presplit)
-            while len(in_flight) < workers and submit_next():
-                pass
 
 
 def steal_setup(

@@ -1,5 +1,8 @@
 """Tests for the python -m repro.crawl CLI."""
 
+import json
+import re
+
 import pytest
 
 from repro.crawl.__main__ import build_parser, main
@@ -494,8 +497,6 @@ class TestCheckpointResume:
         captured = capsys.readouterr()
         assert "regions restored" in captured.err
         # Every region came back from the file, none were re-crawled...
-        import json
-
         payload = json.loads(ckpt.read_text())
         regions = len(payload["completed"])
         assert f"{regions} of {regions} regions restored" in captured.err
@@ -537,13 +538,20 @@ class TestCheckpointResume:
         # A kill before the first boundary still leaves a loadable file.
         assert ckpt.exists()
 
+    @pytest.mark.parametrize(
+        "budget, backend",
+        [("11", "thread"), ("12", "process")],
+        ids=["thread-11", "process-12"],
+    )
     def test_budget_window_reset_completes_across_runs(
-        self, mixed_csv, tmp_path, capsys
+        self, mixed_csv, tmp_path, capsys, budget, backend
     ):
         # The paper's quota regime: a per-identity limit that resets
         # between runs.  Re-running with the same --budget must treat
         # an exhausted checkpoint as a fresh window (not resurrect the
-        # refused one) so the crawl eventually completes.
+        # refused one) so the crawl eventually completes.  Under
+        # --budget 11 no region lands after the refusal, so only the
+        # exhaustion path itself can record it in the checkpoint.
         path, _ = mixed_csv
         ckpt = tmp_path / "crawl.json"
         argv = [
@@ -552,13 +560,19 @@ class TestCheckpointResume:
             "8",
             "--workers",
             "2",
+            "--executor",
+            backend,
             "--budget",
-            "12",
+            budget,
             "--checkpoint",
             str(ckpt),
         ]
         assert main(argv) == 4
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        charged = int(re.search(r"\((\d+) queries charged\)", err)[1])
+        stored = json.loads(ckpt.read_text())["budget"]
+        assert stored["refused"] is True
+        assert stored["used"] == charged
         resume_argv = argv[:-2] + ["--resume", str(ckpt)]
         saw_reset = False
         for _ in range(20):

@@ -9,7 +9,9 @@ rebalancing, against the sequential reference, field by field.
 """
 
 import functools
+import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -82,6 +84,28 @@ def make_sources(dataset):
 @pytest.fixture(scope="module")
 def reference(dataset, plan):
     return crawl_partitioned(make_sources(dataset), plan)
+
+
+class AwaitMarker:
+    """Crawler factory: ``region``'s crawl waits for ``marker`` to exist.
+
+    Picklable for the process backend.  Raises :class:`TimeoutError`
+    if the marker has not appeared within ``timeout`` seconds.
+    """
+
+    def __init__(self, region, marker, timeout=5.0):
+        self.region = region
+        self.marker = str(marker)
+        self.timeout = timeout
+
+    def __call__(self, view):
+        if view.region == self.region:
+            deadline = time.monotonic() + self.timeout
+            while not os.path.exists(self.marker):
+                if time.monotonic() > deadline:
+                    raise TimeoutError(f"{self.marker} never appeared")
+                time.sleep(0.01)
+        return Hybrid(view)
 
 
 def assert_identical(result, reference):
@@ -176,10 +200,35 @@ class TestProcessBackend:
             plan, CrawlSpec(crawler_factory=functools.partial(Hybrid)))
         assert_identical(result, reference)
 
+    def test_static_crawl_files_each_region_as_it_lands(
+        self, dataset, tmp_path
+    ):
+        """Session 0's second region waits, in its pool worker, for the
+        marker ``on_region`` writes when the first one lands -- which
+        only happens if the parent files each region as it arrives."""
+        plan = partition_space(dataset.space, 2)
+        assert len(plan.bundles[0]) >= 2
+        marker = tmp_path / "first-region-filed"
+
+        def on_region(key, result):
+            if key == (0, 0):
+                marker.touch()
+
+        reference = crawl_partitioned(make_sources(dataset)[:2], plan)
+        result = ProcessExecutor(max_workers=2).run(
+            make_sources(dataset)[:2],
+            plan,
+            CrawlSpec(
+                crawler_factory=AwaitMarker(plan.bundles[0][1], marker),
+                on_region=on_region,
+            ),
+        )
+        assert_identical(result, reference)
+
     def test_rebalanced_failure_drains_and_raises(self, dataset, plan):
-        """The futures dispatcher: a region raising in a pool worker is
-        filed at its plan position, the rest of the plan drains, and
-        run() raises the lowest failure."""
+        """A region raising in a pool worker is filed at its plan
+        position, the rest of the plan drains, and run() raises the
+        lowest failure."""
         sources = [
             TopKServer(dataset, k=32, limits=[QueryBudget(1)]),
             TopKServer(dataset, k=32),

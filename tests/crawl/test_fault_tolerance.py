@@ -5,7 +5,7 @@ workers.  A departing worker (anything that raises
 :class:`~repro.exceptions.WorkerDeparted`) hands its in-flight region
 or shard back to the scheduler via ``requeue()``, its lease/stats flush
 runs on the way out (the drive loop's ``finally``, the pool wire
-functions' unit boundary), and the executors submit
+function's unit boundary), and the executors submit
 replacements -- so the crawl completes with the *exact* bytes and the
 *exact* budget charge of an undisturbed run.  A fleet that keeps
 departing past the scheduler's departure bound fails loudly instead of
@@ -25,7 +25,6 @@ Three layers, mirroring where the machinery lives:
 """
 
 import threading
-from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,6 @@ from repro.crawl.runtime import (
     LocalUnitRunner,
     ShardPolicy,
     UnitRunner,
-    drive_futures,
     drive_stealing,
     steal_setup,
 )
@@ -57,6 +55,7 @@ from repro.dataspace.space import DataSpace
 from repro.exceptions import AlgorithmInvariantError, WorkerDeparted
 from repro.server.limits import QueryBudget
 from repro.server.server import TopKServer
+from tests.service.test_chaos import ExitOnce
 
 SESSIONS = 3
 
@@ -432,38 +431,6 @@ class TestDriveLoopDeparture:
             die_at += 1
 
 
-    def test_futures_dispatch_gives_up_on_a_fleet_that_always_departs(
-        self, plan
-    ):
-        """Every future raises WorkerDeparted: the dispatcher must end,
-        every region failed with a give-up, instead of requeueing
-        forever."""
-        scheduler = WorkStealingScheduler(plan.bundles)
-        sink = GridSink(plan, AggregatorFeed(None, plan))
-        submissions = 0
-
-        def submit(task, budget):
-            nonlocal submissions
-            submissions += 1
-            assert submissions < 10_000, "drive_futures never gave up"
-            future = Future()
-            future.set_exception(WorkerDeparted("injected: gone"))
-            return future
-
-        drive_futures(scheduler, submit, sink, workers=2)
-        assert scheduler.done()
-        assert scheduler.failed_keys() == {
-            (session, index)
-            for session, bundle in enumerate(plan.bundles)
-            for index in range(len(bundle))
-        }
-        assert {key for key, _ in sink.failures} == scheduler.failed_keys()
-        assert all(
-            isinstance(exc, WorkerDeparted) and "giving up" in str(exc)
-            for _, exc in sink.failures
-        )
-
-
 # ----------------------------------------------------------------------
 # Executor layer: elastic fleets on every backend
 # ----------------------------------------------------------------------
@@ -534,8 +501,8 @@ class TestElasticProcess:
         self, dataset, plan, reference, tmp_path
     ):
         """Limit-free rebalanced mode: each pool worker departs once (at
-        its second region attempt) and the parent dispatcher re-submits
-        the unit to a surviving slot."""
+        its second region attempt) and a replacement drive loop runs
+        the requeued unit."""
         marker = tmp_path / "departures"
         result = ProcessExecutor(max_workers=2).run(
             make_sources(dataset),
@@ -552,7 +519,7 @@ class TestElasticProcess:
         self, dataset, plan, reference, baseline_queries, tmp_path
     ):
         """Budgeted sources put the pool on the shared-limit plane:
-        each worker departs once, the parent dispatcher re-submits the
+        each worker departs once, replacement drive loops run the
         requeued units, and the written-back budgets carry the exact
         fleet-wide charge -- the unit-boundary lease flush at work."""
         budgets = [QueryBudget(10**6) for _ in range(SESSIONS)]
@@ -571,6 +538,29 @@ class TestElasticProcess:
         assert_identical(result, reference)
         assert [b.used for b in budgets] == baseline_queries
         assert marker.exists() and marker.read_text().count("departed") >= 1
+
+    def test_dead_pool_worker_is_replaced(
+        self, dataset, plan, reference, baseline_queries, tmp_path
+    ):
+        """A pool worker process exits mid-crawl: the broken pool is
+        replaced, the requeued unit runs on the fresh one, and the
+        budgets carry an undisturbed run's charge.  One worker, so no
+        second unit is in flight when the pool breaks (it would fail
+        too, and its queries would be charged again)."""
+        budgets = [QueryBudget(10**6) for _ in range(SESSIONS)]
+        sources = [
+            TopKServer(dataset, k=32, limits=[budgets[i]])
+            for i in range(SESSIONS)
+        ]
+        marker = tmp_path / "exited"
+        result = ProcessExecutor(max_workers=1).run(
+            sources,
+            plan,
+            CrawlSpec(rebalance=True, crawler_factory=ExitOnce(marker)),
+        )
+        assert marker.exists(), "no pool worker ever exited"
+        assert_identical(result, reference)
+        assert [b.used for b in budgets] == baseline_queries
 
     def test_fleet_that_never_survives_fails_loudly(self, dataset, plan):
         aggregator = ProgressAggregator(SESSIONS)

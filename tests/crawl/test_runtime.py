@@ -20,7 +20,6 @@ from repro.crawl.rebalance import (
 )
 from repro.crawl.runtime import (
     AggregatorFeed,
-    BatchSink,
     GridSink,
     LocalUnitRunner,
     ShardPolicy,
@@ -243,29 +242,6 @@ class TestDriveStealing:
             sum(r.cost for session in sink.grid for r in session)
             == reference.cost
         )
-
-
-class TestBatchSink:
-    def test_batches_results_and_failures_without_a_plane(self):
-        sink = BatchSink()
-        sink.region_done((0, 1), _FakeResult(cost=3, rows=[(1,)]))
-        sink.region_failed((1, 0), 1, RuntimeError("x"))
-        results, failures = sink.batch
-        assert [key for key, _ in results] == [(0, 1)]
-        assert [key for key, _ in failures] == [(1, 0)]
-
-
-class TestGridSink:
-    def test_file_batch_respects_update_feed(self, plan):
-        aggregator = ProgressAggregator(plan.sessions)
-        feed = AggregatorFeed(aggregator, plan)
-        sink = GridSink(plan, feed)
-        result = _FakeResult(cost=2, rows=[(1,)])
-        sink.file_batch([((0, 0), result)], [], update_feed=False)
-        assert sink.grid[0][0] is result
-        assert aggregator.totals().queries == 0  # feed untouched
-        sink.file_batch([((1, 0), result)], [], update_feed=True)
-        assert aggregator.totals().queries == 2
 
 
 class TestRegionTaskDefaults:

@@ -66,7 +66,6 @@ class TestDocstrings:
             LocalUnitRunner,
             ShardPolicy,
             UnitRunner,
-            drive_futures,
             drive_session,
             drive_stealing,
         )
@@ -80,7 +79,6 @@ class TestDocstrings:
             ShardPolicy,
             drive_session,
             drive_stealing,
-            drive_futures,
             LimitLease,
         ):
             doc = obj.__doc__ or ""
