@@ -33,9 +33,7 @@ from repro.crawl.coordinator import (
     LimitCoordinator,
     SharedBudget,
     SharedClock,
-    SharedDailyLimit,
     SharedLimitClient,
-    SharedStats,
     TenantLimitRegistry,
 )
 from repro.crawl.dependency import (
@@ -80,7 +78,6 @@ from repro.crawl.runtime import (
     AggregatorFeed,
     GridSink,
     LocalUnitRunner,
-    ResultSink,
     ShardPolicy,
     UnitRunner,
     drive_session,
@@ -127,9 +124,7 @@ __all__ = [
     "LimitCoordinator",
     "SharedLimitClient",
     "SharedBudget",
-    "SharedDailyLimit",
     "SharedClock",
-    "SharedStats",
     "TenantLimitRegistry",
     "CostEstimator",
     "RegionTask",
@@ -140,7 +135,6 @@ __all__ = [
     "AggregatorFeed",
     "UnitRunner",
     "LocalUnitRunner",
-    "ResultSink",
     "GridSink",
     "ShardPolicy",
     "run_region",

@@ -11,69 +11,67 @@ it exactly when :func:`carries_limits` finds a limit in its sources:
   :class:`multiprocessing.managers.BaseManager`) whose
   :class:`_ControlPlane` owns the **authoritative**
   :class:`~repro.server.limits.QueryBudget`,
-  :class:`~repro.server.limits.DailyRateLimit`,
-  :class:`~repro.server.limits.SimulatedClock` and
-  :class:`~repro.server.stats.QueryStats` objects;
-* workers receive thin :class:`SharedLimitClient` / :class:`SharedStats`
-  / :class:`SharedClock` proxies -- the shared-state counterparts of the
-  ``LocklessPickle`` per-copy paths -- that admit, tick and account
-  through the plane with **exactly-once** semantics (the authoritative
-  object's own lock serialises admissions, no matter how many processes
-  race).
+  :class:`~repro.server.limits.DailyRateLimit` and
+  :class:`~repro.server.limits.SimulatedClock` objects;
+* workers receive thin :class:`SharedLimitClient` / :class:`SharedClock`
+  proxies -- the shared-state counterparts of the ``LocklessPickle``
+  per-copy paths -- that admit and tick through the plane with
+  **exactly-once** semantics (the authoritative object's own lock
+  serialises admissions, no matter how many processes race).
+
+The plane hosts admission only.  Server
+:class:`~repro.server.stats.QueryStats` stay per-worker copies: each
+pool unit sends its counts home with its outcome, and the parent folds
+them into the caller's own stats (see
+:class:`~repro.crawl.executors.PoolUnitRunner`).
 
 Ownership and write-back
 ------------------------
 :meth:`LimitCoordinator.share_sources` walks a source stack (servers,
-caching clients, latency wrappers), moves each limit / clock / stats
-object's state into the plane once (object identity is preserved: two
-servers sharing one budget share one authoritative copy) and returns
-rewired shallow clones that are safe to pickle into pool workers.  The
-caller's original objects are never mutated during the crawl; after it,
+caching clients, latency wrappers), moves each limit / clock object's
+state into the plane once (object identity is preserved: two servers
+sharing one budget share one authoritative copy) and returns rewired
+shallow clones that are safe to pickle into pool workers.  The
+caller's original limits are never mutated during the crawl; after it,
 :meth:`LimitCoordinator.writeback` copies the authoritative counters
-back into them, so ``budget.used`` and ``server.stats.queries`` read
-exactly what was charged -- even when the crawl died on exhaustion.
+back into them, so ``budget.used`` reads exactly what was charged --
+even when the crawl died on exhaustion.
 
 Client-side caches are deliberately *not* shared: a
 :class:`~repro.server.client.CachingClient` stays a per-worker copy
 (distinct regions issue distinct queries, so per-worker caches change
 nothing about the total charged cost), while the server-side admission
-and accounting behind it become globally exact.
+behind it becomes globally exact.
 
 Lease-batched admission
 -----------------------
 Exactly-once admission used to cost one coordinator round trip per
 query -- interface-layer chatter, the very cost the hidden-web
-literature says dominates real deployments.  The plane now amortises
-it two ways, without giving up a single unit of exactness:
-
-* **Budget leases.**  :meth:`SharedLimitClient.lease` admits query
-  budget in chunks (:class:`~repro.server.limits.LimitLease`, sized by
-  the executor from the :class:`~repro.crawl.rebalance.CostEstimator`'s
-  per-region estimates): ``admit()`` consumes the local lease at zero
-  round trips and only returns to the coordinator when the chunk runs
-  dry.  Unused units flow back on region completion (the runtime's
-  region-boundary flush) and on exhaustion, so a completing crawl
-  charges exactly the queries it issued; a *refused* budget is
-  terminally exhausted and reads fully charged -- byte-for-byte the
-  observable state per-query admission leaves behind.  The one
-  semantic a chunk buys away: units leased to one worker are invisible
-  to the others until its next flush, so a crawl whose demand lands
-  within ``fleet x chunk`` of the budget can be refused where strictly
-  per-query admission would have squeaked through (admission is
-  *conservative*, never over).  The executor therefore clamps the
-  auto-sized chunk against the budgets' remaining headroom
-  (:func:`clamp_lease_chunk`): tight budgets degrade to exact
-  per-query admission, and batching only engages when the budget
-  dwarfs what the fleet could strand.
-* **Buffered stats.**  :class:`SharedStats` accumulates recordings
-  locally (phases attributed per worker) and ships the aggregate as
-  one :meth:`~repro.server.stats.QueryStats.merge_counts` delta per
-  region instead of one call per query.
+literature says dominates real deployments.  The plane amortises it
+with budget leases, without giving up a single unit of exactness.
+:meth:`SharedLimitClient.lease` admits query budget in chunks
+(:class:`~repro.server.limits.LimitLease`, sized by the executor from
+the :class:`~repro.crawl.rebalance.CostEstimator`'s per-region
+estimates): ``admit()`` consumes the local lease at zero round trips and
+only returns to the coordinator when the chunk runs dry.  Unused units
+flow back on region completion (the runtime's region-boundary flush) and
+on exhaustion, so a completing crawl charges exactly the queries it
+issued; a *refused* budget is terminally exhausted and reads fully
+charged -- byte-for-byte the observable state per-query admission leaves
+behind.  The one semantic a chunk buys away: units leased to one worker
+are invisible to the others until its next flush, so a crawl whose
+demand lands within ``fleet x chunk`` of the budget can be refused where
+strictly per-query admission would have squeaked through (admission is
+*conservative*, never over).  The executor therefore clamps the
+auto-sized chunk against the budgets' remaining headroom
+(:func:`clamp_lease_chunk`): tight budgets degrade to exact per-query
+admission, and batching only engages when the budget dwarfs what the
+fleet could strand.
 
 The chatter itself is measured: the plane counts every worker-originated
-round trip (admission, leases, releases, clock ticks, stats deltas --
-not the parent's own write-back reads) and write-back lands the
-fleet-wide total in each caller-side
+round trip (leases, releases, clock ticks -- not the parent's own
+write-back reads) and write-back adds the fleet-wide total to each
+rewired server's
 :attr:`~repro.server.stats.QueryStats.round_trips`, which is what the
 benchmarks gate on.
 """
@@ -94,7 +92,6 @@ from repro.server.limits import (
     QueryLimit,
     SimulatedClock,
 )
-from repro.server.response import QueryResponse
 from repro.server.server import TopKServer
 from repro.server.stats import QueryStats
 
@@ -104,9 +101,7 @@ __all__ = [
     "LimitCoordinator",
     "SharedLimitClient",
     "SharedBudget",
-    "SharedDailyLimit",
     "SharedClock",
-    "SharedStats",
     "TenantLimitRegistry",
     "carries_limits",
     "clamp_lease_chunk",
@@ -136,6 +131,20 @@ def _servers(obj) -> Iterator[TopKServer]:
         inner = getattr(obj, attr, None)
         if inner is not None:
             yield from _servers(inner)
+
+
+def _server_stats(source) -> list[QueryStats]:
+    """The distinct stats objects of the servers down ``source``'s chain.
+
+    In :func:`_servers` walk order, deduplicated by identity, so a
+    stats object shared by several servers appears once.  A pool worker
+    and the parent walk their own copies of one source the same way,
+    which is what pairs the two lists index by index.
+    """
+    distinct: dict[int, QueryStats] = {}
+    for server in _servers(source):
+        distinct.setdefault(id(server.stats), server.stats)
+    return list(distinct.values())
 
 
 def carries_limits(sources) -> bool:
@@ -485,8 +494,8 @@ class _ControlPlane:
     def _count(self) -> None:
         # One worker-originated round trip.  Registration and state
         # reads (write-back, telemetry) are not counted: the metric is
-        # the admission/accounting chatter that lease batching exists
-        # to shrink, so it must not move with how often a monitor polls.
+        # the admission chatter that lease batching exists to shrink,
+        # so it must not move with how often a monitor polls.
         with self._lock:
             self._round_trips += 1
 
@@ -519,14 +528,8 @@ class _ControlPlane:
         limit.restore_state(state)
         return self._add(limit)
 
-    def add_stats(self, state: dict) -> int:
-        """Own a stats sink seeded from a ``QueryStats.state()`` snapshot."""
-        stats = QueryStats()
-        stats.restore_state(state)
-        return self._add(stats)
-
     # ------------------------------------------------------------------
-    # Admission and accounting (called from every worker)
+    # Admission and clock ticks (called from every worker)
     # ------------------------------------------------------------------
     def lease(self, handle: int, n: int) -> tuple[int, str, int]:
         """Admit up to ``n`` queries against an owned limit, atomically.
@@ -553,48 +556,13 @@ class _ControlPlane:
         self._get(handle).release(LimitLease(unused))
 
     def object_state(self, handle: int) -> dict:
-        """The ``state()`` snapshot of any owned object.
-
-        Stats snapshots additionally carry the plane's fleet-wide
-        round-trip counter (accumulated on top of whatever the caller's
-        stats already recorded), which is how ``round_trips`` reaches
-        the caller's own objects at write-back.
-        """
-        obj = self._get(handle)
-        state = obj.state()
-        if isinstance(obj, QueryStats):
-            state["round_trips"] = (
-                int(state.get("round_trips", 0)) + self.round_trips()
-            )
-        return state
-
-    def clock_day(self, handle: int) -> int:
-        """Current day of an owned clock (a read; not counted)."""
-        return self._get(handle).day
+        """The ``state()`` snapshot of any owned object."""
+        return self._get(handle).state()
 
     def clock_sleep(self, handle: int) -> int:
         """Advance an owned clock to the next day; returns its index."""
         self._count()
         return self._get(handle).sleep_until_next_day()
-
-    def daily_used_today(self, handle: int) -> int:
-        """``used_today`` of an owned daily limit (a read; not counted,
-        like every other telemetry read -- see :meth:`_count`)."""
-        return self._get(handle).used_today
-
-    def daily_remaining_today(self, handle: int) -> int:
-        """``remaining_today`` of an owned daily limit (uncounted)."""
-        return self._get(handle).remaining_today
-
-    def stats_merge(self, handle: int, delta: dict) -> None:
-        """Fold a worker's buffered stats delta into an owned object.
-
-        One round trip lands many recordings (see
-        :meth:`SharedStats.flush`); the owned object's lock keeps the
-        merge atomic against racing workers.
-        """
-        self._count()
-        self._get(handle).merge_counts(delta)
 
 
 class _CoordinatorManager(BaseManager):
@@ -715,20 +683,6 @@ class SharedBudget(SharedLimitClient):
         return int(self.state()["used"])
 
 
-class SharedDailyLimit(SharedLimitClient):
-    """Shared-state counterpart of :class:`DailyRateLimit`."""
-
-    @property
-    def used_today(self) -> int:
-        """Queries spent against the authoritative quota today."""
-        return self._plane.daily_used_today(self._handle)
-
-    @property
-    def remaining_today(self) -> int:
-        """Queries left in the authoritative quota today."""
-        return self._plane.daily_remaining_today(self._handle)
-
-
 class SharedClock:
     """Shared-state counterpart of :class:`SimulatedClock`.
 
@@ -742,144 +696,12 @@ class SharedClock:
         self._plane = plane
         self._handle = handle
 
-    @property
-    def day(self) -> int:
-        """The authoritative simulated day index."""
-        return self._plane.clock_day(self._handle)
-
     def sleep_until_next_day(self) -> int:
         """Advance the authoritative clock; returns the new day."""
         return self._plane.clock_sleep(self._handle)
 
-    def state(self) -> dict:
-        """The authoritative clock state."""
-        return self._plane.object_state(self._handle)
-
     def __repr__(self) -> str:
         return f"SharedClock(handle={self._handle})"
-
-
-class SharedStats:
-    """Shared-state counterpart of :class:`QueryStats`.
-
-    Implements the recording surface a server needs (``record``,
-    phases) and the reading surface monitors use (``queries`` etc.)
-    against one authoritative coordinator-owned object.  Recordings are
-    *buffered*: they accumulate in a local :class:`QueryStats` (phases
-    attributed per worker, which is the only coherent reading when
-    several workers crawl at once) and ship as a single
-    :meth:`~repro.server.stats.QueryStats.merge_counts` delta per
-    :meth:`flush` -- the runtime flushes at every region boundary, so
-    the authoritative counters are exact whenever anyone can observe
-    them.  Reads flush first, then snapshot the coordinator; prefer
-    :meth:`snapshot` over repeated property access in hot loops.
-    """
-
-    def __init__(self, plane, handle: int):
-        self._plane = plane
-        self._handle = handle
-        self._local = QueryStats()
-        # Guards the buffer swap in flush() against concurrent
-        # recorders/readers (monitor threads read the flushing
-        # properties), mirroring SharedLimitClient's lease lock.
-        self._lock = threading.Lock()
-
-    def __getstate__(self) -> dict:
-        # The buffer and lock stay home: the original flushes its own
-        # backlog, the clone starts clean -- recordings land exactly
-        # once.
-        state = self.__dict__.copy()
-        state["_local"] = QueryStats()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    def record(self, response: QueryResponse) -> None:
-        """Buffer one answered query; lands at the next flush."""
-        with self._lock:
-            self._local.record(response)
-
-    def begin_phase(self, name: str) -> None:
-        """Attribute this worker's subsequent queries to a phase."""
-        with self._lock:
-            self._local.begin_phase(name)
-
-    def end_phase(self) -> None:
-        """Stop attributing this worker's queries to a phase."""
-        with self._lock:
-            self._local.end_phase()
-
-    def flush(self) -> None:
-        """Ship the buffered recordings as one coordinator round trip.
-
-        The runtime's region-boundary hook (shared with
-        :meth:`SharedLimitClient.flush`); a no-op on an empty buffer.
-        The current phase attribution survives the flush.
-        """
-        with self._lock:
-            local = self._local
-            delta = local.state()
-            if delta["queries"] == 0 and not delta["phase_costs"]:
-                return
-            fresh = QueryStats()
-            phase = local.current_phase
-            if phase is not None:
-                fresh.begin_phase(phase)
-                # begin_phase seeded the key locally; the delta's own
-                # seed already creates it on the authoritative side.
-                fresh.phase_costs.clear()
-            self._local = fresh
-        self._plane.stats_merge(self._handle, delta)
-
-    def snapshot(self) -> QueryStats:
-        """An independent local :class:`QueryStats` copy of the counters."""
-        stats = QueryStats()
-        stats.restore_state(self.state())
-        return stats
-
-    def state(self) -> dict:
-        """The authoritative counters as a plain dict (flushes first)."""
-        self.flush()
-        return self._plane.object_state(self._handle)
-
-    @property
-    def queries(self) -> int:
-        """Total queries recorded, fleet-wide."""
-        return int(self.state()["queries"])
-
-    @property
-    def resolved(self) -> int:
-        """Queries that resolved (no overflow), fleet-wide."""
-        return int(self.state()["resolved"])
-
-    @property
-    def overflowed(self) -> int:
-        """Queries that overflowed, fleet-wide."""
-        return int(self.state()["overflowed"])
-
-    @property
-    def tuples_returned(self) -> int:
-        """Tuples shipped by the server, fleet-wide."""
-        return int(self.state()["tuples_returned"])
-
-    @property
-    def phase_costs(self) -> dict[str, int]:
-        """Per-phase query subtotals, fleet-wide."""
-        return dict(self.state()["phase_costs"])
-
-    @property
-    def round_trips(self) -> int:
-        """Coordinator round trips served so far, fleet-wide."""
-        return int(self.state()["round_trips"])
-
-    def __str__(self) -> str:
-        return str(self.snapshot())
-
-    def __repr__(self) -> str:
-        return f"SharedStats(handle={self._handle})"
 
 
 class LimitCoordinator:
@@ -892,12 +714,16 @@ class LimitCoordinator:
             ...  # pickle `shared` into pool workers, crawl
             coordinator.writeback()
 
-    ``share_sources`` moves each limit / clock / stats object into the
+    ``share_sources`` moves each limit / clock object into the
     coordinator exactly once (object identity preserved, so a budget
     shared by several servers stays one budget) and returns rewired
     source clones; ``writeback`` copies the authoritative counters back
-    into the caller's original objects.  The process executor drives
-    all of this automatically whenever :func:`carries_limits` is true.
+    into the caller's original objects.  Server stats never move: the
+    clones record into the caller's own
+    :class:`~repro.server.stats.QueryStats`, and the process backend
+    folds each pool unit's counts into them as the unit's outcome
+    lands.  The process executor drives all of this automatically
+    whenever :func:`carries_limits` is true.
     """
 
     def __init__(self, *, mp_context=None):
@@ -905,6 +731,10 @@ class LimitCoordinator:
         self._plane = None
         self._shared: dict[int, object] = {}
         self._writeback: list[tuple[object, int]] = []
+        # The rewired servers' distinct stats objects, which write-back
+        # credits with the plane's round trips.
+        self._stats: dict[int, QueryStats] = {}
+        self._trips_written = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -943,7 +773,7 @@ class LimitCoordinator:
     # Sharing
     # ------------------------------------------------------------------
     def share(self, obj):
-        """The shared-state stub for one limit / clock / stats object.
+        """The shared-state stub for one limit or clock object.
 
         Idempotent per object identity: sharing the same object twice
         returns the same stub, so state that several sources reference
@@ -951,7 +781,7 @@ class LimitCoordinator:
         in one place.  Raises :class:`TypeError` for limit types the
         control plane cannot host.
         """
-        if isinstance(obj, (SharedLimitClient, SharedClock, SharedStats)):
+        if isinstance(obj, (SharedLimitClient, SharedClock)):
             return obj
         stub = self._shared.get(id(obj))
         if stub is not None:
@@ -962,17 +792,14 @@ class LimitCoordinator:
         elif isinstance(obj, DailyRateLimit):
             clock = self.share(obj.clock)
             handle = self.plane.add_daily(obj.state(), clock._handle)
-            stub = SharedDailyLimit(self.plane, handle)
+            stub = SharedLimitClient(self.plane, handle)
         elif isinstance(obj, SimulatedClock):
             handle = self.plane.add_clock(obj.state())
             stub = SharedClock(self.plane, handle)
-        elif isinstance(obj, QueryStats):
-            handle = self.plane.add_stats(obj.state())
-            stub = SharedStats(self.plane, handle)
         else:
             raise TypeError(
                 "the shared-limit control plane can host QueryBudget, "
-                "DailyRateLimit, SimulatedClock and QueryStats objects; "
+                "DailyRateLimit and SimulatedClock objects; "
                 f"got {type(obj).__name__} (exact cross-process "
                 "accounting cannot be guaranteed for it)"
             )
@@ -986,9 +813,10 @@ class LimitCoordinator:
         Walks each source stack -- :class:`TopKServer` directly, or
         wrappers (caching clients, latency simulators, patient clients,
         web sessions) through their wrapped source -- and replaces
-        every server-side limit and stats object with its shared stub.
-        The originals are untouched; the clones are what the process
-        executor pickles into its pool.
+        every server-side limit with its shared stub.  A rewired server
+        keeps recording into the original's stats.  The originals are
+        untouched; the clones are what the process executor pickles
+        into its pool.
 
         Raises :class:`TypeError` for a source whose stack exposes no
         rewireable server at all: silently shipping per-worker limit
@@ -997,6 +825,8 @@ class LimitCoordinator:
         """
         rewired = []
         for source in sources:
+            for stats in _server_stats(source):
+                self._stats.setdefault(id(stats), stats)
             clone = self._rewire(source)
             if clone is source:
                 raise TypeError(
@@ -1012,8 +842,7 @@ class LimitCoordinator:
     def _rewire(self, obj):
         if isinstance(obj, TopKServer):
             return obj.with_accounting(
-                limits=[self.share(limit) for limit in obj._limits],
-                stats=self.share(obj.stats),
+                limits=[self.share(limit) for limit in obj._limits]
             )
         clone = obj
         for attr in _WRAPPED:
@@ -1037,9 +866,9 @@ class LimitCoordinator:
     def shared_stubs(self) -> list:
         """Every flushable stub this coordinator has handed out.
 
-        The :class:`SharedLimitClient` and :class:`SharedStats`
-        instances created by :meth:`share` (in creation order,
-        deduplicated by construction -- sharing is identity-memoised).
+        The :class:`SharedLimitClient` instances created by
+        :meth:`share` (in creation order, deduplicated by construction
+        -- sharing is identity-memoised).
         The process executor pickles this list *together with* the
         rewired sources, so each pool worker's unpickled stub objects
         are exactly the ones its source clones reference (pickle
@@ -1049,23 +878,27 @@ class LimitCoordinator:
         return [
             stub
             for stub in self._shared.values()
-            if isinstance(stub, (SharedLimitClient, SharedStats))
+            if isinstance(stub, SharedLimitClient)
         ]
 
     def writeback(self) -> None:
         """Copy the authoritative counters back into the originals.
 
         After this, the caller's own ``QueryBudget.used``,
-        ``DailyRateLimit.used_today``, ``SimulatedClock.day`` and
-        ``server.stats`` read exactly what the whole pool charged --
-        including a crawl that died on exhaustion.  Parent-held stubs
-        are flushed first (leases returned, buffered stats landed), so
-        nothing the caller could have recorded locally is lost.  Call
-        before :meth:`shutdown`.
+        ``DailyRateLimit.used_today`` and ``SimulatedClock.day`` read
+        exactly what the whole pool charged -- including a crawl that
+        died on exhaustion.  Parent-held leases are returned first, so
+        no charge the caller could have stranded is lost.  Each
+        rewired server's stats gain the worker round trips the plane
+        served since the last write-back, once per distinct stats
+        object.  Call before :meth:`shutdown`.
         """
-        for stub in self._shared.values():
-            flush = getattr(stub, "flush", None)
-            if flush is not None:
-                flush()
+        for stub in self.shared_stubs():
+            stub.flush()
         for original, handle in self._writeback:
             original.restore_state(self.plane.object_state(handle))
+        trips = self.plane.round_trips()
+        delta = QueryStats(round_trips=trips - self._trips_written).state()
+        self._trips_written = trips
+        for stats in self._stats.values():
+            stats.merge_counts(delta)

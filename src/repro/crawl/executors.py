@@ -12,8 +12,8 @@ byte-identical to the sequential executor's.
 
 The dispatch logic itself lives in :mod:`repro.crawl.runtime`: two
 transport-agnostic pull loops (static sessions and work stealing) over
-the :class:`~repro.crawl.runtime.UnitRunner` /
-:class:`~repro.crawl.runtime.ResultSink` protocols.  Both pooled
+the :class:`~repro.crawl.runtime.UnitRunner` protocol, filing into a
+:class:`~repro.crawl.runtime.GridSink`.  Both pooled
 backends run those loops on parent threads through one
 :meth:`CrawlExecutor._execute`; a backend supplies only the runner its
 loops call -- how a unit's code reaches a worker, and whether sources
@@ -32,12 +32,14 @@ are shared or copied:
     factory are pickled once into each worker (the serving
     stack's lock-dropping ``__getstate__`` paths make servers, clients
     and limits picklable).  Wins on CPU-bound simulated workloads,
-    where the GIL caps the thread backend at a single core.  When a
-    source stack carries a server-side limit, the limits, clocks and
-    stats move into a shared-state control plane
-    (:mod:`repro.crawl.coordinator`) with lease-batched exactly-once
-    admission across the whole pool -- real budgets on the multi-core
-    backend, decided by the sources themselves rather than a flag.
+    where the GIL caps the thread backend at a single core.  Each
+    unit's server counts come home with its outcome, so the caller's
+    ``server.stats`` are exact.  When a source stack carries a
+    server-side limit, the limits and clocks move into a shared-state
+    control plane (:mod:`repro.crawl.coordinator`) with lease-batched
+    exactly-once admission across the whole pool -- real budgets on
+    the multi-core backend, decided by the sources themselves rather
+    than a flag.
 
 Adaptive rebalancing
 --------------------
@@ -92,6 +94,7 @@ import itertools
 import os
 import pickle
 import threading
+import traceback
 from collections import OrderedDict
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -107,6 +110,7 @@ import numpy as np
 from repro.crawl.base import CrawlResult
 from repro.crawl.coordinator import (
     LimitCoordinator,
+    _server_stats,
     carries_limits,
     clamp_lease_chunk,
     lease_chunk_for_plan,
@@ -131,6 +135,7 @@ from repro.crawl.runtime import (
 )
 from repro.crawl.spec import CrawlSpec
 from repro.exceptions import SchemaError, WorkerDeparted
+from repro.server.stats import QueryStats
 
 __all__ = [
     "CrawlExecutor",
@@ -557,16 +562,14 @@ _PAYLOADS: OrderedDict[int, tuple] = OrderedDict()
 _PAYLOAD_LIMIT = 16
 
 
-def _cached_runner(
-    ticket: int, payload: bytes | None, allow_partial: bool = False
-) -> LocalUnitRunner:
-    """This worker's runner for ``ticket``, unpickling ``payload`` once.
+def _cached_payload(ticket: int, payload: bytes | None) -> tuple:
+    """This worker's ``(sources, factory, stubs)`` for ``ticket``.
 
-    Also the initializer of a pool built with a payload, which fills
-    the cache before the first unit.  Pickled in one stream with the
-    sources, the unpickled stubs are exactly the objects the source
-    clones reference, so the runner's region boundary flushes the
-    leases and buffered stats those sources hold.
+    Unpickles ``payload`` once per worker.  Also the initializer of a
+    pool built with a payload, which fills the cache before the first
+    unit.  Pickled in one stream with the sources, the unpickled stubs
+    are exactly the objects the source clones reference, so flushing
+    them returns the leases those sources hold.
     """
     entry = _PAYLOADS.get(ticket)
     if entry is None:
@@ -575,8 +578,7 @@ def _cached_runner(
             _PAYLOADS.popitem(last=False)
     else:
         _PAYLOADS.move_to_end(ticket)
-    sources, factory, stubs = entry
-    return LocalUnitRunner(sources, factory, allow_partial, stubs=stubs)
+    return entry
 
 
 def _pool_unit(
@@ -585,8 +587,8 @@ def _pool_unit(
     allow_partial: bool,
     task: RegionTask | ShardTask,
     budget: int | None,
-):
-    """Run one unit in a pool worker; its outcome pickles back.
+) -> tuple[object, list[dict]]:
+    """Run one unit in a pool worker; outcome and counts pickle back.
 
     A region crawls whole (``budget`` is ``None``) or is presplit that
     finely; a shard crawls its subtree.  The shard may run in another
@@ -594,16 +596,36 @@ def _pool_unit(
     copies of the session source, so the results are identical.  The
     region boundary returns the worker's leased headroom on every exit
     path -- an idle pool worker must never sit on charged units.
+
+    Returns ``(outcome, counts)``.  ``outcome`` is the unit's result,
+    or the exception it raised: returned, not raised, so that a failed
+    unit's queries count too.  ``counts`` holds the ``state()`` of each
+    distinct server stats object of the session's source copy, in
+    :func:`~repro.crawl.coordinator._server_stats` order.  Those stats
+    are zeroed before the unit runs, because a cached payload serves
+    many units: the counts are this unit's alone.
     """
-    runner = _cached_runner(ticket, payload, allow_partial)
+    sources, factory, stubs = _cached_payload(ticket, payload)
+    runner = LocalUnitRunner(sources, factory, allow_partial, stubs=stubs)
+    stats = _server_stats(sources[task.session])
+    zero = QueryStats().state()
+    for each in stats:
+        each.restore_state(zero)
     try:
         if isinstance(task, ShardTask):
-            return runner.shard(task)
-        if budget is None:
-            return runner.region(task)
-        return runner.presplit(task, budget)
+            outcome = runner.shard(task)
+        elif budget is None:
+            outcome = runner.region(task)
+        else:
+            outcome = runner.presplit(task, budget)
+    except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+        # Returned rather than raised, the exception would leave the
+        # worker's traceback behind: a note carries it home.
+        exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+        outcome = exc
     finally:
         runner.region_boundary()
+    return outcome, [each.state() for each in stats]
 
 
 class WorkerPool:
@@ -623,7 +645,7 @@ class WorkerPool:
 
         pool = WorkerPool(4)
         payload = pickle_payload(sources, Hybrid)
-        runner = PoolUnitRunner(pool, False, payload=payload)
+        runner = PoolUnitRunner(pool, sources, False, payload=payload)
         result = crawl_region_unit(task, runner)
         pool.shutdown()
     """
@@ -645,7 +667,7 @@ class WorkerPool:
             ProcessPoolExecutor,
             max_workers=max_workers,
             mp_context=mp_context,
-            initializer=_cached_runner if initargs else None,
+            initializer=_cached_payload if initargs else None,
             initargs=initargs,
         )
         self._lock = threading.Lock()
@@ -685,6 +707,13 @@ class PoolUnitRunner(UnitRunner):
     flushes the stubs before the result leaves, so this runner's own
     region boundary has nothing to do.
 
+    ``sources`` are the parent's copies of what the payload carries.
+    Each unit's server counts come home with its outcome (see
+    :func:`_pool_unit`) and are folded into the stats of
+    ``sources[task.session]`` before the result returns or the unit's
+    exception is re-raised, so the caller's ``server.stats`` read what
+    the pool answered, on every backend path.
+
     ``payload`` rides along with every unit and is unpickled once per
     worker under this runner's own ticket; without it, units run
     against the pool's installed payload.  A blocking call whose pool
@@ -696,6 +725,7 @@ class PoolUnitRunner(UnitRunner):
     def __init__(
         self,
         pool: WorkerPool,
+        sources: Sequence,
         allow_partial: bool,
         *,
         payload: bytes | None = None,
@@ -704,17 +734,26 @@ class PoolUnitRunner(UnitRunner):
             raise ValueError("the pool has no installed payload; pass one")
         ticket = pool.ticket if payload is None else next(_TICKETS)
         self._pool = pool
+        self._sources = sources
         self._args = (ticket, payload, allow_partial)
 
     def _wait(self, task, budget):
         pool = self._pool.current()
         try:
-            return pool.submit(_pool_unit, *self._args, task, budget).result()
+            outcome, counts = pool.submit(
+                _pool_unit, *self._args, task, budget
+            ).result()
         except BrokenProcessPool as exc:
             self._pool.replace(pool)
             raise WorkerDeparted(
                 f"process pool worker died mid-unit: {exc}"
             ) from exc
+        stats = _server_stats(self._sources[task.session])
+        for each, delta in zip(stats, counts, strict=True):
+            each.merge_counts(delta)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def region(self, task: RegionTask) -> CrawlResult:
         """Crawl one whole region in a pool worker."""
@@ -738,19 +777,23 @@ class ProcessExecutor(CrawlExecutor):
     serving stack's picklable paths: servers, clients, limits and
     engines all drop their locks on pickle and rebuild them on load.
     Cache listeners do not survive the trip, and each worker crawls its
-    own *copy* of the sources.
+    own *copy* of the sources.  Server stats need no sharing: each
+    unit's counts come home with its outcome and land in the caller's
+    own ``server.stats`` (a :class:`PoolUnitRunner` folds them in), so
+    they read the sequential totals -- failed units included.
 
     Copies would admit a limit once per worker, so whenever a source
     stack carries a server-side limit
     (:func:`~repro.crawl.coordinator.carries_limits`) the authoritative
-    limits, clocks and server stats move into a coordinator process
+    limits and clocks move into a coordinator process
     (:mod:`repro.crawl.coordinator`) for the crawl: every worker admits
     through a thin proxy with **lease-batched** exactly-once semantics
     (budget chunks sized from the estimator's per-region cost
     estimates, or ``lease_chunk`` explicitly), and the caller's
-    original limit objects read the exact charged totals -- and the
-    fleet's coordinator ``round_trips`` -- after the crawl (also after
-    an exhaustion failure).  Limit-free crawls start no coordinator.
+    original limit objects read the exact charged totals -- and their
+    servers' stats the fleet's coordinator ``round_trips`` -- after
+    the crawl (also after an exhaustion failure).  Limit-free crawls
+    start no coordinator.
 
     Dispatch is the thread backend's: :meth:`CrawlExecutor._execute`
     runs the same pull loops on parent threads, one per pool worker,
@@ -838,7 +881,7 @@ class ProcessExecutor(CrawlExecutor):
             # thread exists: forked from a drive-loop thread instead,
             # each worker peaks several megabytes higher.
             pool.current().submit(int).result()
-            yield PoolUnitRunner(pool, spec.allow_partial)
+            yield PoolUnitRunner(pool, sources, spec.allow_partial)
 
 
 #: Backend registry, keyed by the CLI's ``--executor`` names.

@@ -230,12 +230,11 @@ class CostEstimator:
     def export_state(self) -> dict:
         """Constructor kwargs reproducing this estimator's knowledge.
 
-        Used by the cross-process mode: a scheduler hosted in the
-        coordinator process cannot receive the caller's estimator
-        object (it holds a lock), so it is rebuilt there from this
-        snapshot -- the flat prior plus every per-region prior and
-        observed cost, the latter folded into ``priors`` so the remote
-        twin starts from measured reality.
+        The flat prior plus every per-region prior and observed cost,
+        the latter folded into ``priors``.
+        :func:`~repro.crawl.coordinator.lease_chunk_for_plan` reads it
+        to tell a blank estimator (no priors, the default flat prior)
+        from one that knows something about the plan.
         """
         with self._lock:
             priors = dict(self._priors)
@@ -363,12 +362,12 @@ class WorkStealingScheduler:
 
         ``worker_session`` is the worker's home session: its own queue
         is drained first (in plan order); afterwards the worker steals.
-        ``None`` means the caller has no home queue (e.g. the process
-        backend's parent-side dispatcher) and always picks by estimate.
+        ``None`` means the caller has no home queue (the job service's
+        fleet, which serves many jobs) and always picks by estimate.
         ``block`` is accepted for signature parity with
-        :meth:`SubtreeScheduler.acquire` (the runtime's futures
-        dispatcher polls either scheduler the same way); this one-level
-        scheduler never blocks, so the flag changes nothing.
+        :meth:`SubtreeScheduler.acquire` (the job service's fleet polls
+        with ``block=False``); this one-level scheduler never blocks,
+        so the flag changes nothing.
         """
         with self._lock:
             if self._aborted:
@@ -653,7 +652,8 @@ class SubtreeScheduler(WorkStealingScheduler):
     :meth:`acquire` blocks while work may still appear (a presplit in
     flight can publish new shards); it returns ``None`` only when every
     region has been merged or failed.  Pass ``block=False`` for a
-    non-blocking poll (the process backend's parent-side dispatcher).
+    non-blocking poll (a caller, like the job service's fleet, that
+    must not park on one scheduler).
     """
 
     def __init__(
@@ -679,8 +679,8 @@ class SubtreeScheduler(WorkStealingScheduler):
         whole region, then a shard of the costliest live region.  With
         ``block=True`` (workers) the call waits whenever the queues are
         momentarily empty but presplits in flight may still publish
-        shards; with ``block=False`` (a dispatcher polling from its own
-        thread) it returns ``None`` immediately in that situation.
+        shards; with ``block=False`` (a caller polling several
+        schedulers) it returns ``None`` immediately in that situation.
         """
         with self._cond:
             while True:

@@ -8,7 +8,7 @@ owns the **session lifecycle state machine** over
 :class:`~repro.crawl.rebalance.RegionTask` /
 :class:`~repro.crawl.rebalance.ShardTask` units -- acquire, run,
 complete / publish / merge, fail, abort-drain -- plus the aggregator and
-estimator feedback, parameterised by two small protocols:
+estimator feedback, parameterised by one small protocol and one sink:
 
 :class:`UnitRunner`
     *How one unit of work executes* on a substrate: crawl a region,
@@ -18,9 +18,9 @@ estimator feedback, parameterised by two small protocols:
     :class:`~repro.crawl.executors.PoolUnitRunner`, whose blocking calls
     ship each unit to a pool worker running a :class:`LocalUnitRunner`
     over its unpickled source copies.
-:class:`ResultSink`
+:class:`GridSink`
     *Where outcomes go*: the parent files each one straight into the
-    result grid (:class:`GridSink`) as it lands.
+    result grid as it lands.
 
 Two pull loops cover every backend x feature combination; in each, a
 parent thread asks for its own next unit and waits on the runner:
@@ -84,7 +84,6 @@ __all__ = [
     "AggregatorFeed",
     "UnitRunner",
     "LocalUnitRunner",
-    "ResultSink",
     "GridSink",
     "ShardPolicy",
     "crawl_region_unit",
@@ -249,11 +248,11 @@ class UnitRunner(abc.ABC):
         """Hook fired after each unit completes or fails.
 
         The lease-batching seam: the process backend's pool workers
-        flush unused :class:`~repro.server.limits.LimitLease` chunks
-        and buffered stats back to the shared-limit control plane here,
-        so admission headroom never idles in a worker past the unit
-        that leased it.  In-process backends need nothing (they share
-        the limit objects by reference) and inherit this no-op.
+        return unused :class:`~repro.server.limits.LimitLease` chunks
+        to the shared-limit control plane here, so admission headroom
+        never idles in a worker past the unit that leased it.
+        In-process backends need nothing (they share the limit objects
+        by reference) and inherit this no-op.
         """
 
 
@@ -348,37 +347,20 @@ class LocalUnitRunner(UnitRunner):
                 prof.record("runtime.shard", profiling.clock() - start)
 
     def region_boundary(self) -> None:
-        """Return leased headroom and land buffered stats of the stubs."""
+        """Return the stubs' leased headroom to the control plane."""
         for stub in self._stubs:
             stub.flush()
 
 
-class ResultSink(abc.ABC):
-    """Where a drive loop files unit outcomes.
-
-    The executors and the job service file into a :class:`GridSink`;
-    the drive loops see only this protocol.
-    """
-
-    @abc.abstractmethod
-    def region_done(self, key: RegionKey, result: CrawlResult) -> None:
-        """File one region's (merged) result at its plan position."""
-
-    @abc.abstractmethod
-    def region_failed(
-        self, key: RegionKey, session: int, exc: Exception
-    ) -> None:
-        """Record a region (or shard) failure at its plan position."""
-
-
-class GridSink(ResultSink):
-    """The parent-side sink: results into the grid, failures ranked.
+class GridSink:
+    """Where a drive loop files unit outcomes: the grid, failures ranked.
 
     Owns the mutable result grid and failure list the executor's
     deterministic merge consumes, plus the :class:`AggregatorFeed`
-    that keeps live progress truthful.  Thread-safe: the worker threads
-    of every pooled backend file through one instance, whichever
-    substrate ran the unit.
+    that keeps live progress truthful.  The executors build one per
+    crawl and the job service one per job.  Thread-safe: the worker
+    threads of every pooled backend file through one instance,
+    whichever substrate ran the unit.
 
     Examples
     --------
@@ -598,7 +580,7 @@ def crawl_region_unit(task: RegionTask, runner: UnitRunner, budget=None):
 def run_region(
     task: RegionTask,
     runner: UnitRunner,
-    sink: ResultSink,
+    sink: GridSink,
     policy: ShardPolicy | None = None,
 ) -> bool:
     """Run one region end to end locally (presplit+merge if budgeted).
@@ -627,7 +609,7 @@ def run_region(
     return True
 
 
-def requeue_departed(scheduler, task, sink: ResultSink, exc) -> bool:
+def requeue_departed(scheduler, task, sink: GridSink, exc) -> bool:
     """Hand a departed worker's unit back, or file it as given up.
 
     Every drive shape (and the job service's fleet) treats
@@ -652,7 +634,7 @@ def drive_session(
     session: int,
     bundle: Sequence,
     runner: UnitRunner,
-    sink: ResultSink,
+    sink: GridSink,
     policy: ShardPolicy | None = None,
     skip: frozenset[RegionKey] = frozenset(),
 ) -> bool:
@@ -690,7 +672,7 @@ def drive_session(
 def _finish_completion(
     scheduler: SubtreeScheduler,
     completion: RegionCompletion,
-    sink: ResultSink,
+    sink: GridSink,
 ) -> None:
     """Merge a drained region's shards and file the result."""
     task = completion.task
@@ -708,7 +690,7 @@ def _transition(
     scheduler,
     task: RegionTask | ShardTask,
     payload,
-    sink: ResultSink,
+    sink: GridSink,
     presplit: bool,
 ) -> bool:
     """Advance the state machine after one unit ran successfully.
@@ -735,7 +717,7 @@ def drive_stealing(
     scheduler,
     home_session: int | None,
     runner: UnitRunner,
-    sink: ResultSink,
+    sink: GridSink,
     policy: ShardPolicy | None = None,
 ) -> bool:
     """One worker's work-stealing pull loop, any runner.
@@ -756,9 +738,8 @@ def drive_stealing(
     once the scheduler's departure bound is spent), and the loop
     returns so the transport can replace the worker.  Either way the
     runner's region boundary runs in a ``finally``, so a runner holding
-    leased budget headroom or buffered stats always flushes them --
-    budget accounting stays exact on every exit path, including hard
-    failures.
+    leased budget headroom always returns it -- budget accounting stays
+    exact on every exit path, including hard failures.
 
     Examples
     --------

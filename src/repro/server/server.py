@@ -174,19 +174,13 @@ class TopKServer:
             yield  # nested epoch: keep the outer context
             return
         batch.evaluator = self._engine.batch()
-        # Only a plain QueryStats supports the deferred merge; shared-
-        # state proxies (coordinator mode) keep per-query recording,
-        # which is already a cheap local buffer there.
-        stats = self._stats
-        delta = StatsDelta() if isinstance(stats, QueryStats) else None
-        batch.stats_delta = delta
+        delta = batch.stats_delta = StatsDelta()
         try:
             yield
         finally:
             batch.evaluator = None
             batch.stats_delta = None
-            if delta is not None:
-                delta.flush_into(stats)
+            delta.flush_into(self._stats)
 
     def run_batch(self, queries: Sequence[Query]) -> list[QueryResponse]:
         """Answer a vector of sibling queries in one call.
@@ -224,31 +218,22 @@ class TopKServer:
         self.__dict__.update(state)
         self._batch = threading.local()
 
-    def with_accounting(
-        self,
-        *,
-        limits: Iterable[QueryLimit] | None = None,
-        stats: QueryStats | None = None,
-    ) -> "TopKServer":
-        """A shallow clone with the admission/accounting state swapped.
+    def with_accounting(self, *, limits: Iterable[QueryLimit]) -> "TopKServer":
+        """A shallow clone admitting against ``limits`` instead.
 
-        The clone shares the (immutable) dataset and engine with the
-        original but admits against ``limits`` and records into
-        ``stats`` instead; ``None`` keeps the original's object.  This
-        is the rewiring seam of the shared-state control plane
-        (:mod:`repro.crawl.coordinator`): before a server ships to a
-        process pool, its limits and stats are replaced by shared
-        proxies so every worker charges the one authoritative copy.
+        The clone shares the (immutable) dataset and engine, and the
+        stats, with the original.  This is the rewiring seam of the
+        shared-state control plane (:mod:`repro.crawl.coordinator`):
+        before a server ships to a process pool, its limits are
+        replaced by shared proxies so every worker charges the one
+        authoritative copy.
         """
         clone = copy.copy(self)
         # A shallow copy would share the thread-local batch state; give
         # the clone its own so an epoch on one never buffers (or
         # flushes) stats through the other.
         clone._batch = threading.local()
-        if limits is not None:
-            clone._limits = tuple(limits)
-        if stats is not None:
-            clone._stats = stats
+        clone._limits = tuple(limits)
         return clone
 
     # ------------------------------------------------------------------

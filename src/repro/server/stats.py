@@ -95,10 +95,9 @@ class QueryStats(LocklessPickle):
 
     ``round_trips`` counts *coordinator* round trips, not queries: on a
     local crawl it stays 0, and after a shared-limit process crawl the
-    control plane's write-back fills it with the fleet-wide number of
-    admission/accounting calls that crossed the process boundary (the
-    chatter lease batching exists to shrink; see
-    :mod:`repro.crawl.coordinator`).
+    control plane's write-back adds the fleet-wide number of admission
+    calls that crossed the process boundary (the chatter lease batching
+    exists to shrink; see :mod:`repro.crawl.coordinator`).
     """
 
     queries: int = 0
@@ -119,9 +118,8 @@ class QueryStats(LocklessPickle):
     def record_counts(self, overflow: bool, tuples: int) -> None:
         """Account for one answered query given its bare counts.
 
-        The wire-level twin of :meth:`record`: the shared-state control
-        plane ships ``(overflow, len(rows))`` across the process
-        boundary instead of the full response.
+        The response-free twin of :meth:`record`, for callers that hold
+        only ``(overflow, len(rows))``.
         """
         with self._lock:
             self.queries += 1
@@ -160,18 +158,20 @@ class QueryStats(LocklessPickle):
     def merge_counts(self, delta: dict) -> None:
         """Fold another stats snapshot's counters into this one.
 
-        The batched twin of :meth:`record_counts`: the shared-state
-        control plane's :class:`~repro.crawl.coordinator.SharedStats`
-        buffers a worker's recordings locally and ships the aggregate
-        as one ``state()``-shaped delta -- one coordinator round trip
-        per flush instead of one per query.  Atomic, like every other
-        mutation.
+        The batched twin of :meth:`record_counts`: a batch epoch's
+        :class:`StatsDelta` lands here when the epoch closes, and the
+        process backend folds each pool unit's ``state()``-shaped
+        counts into the caller's stats as the unit's outcome arrives
+        (see :class:`~repro.crawl.executors.PoolUnitRunner`).  A
+        ``round_trips`` entry, when present, adds too.  Atomic, like
+        every other mutation.
         """
         with self._lock:
             self.queries += int(delta["queries"])
             self.resolved += int(delta["resolved"])
             self.overflowed += int(delta["overflowed"])
             self.tuples_returned += int(delta["tuples_returned"])
+            self.round_trips += int(delta.get("round_trips", 0))
             for phase, cost in delta["phase_costs"].items():
                 self.phase_costs[phase] = (
                     self.phase_costs.get(phase, 0) + int(cost)
@@ -191,11 +191,11 @@ class QueryStats(LocklessPickle):
         return copy
 
     def state(self) -> dict:
-        """A plain-dict snapshot of the counters (coordinator wire form).
+        """A plain-dict snapshot of the counters (the wire form).
 
-        The shared-state control plane (:mod:`repro.crawl.coordinator`)
-        seeds its authoritative copy from this and writes the final
-        counts back through :meth:`restore_state` after the crawl.
+        A pool unit ships its server's counts home in this form, for
+        :meth:`merge_counts` in the parent; :meth:`restore_state` reads
+        it back.
         """
         with self._lock:
             return {

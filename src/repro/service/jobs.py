@@ -380,8 +380,12 @@ class JobManager:
                 spec.estimator,
                 {key: result.cost for key, result in completed.items()},
             )
+            # A presplit region's shards crawl one after another on the
+            # fleet thread that took the region (crawl_region_unit), so
+            # "auto" resolves against a fleet of 1, as static dispatch
+            # does (CrawlExecutor._policy_fleet).
             policy = ShardPolicy.resolve(
-                spec.shard_subtrees, plan, spec.estimator, len(self._threads)
+                spec.shard_subtrees, plan, spec.estimator, 1
             )
             runner: UnitRunner
             if backend == "process":
@@ -395,7 +399,7 @@ class JobManager:
                 # process job (benchmarks gate this; lower is better).
                 self.last_payload_bytes = len(payload)
                 runner = PoolUnitRunner(
-                    self._pool, spec.allow_partial, payload=payload
+                    self._pool, sources, spec.allow_partial, payload=payload
                 )
             else:
                 runner = LocalUnitRunner(

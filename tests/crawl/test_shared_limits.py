@@ -2,10 +2,10 @@
 
 Whenever its sources carry a limit, the process backend must keep
 every interface limit *globally* exact -- one authoritative
-``QueryBudget``/``DailyRateLimit``/``SimulatedClock``/``QueryStats``
-admits and accounts for the whole pool -- while the merged result stays
-byte-identical to the sequential executor on limit-bearing plans.
-These tests pin:
+``QueryBudget``/``DailyRateLimit``/``SimulatedClock`` admits for the
+whole pool -- while the merged result stays byte-identical to the
+sequential executor on limit-bearing plans, and every caller-side
+``server.stats`` reads the sequential counts.  These tests pin:
 
 * the coordinator primitives (exactly-once admission, identity-memoised
   sharing, write-back, source rewiring, limit detection);
@@ -33,13 +33,16 @@ from repro.crawl.coordinator import (
     LimitCoordinator,
     SharedBudget,
     SharedClock,
-    SharedDailyLimit,
-    SharedStats,
+    SharedLimitClient,
     carries_limits,
     clamp_lease_chunk,
     set_lease_chunk,
 )
-from repro.crawl.executors import ProcessExecutor, make_executor
+from repro.crawl.executors import (
+    ProcessExecutor,
+    ThreadExecutor,
+    make_executor,
+)
 from repro.crawl.partition import crawl_partitioned, partition_space
 from repro.crawl.rebalance import CostEstimator
 from repro.crawl.spec import CrawlSpec
@@ -49,9 +52,7 @@ from repro.exceptions import QueryBudgetExhausted
 from repro.server.client import CachingClient, PatientClient
 from repro.server.latency import LatencySource
 from repro.server.limits import DailyRateLimit, QueryBudget, SimulatedClock
-from repro.server.response import QueryResponse
 from repro.server.server import TopKServer
-from repro.server.stats import QueryStats
 
 SESSIONS = 3
 
@@ -164,15 +165,14 @@ class TestCoordinatorPrimitives:
         daily = DailyRateLimit(3, clock)
         shared_daily = coordinator.share(daily)
         shared_clock = coordinator.share(clock)
-        assert isinstance(shared_daily, SharedDailyLimit)
+        assert type(shared_daily) is SharedLimitClient
         assert isinstance(shared_clock, SharedClock)
         for _ in range(3):
             shared_daily.admit()
         with pytest.raises(QueryBudgetExhausted):
             shared_daily.admit()
-        assert shared_daily.used_today == 3
+        assert shared_daily.state()["used_today"] == 3
         assert shared_clock.sleep_until_next_day() == 1
-        assert shared_daily.remaining_today == 3
         shared_daily.admit()
         coordinator.writeback()
         assert clock.day == 1
@@ -188,28 +188,7 @@ class TestCoordinatorPrimitives:
         shared_daily.admit()
         shared_clock.sleep_until_next_day()
         shared_daily.admit()  # would raise if the clocks were distinct
-        assert shared_daily.used_today == 1
-
-    def test_shared_stats_record_and_snapshot(self, coordinator):
-        stats = QueryStats()
-        shared = coordinator.share(stats)
-        assert isinstance(shared, SharedStats)
-        shared.begin_phase("traversal")
-        shared.record(QueryResponse((), True))
-        shared.record(QueryResponse(((1, 2),), False))
-        shared.end_phase()
-        assert shared.queries == 2
-        assert shared.overflowed == 1
-        assert shared.resolved == 1
-        assert shared.tuples_returned == 1
-        assert shared.phase_costs == {"traversal": 2}
-        snapshot = shared.snapshot()
-        assert isinstance(snapshot, QueryStats)
-        assert snapshot.queries == 2
-        assert "2 queries" in str(shared)
-        coordinator.writeback()
-        assert stats.queries == 2
-        assert stats.phase_costs == {"traversal": 2}
+        assert shared_daily.state()["used_today"] == 1
 
     def test_unknown_limit_type_is_a_clear_error(self, coordinator):
         class OddLimit:
@@ -231,7 +210,8 @@ class TestCoordinatorPrimitives:
         assert rewired._source is not source._source
         inner = rewired._source._server
         assert isinstance(inner._limits[0], SharedBudget)
-        assert isinstance(inner.stats, SharedStats)
+        # The clone records into the original's stats.
+        assert inner.stats is server.stats
         assert source._source._server is server
         assert server._limits[0] is budget
         # Queries through the rewired stack charge the shared budget.
@@ -275,23 +255,60 @@ class TestProcessSharedParity:
         assert_identical(result, expected)
         assert budget.used == expected_charge
 
-    def test_server_stats_are_exact_per_source(self, dataset, plan):
-        seq_sources = budgeted_sources(dataset, QueryBudget(100_000))
+    @pytest.mark.parametrize(
+        "budgeted", [True, False], ids=["budgeted", "limit-free"]
+    )
+    @pytest.mark.parametrize("kwargs", SHARED_MATRIX)
+    def test_server_stats_are_exact_per_source(
+        self, kwargs, budgeted, dataset, plan
+    ):
+        """Each unit's server counts come home with its outcome, with
+        or without a control plane."""
+
+        def sources():
+            if budgeted:
+                return budgeted_sources(dataset, QueryBudget(100_000))
+            return [TopKServer(dataset, k=32) for _ in range(SESSIONS)]
+
+        seq_sources = sources()
         crawl_partitioned(seq_sources, plan)
-        shared_budget = QueryBudget(100_000)
-        shared_sources = budgeted_sources(dataset, shared_budget)
+        pool_sources = sources()
         ProcessExecutor(max_workers=2).run(
-            shared_sources,
-            plan,
-            CrawlSpec(rebalance=True),
+            pool_sources, plan, CrawlSpec(**kwargs)
         )
-        for sequential, shared in zip(seq_sources, shared_sources):
-            assert shared.stats.queries == sequential.stats.queries
-            assert shared.stats.resolved == sequential.stats.resolved
+        for sequential, pooled in zip(seq_sources, pool_sources):
+            assert pooled.stats.queries == sequential.stats.queries > 0
+            assert pooled.stats.resolved == sequential.stats.resolved
             assert (
-                shared.stats.tuples_returned
+                pooled.stats.tuples_returned
                 == sequential.stats.tuples_returned
             )
+            assert pooled.stats.phase_costs == sequential.stats.phase_costs
+
+    def test_refused_units_still_count(self, dataset, plan):
+        """A unit that raises sends its counts home before the parent
+        re-raises: after the refusal, every source's stats read what
+        its budget charged, exactly as on the thread backend."""
+
+        def run(executor):
+            budgets = [QueryBudget(7) for _ in range(SESSIONS)]
+            sources = [
+                TopKServer(dataset, k=32, limits=[budget])
+                for budget in budgets
+            ]
+            with pytest.raises(QueryBudgetExhausted) as excinfo:
+                executor.run(sources, plan)
+            return sources, budgets, excinfo.value
+
+        thread_sources, _, _ = run(ThreadExecutor(max_workers=2))
+        pool_sources, budgets, exc = run(ProcessExecutor(max_workers=2))
+        for threaded, pooled, budget in zip(
+            thread_sources, pool_sources, budgets
+        ):
+            assert pooled.stats.queries == threaded.stats.queries
+            assert pooled.stats.queries == budget.used == 7
+        # The worker's side of the traceback travels home as a note.
+        assert "admit" in exc.__notes__[0]
 
     def test_estimator_receives_exact_observed_costs(
         self, dataset, plan, reference
@@ -567,8 +584,9 @@ class TestCarriesLimits:
 
 class TestPoolUnitFlush:
     """The pool wire function returns its worker's leased headroom
-    before any unit's result leaves the worker: under futures dispatch
-    an idle worker would otherwise sit on charged budget units."""
+    before any unit's result leaves the worker: an idle worker would
+    otherwise sit on charged budget units.  Each unit's server counts
+    travel with its outcome, and are that unit's alone."""
 
     #: Small enough that the first region presplits into shards.
     K = 8
@@ -595,7 +613,7 @@ class TestPoolUnitFlush:
             )
             # Install a payload as a pool worker would, then drop it.
             ticket = next(executors._TICKETS)
-            executors._cached_runner(
+            executors._cached_payload(
                 ticket, executors.pickle_payload(shared, Hybrid, stubs)
             )
             try:
@@ -619,10 +637,11 @@ class TestPoolUnitFlush:
         executors, ticket, stub = worker
         region = plan.bundles[0][0]
         task = RegionTask(0, 0, region)
-        executors._pool_unit(ticket, None, False, task, None)
+        result, counts = executors._pool_unit(ticket, None, False, task, None)
         runner, budget = self.reference(dataset)
-        runner.region(task)
+        assert result.rows == runner.region(task).rows
         assert stub.used == budget.used
+        assert [state["queries"] for state in counts] == [budget.used]
 
     def test_presplit_and_shard_units_flush(self, worker, dataset, plan):
         from repro.crawl.rebalance import RegionTask, ShardTask
@@ -631,15 +650,19 @@ class TestPoolUnitFlush:
         runner, budget = self.reference(dataset)
         region = plan.bundles[0][0]
         task = RegionTask(0, 0, region)
-        shard_plan = executors._pool_unit(ticket, None, False, task, 4)
+        shard_plan, counts = executors._pool_unit(ticket, None, False, task, 4)
         runner.presplit(task, 4)
         assert shard_plan.shards
-        assert stub.used == budget.used
+        answered = counts[0]["queries"]
+        assert stub.used == budget.used == answered
         for shard in shard_plan.shards:
             shard_task = ShardTask(0, 0, region, shard)
-            executors._pool_unit(ticket, None, False, shard_task, None)
+            _, counts = executors._pool_unit(
+                ticket, None, False, shard_task, None
+            )
+            answered += counts[0]["queries"]
             runner.shard(shard_task)
-            assert stub.used == budget.used
+            assert stub.used == budget.used == answered
 
 
 class TestRewireValidation:
@@ -719,23 +742,6 @@ class TestLeaseBatching:
         coordinator.writeback()
         assert budget.used == 7
 
-    def test_shared_stats_buffer_lands_on_flush(self, coordinator):
-        stats = QueryStats()
-        shared = coordinator.share(stats)
-        shared.begin_phase("traversal")
-        shared.record(QueryResponse(((1, 2),), False))
-        shared.record(QueryResponse((), True))
-        # Recordings buffer locally; a read flushes them first.
-        assert shared.queries == 2
-        assert shared.phase_costs == {"traversal": 2}
-        shared.record(QueryResponse(((3, 4),), False))
-        shared.end_phase()
-        shared.flush()
-        coordinator.writeback()
-        assert stats.queries == 3
-        assert stats.phase_costs == {"traversal": 3}
-        assert stats.round_trips > 0  # the plane's chatter, written back
-
     def test_daily_limits_stay_per_query_under_a_budget_chunk(
         self, coordinator
     ):
@@ -749,7 +755,8 @@ class TestLeaseBatching:
         assert budget_stub.lease_chunk == 10
         assert shared_daily.lease_chunk == 1
         shared_daily.admit()
-        assert shared_daily.used_today == 1
+        coordinator.writeback()
+        assert daily.used_today == 1
 
     def test_set_lease_chunk_rejects_nonpositive(self, coordinator):
         with pytest.raises(ValueError):

@@ -179,6 +179,42 @@ class TestLifecycle:
             assert status.state is JobState.DONE
             assert service.rows(job) == list(standalone.rows)
 
+    def test_auto_sharding_presplits_nothing_on_the_fleet(
+        self, tmp_path, monkeypatch
+    ):
+        """A presplit region's shards crawl one after another on the
+        fleet thread that took it, so ``shard_subtrees="auto"`` must
+        resolve against a fleet of 1 and presplit nothing -- even for
+        a region the estimator calls huge."""
+        from repro.crawl.rebalance import CostEstimator
+        from repro.crawl.runtime import LocalUnitRunner
+        from repro.datasets.adult import adult
+
+        presplits = []
+        original = LocalUnitRunner.presplit
+
+        def spy(self, task, max_shards):
+            presplits.append((task.key, max_shards))
+            return original(self, task, max_shards)
+
+        monkeypatch.setattr(LocalUnitRunner, "presplit", spy)
+        data = adult(n=2000, seed=11)
+        plan = partition_space(data.space, 2)
+        expected = crawl_partitioned(
+            [TopKServer(data, 64) for _ in range(plan.sessions)], plan
+        )
+        spec = CrawlSpec(
+            max_workers=2,
+            shard_subtrees="auto",
+            estimator=CostEstimator(priors={(0, 0): 1e6}),
+        )
+        with open_service(tmp_path) as service:
+            service.register_tenant("acme")
+            job = service.submit("acme", data, 64, name="auto", spec=spec)
+            assert service.wait(job, timeout=60).state is JobState.DONE
+            assert service.rows(job) == list(expected.rows)
+        assert presplits == []
+
     def test_identity_drift_raises(self, tmp_path, dataset):
         with open_service(tmp_path) as service:
             service.register_tenant("acme")

@@ -3,6 +3,7 @@
 from pathlib import Path
 
 from tools.check_no_raw_run import check, main
+from tools.compare_bench import compare
 
 CRAWL_DIR = Path(__file__).resolve().parents[1] / "src" / "repro" / "crawl"
 
@@ -54,3 +55,25 @@ class TestCheckNoRawRun:
             encoding="utf-8",
         )
         assert check([tmp_path]) == []
+
+
+class TestCompareBench:
+    @staticmethod
+    def lease_report(leased, per_query):
+        return {
+            "coordinator_round_trips": {
+                "leased": leased,
+                "per_query": per_query,
+            },
+            "cpu_count": 1,
+            "round_trip_reduction": round(per_query / leased, 2),
+            "scale": 0.1,
+        }
+
+    def test_lease_chatter_growing_on_both_sides_is_flagged(self):
+        """The ratio holds at 8.0, inside its floor, yet the leased
+        crawl more than doubled its round trips."""
+        baseline = self.lease_report(18, 160)
+        current = self.lease_report(40, 320)
+        regressions, _ = compare(baseline, current, 0.25)
+        assert regressions == ["coordinator_round_trips.leased"]

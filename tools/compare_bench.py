@@ -47,6 +47,10 @@ METRICS: dict[str, dict] = {
     # Shared-limit control-plane chatter: more round trips than the
     # baseline means per-query admission crept back in.
     "coordinator_round_trips": {"direction": "lower"},
+    # The lease bench's own leased count (a nested entry; absent from
+    # the executors report).  The ratio below alone would pass chatter
+    # that grows on both sides at once.
+    "coordinator_round_trips.leased": {"direction": "lower"},
     # Lease batching's round-trip win over per-query admission.
     "round_trip_reduction": {},
     # Queries a resume from a complete checkpoint re-issues; the
@@ -124,7 +128,7 @@ def compare(
         ):
             # A nested breakdown under the metric's name (e.g. the
             # lease report's per-mode round-trip counts); the gate
-            # compares only scalar summaries.
+            # compares only scalars, reached by their dotted paths.
             continue
         min_cpus = requirements.get("min_cpus", 1)
         if min(baseline_cpus, current_cpus) < min_cpus:
