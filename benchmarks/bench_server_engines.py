@@ -5,10 +5,16 @@ these measure genuine wall-clock throughput: how fast the substrate
 answers queries.  The vector engine must beat the linear reference by a
 wide margin at paper scale -- it is what makes full-scale experiment
 runs (hundreds of thousands of simulated queries) practical.
+
+The two ``prefix_conjunctions`` cases are the crawls' real regime: the
+deep categorical prefixes a partitioned hybrid crawl of Adult issues.
+They are informational and carry no baseline.
 """
 
+import numpy as np
 import pytest
 
+from repro.datasets.adult import adult
 from repro.datasets.nsf import nsf
 from repro.datasets.yahoo import yahoo_autos
 from repro.query.query import Query, slice_query
@@ -23,6 +29,34 @@ def nsf_small():
 @pytest.fixture(scope="module")
 def yahoo_small():
     return yahoo_autos(n=8000, seed=5, duplicates=0)
+
+
+@pytest.fixture(scope="module")
+def adult_full():
+    return adult()
+
+
+@pytest.fixture(scope="module")
+def prefix_conjunctions(adult_full):
+    """Queries pinning 4-8 categorical attributes, numerics left wild.
+
+    As the hybrid issues them inside a ``Country`` region: ``Country``
+    plus a prefix of the other categorical attributes, in schema order,
+    pinned to the values of a random tuple.
+    """
+    space = adult_full.space
+    country = space.index_of("Country")
+    others = [j for j, attr in enumerate(space) if attr.is_categorical]
+    others.remove(country)
+    rng = np.random.default_rng(3)
+    queries = []
+    for i in rng.integers(0, adult_full.n, 400):
+        row = adult_full.rows[i]
+        query = Query.full(space).with_value(country, int(row[country]))
+        for j in others[: int(rng.integers(3, 8))]:
+            query = query.with_value(j, int(row[j]))
+        queries.append(query)
+    return queries
 
 
 def run_queries(server, queries):
@@ -103,3 +137,21 @@ def test_vector_engine_selective_queries(benchmark, nsf_small):
     queries = [Query.full(space).with_value(pi_name, v) for v in range(1, 401)]
     benchmark(run_queries, server, queries)
     benchmark.extra_info["queries"] = len(queries)
+
+
+def test_vector_engine_prefix_conjunctions(
+    benchmark, adult_full, prefix_conjunctions
+):
+    """The crawl's regime: deep categorical prefixes, no ranges."""
+    server = TopKServer(adult_full, k=16, engine="vector")
+    benchmark(run_queries, server, prefix_conjunctions)
+    benchmark.extra_info["queries"] = len(prefix_conjunctions)
+
+
+def test_indexed_engine_prefix_conjunctions(
+    benchmark, adult_full, prefix_conjunctions
+):
+    """Same workload as above on the indexed engine, for comparison."""
+    server = TopKServer(adult_full, k=16, engine="indexed")
+    benchmark(run_queries, server, prefix_conjunctions)
+    benchmark.extra_info["queries"] = len(prefix_conjunctions)

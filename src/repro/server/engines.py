@@ -9,14 +9,18 @@ Three interchangeable implementations are provided:
 * :class:`LinearScanEngine` -- the obviously correct reference: walk the
   rows in priority order, stop at the ``k+1``-st match.  Used in tests
   as ground truth.
-* :class:`VectorEngine` -- numpy-vectorised predicate masks, used for the
-  paper-scale experiments (tens of thousands of tuples, tens of
-  thousands of queries).
+* :class:`VectorEngine` -- the default, for the paper-scale experiments
+  (tens of thousands of tuples, tens of thousands of queries).  Its
+  column-major matrix is filtered with numpy: a query with a selective
+  equality narrows one ascending row-id array, predicate by predicate;
+  any other query ANDs full-column masks.
 * :class:`IndexedEngine` -- per-column sorted indexes answering both
   range and equality predicates by binary search; the candidate set of
-  the most selective predicate is verified row-wise.  Fastest when
-  queries are selective (deep crawl queries usually are), degrades to a
-  full scan otherwise.
+  the single most selective predicate is verified row-wise in Python.
+  It suits queries that one predicate alone makes selective.  On a
+  crawl's deep multi-attribute prefixes that set is thousands of rows
+  for a handful of matches, and it is several times slower than the
+  vector engine.
 
 Two hot-path mechanisms are shared by all engines (profiled in
 ``docs/performance.md``):
@@ -46,9 +50,10 @@ built index structures are guarded by a lock so racing builders
 produce one consistent index.
 
 Engines are picklable (the index lock is dropped and rebuilt; indexes
-already built travel with the engine), so a whole server can be
-shipped to a process-pool worker for CPU-bound crawls
-(:class:`~repro.crawl.executors.ProcessExecutor`).
+and the row cache are derived data, trimmed from the pickle and rebuilt
+lazily), so a whole server can be shipped to a process-pool worker for
+CPU-bound crawls (:class:`~repro.crawl.executors.ProcessExecutor`).
+A column-major matrix stays column-major through a pickle.
 """
 
 from __future__ import annotations
@@ -105,8 +110,9 @@ class QueryEngine(abc.ABC):
         The context's :meth:`BatchTopK.top` answers exactly like
         :meth:`top`, but engines with shareable per-predicate work
         (masks, candidate sets) reuse it across the queries evaluated
-        through one context.  Contexts are cheap, single-use and not
-        thread-safe -- make one per batch.
+        through one context.  Contexts are cheap and not thread-safe;
+        one serves one batch, and :meth:`BatchTopK.carry_over` says
+        what its thread's next batch may start from.
         """
         return BatchTopK(self)
 
@@ -197,6 +203,15 @@ class BatchTopK:
         """Answer one query of the batch (identical to ``engine.top``)."""
         return self._engine.top(query, k)
 
+    def carry_over(self) -> "BatchTopK | None":
+        """The context this thread's next batch may start from, if any.
+
+        Consecutive batteries of one crawl share most predicates, so a
+        context may carry cached work into the next batch.  The base
+        context caches nothing and carries nothing.
+        """
+        return None
+
 
 class LinearScanEngine(QueryEngine):
     """Reference engine: compiled-conjunction scan in pure Python.
@@ -224,43 +239,75 @@ class LinearScanEngine(QueryEngine):
 
 
 class _VectorBatch(BatchTopK):
-    """Vector-engine context: full-column masks shared across queries."""
+    """Vector-engine context: full-scan work shared across queries.
+
+    ``masks`` holds full-column predicate masks by ``(attribute,
+    predicate)``.  ``bases`` holds, keyed by a tuple of such pairs, the
+    row ids matching every constrained predicate of a full-scan query
+    but its last -- the part a battery's siblings share when they vary
+    its deepest attribute.
+    """
 
     def __init__(self, engine: "VectorEngine"):
         super().__init__(engine)
-        self._masks: dict = {}
+        self.masks: dict = {}
+        self.bases: dict = {}
+        self._mask_bytes = 0
 
     def top(self, query: Query, k: int) -> tuple[list[Row], bool]:
-        return self._engine._top(query, k, self._masks)  # noqa: SLF001
+        return self._engine._top(query, k, self)  # noqa: SLF001
+
+    def keep_mask(self, key: tuple, mask: np.ndarray) -> None:
+        self.masks[key] = mask
+        self._mask_bytes += mask.nbytes
+
+    def carry_over(self) -> "_VectorBatch | None":
+        # Bases belong to one battery.  Masks carry over -- sibling
+        # batteries share the masks of their common prefix -- while
+        # they total no more bytes than the engine's matrix.
+        self.bases.clear()
+        if self._mask_bytes > self._engine._matrix.nbytes:  # noqa: SLF001
+            return None
+        return self
 
 
 class VectorEngine(LocklessPickle, QueryEngine):
-    """Vectorised engine: numpy boolean masks over the tuple matrix.
+    """Column-major numpy engine that narrows one row-id array per query.
 
-    Unconstrained predicates (wildcards, infinite ranges) contribute no
-    mask at all, so a typical crawl query that touches only a prefix of
-    the attributes costs a handful of vector comparisons.
+    The matrix is stored column-major (Fortran order), so every
+    per-attribute gather and full-column compare reads contiguous
+    memory.
 
-    Equality predicates additionally use a lazily-built per-(attribute,
-    value) row index: the query is evaluated only on the rows matching
-    its most selective equality, which makes the deep, rare-prefix
-    queries of DFS/slice-cover crawls orders of magnitude cheaper than a
-    full-column scan.  Row indices are stored in priority order, so the
-    top-``k`` semantics are untouched.
+    A query whose smallest per-(attribute, value) row index -- built
+    lazily, one per equality seen -- holds at most ``n /
+    _INDEX_SELECTIVITY`` rows starts from that index's ascending row
+    ids.  It narrows them by each other constrained predicate in turn:
+    equalities in increasing index size, then ranges, stopping once no
+    id is left.  Each step gathers one column at the surviving ids
+    only, so wildcards cost nothing.  This is the crawls' dominant
+    traffic: the hybrid's deep categorical prefixes pin up to 8
+    attributes and rarely constrain a range.  Ascending row id is
+    priority order, so the first ``k`` surviving ids are the answer.
 
-    Batched evaluation (:meth:`~QueryEngine.batch`) caches full-column
-    predicate masks by ``(attribute, predicate)``: sibling queries that
-    differ in one attribute recompute only that attribute's mask.
+    Range-only queries, and queries without such an equality, take the
+    full scan: one boolean mask per constrained predicate over the
+    whole column.  Batched evaluation (:meth:`~QueryEngine.batch`)
+    shares that path's work.  Masks are cached by ``(attribute,
+    predicate)`` and carry over to the thread's next batch, and the
+    ids matching all of a query's constrained predicates but the last
+    are computed once, so siblings that vary the deepest attribute
+    each narrow a shared id array by one predicate.
     """
 
-    #: Use the value-index path only when the candidate set is this much
-    #: smaller than the full matrix (otherwise masks are cheaper).
+    #: Narrow from a value index only when it is this much smaller than
+    #: the full matrix (otherwise full-column masks are cheaper).
     _INDEX_SELECTIVITY = 4
 
     _pickle_lock_attr = "_index_lock"
 
     def __init__(self, matrix: np.ndarray):
-        super().__init__(matrix)
+        # No copy when the matrix is column-major already.
+        super().__init__(np.asfortranarray(matrix))
         self._value_index: dict[tuple[int, int], np.ndarray] = {}
         self._index_lock = threading.Lock()
 
@@ -292,97 +339,89 @@ class VectorEngine(LocklessPickle, QueryEngine):
         return self._top(query, k, None)
 
     def _top(
-        self, query: Query, k: int, mask_cache: dict | None
+        self, query: Query, k: int, batch: _VectorBatch | None
     ) -> tuple[list[Row], bool]:
-        # Pick the most selective equality predicate as the candidate set.
-        candidates: np.ndarray | None = None
-        skip_attribute = -1
+        constrained = []
+        equalities = []
         for j, pred in enumerate(query.predicates):
-            if isinstance(pred, EqualityPredicate) and pred.value is not None:
-                rows = self._index_for(j, pred.value)
-                if candidates is None or rows.size < candidates.size:
-                    candidates = rows
-                    skip_attribute = j
-        if candidates is not None and (
-            candidates.size * self._INDEX_SELECTIVITY <= self.n
+            if isinstance(pred, EqualityPredicate):
+                if pred.value is None:
+                    continue
+                index = self._index_for(j, pred.value)
+                equalities.append((index, j, pred.value))
+            elif pred.lo is None and pred.hi is None:
+                continue
+            constrained.append((j, pred))
+        equalities.sort(key=lambda entry: entry[0].size)
+        if (
+            not equalities
+            or equalities[0][0].size * self._INDEX_SELECTIVITY > self.n
         ):
-            return self._top_on_subset(
-                query, k, candidates, skip_attribute, mask_cache
-            )
-        return self._top_full_scan(query, k, mask_cache)
+            return self._top_full_scan(constrained, k, batch)
+        # Narrow the smallest index's ascending row ids -- ascending id
+        # is priority order -- by each other constrained predicate:
+        # equalities in increasing index size, then ranges.  A step
+        # gathers one contiguous column at the surviving ids only.
+        ids = equalities[0][0]
+        columns = self._matrix
+        for _, j, value in equalities[1:]:
+            if not ids.size:
+                break
+            ids = ids[columns[:, j].take(ids) == value]
+        for j, pred in constrained:
+            if ids.size and isinstance(pred, RangePredicate):
+                column = columns[:, j].take(ids)
+                ids = ids[self._predicate_mask(pred, column)]
+        return self._first_k(ids, k)
 
-    def _full_mask(
-        self, attribute: int, pred, mask_cache: dict | None
-    ) -> np.ndarray | None:
-        """Full-column mask for ``pred``, cached per batch context."""
-        if mask_cache is None:
-            return self._predicate_mask(pred, self._matrix[:, attribute])
-        key = (attribute, pred)
-        if key in mask_cache:
-            return mask_cache[key]
-        part = self._predicate_mask(pred, self._matrix[:, attribute])
-        mask_cache[key] = part
-        return part
-
-    def _top_on_subset(
-        self,
-        query: Query,
-        k: int,
-        candidates: np.ndarray,
-        skip_attribute: int,
-        mask_cache: dict | None = None,
-    ) -> tuple[list[Row], bool]:
-        mask: np.ndarray | None = None
-        for j, pred in enumerate(query.predicates):
-            if j == skip_attribute:
-                continue
-            if mask_cache is None:
-                part = self._predicate_mask(pred, self._matrix[candidates, j])
-            else:
-                full = self._full_mask(j, pred, mask_cache)
-                part = None if full is None else full[candidates]
-            if part is None:
-                continue
-            mask = part if mask is None else mask & part
-        indices = candidates if mask is None else candidates[mask]
-        overflow = indices.size > k
-        if overflow:
-            indices = indices[:k]
+    def _first_k(self, ids: np.ndarray, k: int) -> tuple[list[Row], bool]:
+        """Rows of the first ``k`` ascending ``ids`` and the overflow flag."""
         rows = self._rows()
-        return [rows[i] for i in indices.tolist()], overflow
+        return [rows[i] for i in ids[:k].tolist()], ids.size > k
 
     def _top_full_scan(
-        self, query: Query, k: int, mask_cache: dict | None = None
+        self, constrained: list, k: int, batch: _VectorBatch | None
     ) -> tuple[list[Row], bool]:
-        mask: np.ndarray | None = None
-        for j, pred in enumerate(query.predicates):
-            part = self._full_mask(j, pred, mask_cache)
-            if part is None:
-                continue
-            mask = part if mask is None else mask & part
-        rows = self._rows()
-        if mask is None:
+        if not constrained:
             # The all-wildcard query: every tuple matches.
-            return rows[:k], self.n > k
-        indices = np.flatnonzero(mask)
-        overflow = indices.size > k
-        if overflow:
-            indices = indices[:k]
-        return [rows[i] for i in indices.tolist()], overflow
+            return self._rows()[:k], self.n > k
+        if batch is None or len(constrained) == 1:
+            mask = self._mask(constrained, batch)
+            return self._first_k(np.flatnonzero(mask), k)
+        # In a batch, the ids matching all but the last predicate are
+        # computed once from shared masks; each sibling then narrows
+        # them by its last predicate alone.
+        *shared, (j, pred) = constrained
+        key = tuple(shared)
+        ids = batch.bases.get(key)
+        if ids is None:
+            ids = np.flatnonzero(self._mask(shared, batch))
+            batch.bases[key] = ids
+        column = self._matrix[:, j].take(ids)
+        return self._first_k(ids[self._predicate_mask(pred, column)], k)
+
+    def _mask(self, constrained: list, batch: _VectorBatch | None):
+        """Conjunction of the full-column masks of ``constrained``.
+
+        In a ``batch``, each ``(attribute, predicate)`` mask is computed
+        once per context.
+        """
+        mask = None
+        for key in constrained:
+            part = None if batch is None else batch.masks.get(key)
+            if part is None:
+                j, pred = key
+                part = self._predicate_mask(pred, self._matrix[:, j])
+                if batch is not None:
+                    batch.keep_mask(key, part)
+            mask = part if mask is None else mask & part
+        return mask
 
     @staticmethod
-    def _predicate_mask(pred, column: np.ndarray) -> np.ndarray | None:
-        """Boolean mask of ``column`` values satisfying ``pred``.
-
-        ``None`` signals an unconstrained predicate (no mask needed).
-        """
+    def _predicate_mask(pred, column: np.ndarray) -> np.ndarray:
+        """Mask of the ``column`` values satisfying constrained ``pred``."""
         if isinstance(pred, EqualityPredicate):
-            if pred.value is None:
-                return None
             return column == pred.value
-        assert isinstance(pred, RangePredicate)
-        if pred.lo is None and pred.hi is None:
-            return None
         if pred.lo is None:
             return column <= pred.hi
         if pred.hi is None:
@@ -417,10 +456,14 @@ class IndexedEngine(LocklessPickle, QueryEngine):
     constrained attributes: the ids are re-sorted into priority order
     (the matrix is stored priority-descending) and the remaining
     predicates are verified only on those rows, through one compiled
-    matcher per query.  Wildcard-heavy but selective crawl queries
-    therefore cost ``O(log n + m log m)`` for a candidate count ``m``,
-    independent of ``n``.  A query with no constrained attribute falls
-    back to "first ``k`` rows".
+    matcher per query.  A query therefore costs ``O(log n + m log m)``
+    for the candidate count ``m`` of its most selective *single*
+    predicate, independent of ``n``.  The other predicates never
+    narrow ``m``: on a hybrid crawl's deep categorical prefixes it
+    runs to thousands of rows per query, each verified in Python,
+    which makes this engine several times slower than
+    :class:`VectorEngine` there.  A query with no constrained
+    attribute falls back to "first ``k`` rows".
 
     Batched evaluation (:meth:`~QueryEngine.batch`) caches candidate
     sets by ``(attribute, predicate)``, so sibling queries re-run the

@@ -112,3 +112,53 @@ class TestAccounting:
         server = TopKServer(Dataset(space, []), k=3)
         resp = server.run(Query.full(space))
         assert resp.resolved and resp.rows == ()
+
+
+class TestBatchContext:
+    """A thread's evaluation context across consecutive batch epochs."""
+
+    @pytest.fixture
+    def mixed(self):
+        space = DataSpace.mixed([("c", 3)], ["x"])
+        return make_dataset(space, [[1 + i % 3, i] for i in range(40)])
+
+    def contexts(self, server, queries):
+        """The context of each epoch, one query per epoch."""
+        seen = []
+        for query in queries:
+            with server.batch_context():
+                seen.append(server._batch.evaluator)  # noqa: SLF001
+                server.run(query)
+        assert server._batch.evaluator is None  # noqa: SLF001
+        return seen
+
+    def test_vector_context_carries_its_masks_over(self, mixed):
+        # Value 1 holds 14 of 40 rows, more than n / 4: a full scan.
+        # The mask of its shared part carries over; its base does not.
+        server = TopKServer(mixed, k=3)
+        query = Query.full(mixed.space).with_value(0, 1).with_range(1, 0, 20)
+        first, second = self.contexts(server, [query, query])
+        assert first is second
+        assert list(first.masks) == [(0, query.predicates[0])]
+        assert first.bases == {}
+
+    def test_other_contexts_serve_one_epoch(self, mixed):
+        base = Query.full(mixed.space).with_value(0, 1)
+        for engine in ("linear", "indexed"):
+            server = TopKServer(mixed, k=3, engine=engine)
+            first, second = self.contexts(server, [base, base])
+            assert first is not second
+
+    def test_context_past_the_matrix_size_is_replaced(self, mixed):
+        # Each range-only query caches one 40-byte mask; the matrix is
+        # 40 x 2 int64 = 640 bytes, so the 17th mask tips the context
+        # over and the next epoch starts from a fresh one.
+        server = TopKServer(mixed, k=3)
+        linear = TopKServer(mixed, k=3, engine="linear")
+        base = Query.full(mixed.space)
+        queries = [base.with_range(1, lo, 39) for lo in range(18)]
+        seen = self.contexts(server, queries)
+        assert all(context is seen[0] for context in seen[:17])
+        assert seen[17] is not seen[0]
+        for query in queries:
+            assert server.run(query) == linear.run(query)
