@@ -26,9 +26,10 @@ against ``benchmarks/baselines/BENCH_hot_path.json``.
 
 A second measurement times the batched top-k seam: answering a vector
 of sibling slice queries through :meth:`QueryEngine.top_batch` (one
-shared mask/candidate context) vs a per-query loop, on the vector and
-indexed engines.  Recorded as ``batch_speedup`` for trend-watching; it
-is not gated (sub-millisecond ratios are too noisy on shared CI).  Its
+shared mask context) vs a per-query loop, on the vector engine (the
+linear scan has no shared work to measure).  Recorded as
+``batch_speedup`` for trend-watching; it is not gated (sub-millisecond
+ratios are too noisy on shared CI).  Its
 siblings pin two categorical attributes, the first an 8-value one, so
 the vector engine answers each by narrowing one row-id array from a
 value index -- a path the batch context leaves unshared, because it is
@@ -69,11 +70,7 @@ from repro.crawl.partition import crawl_partitioned, partition_space
 from repro.dataspace.dataset import Dataset
 from repro.dataspace.space import DataSpace
 from repro.query.query import Query
-from repro.server.engines import (
-    IndexedEngine,
-    QueryEngine,
-    VectorEngine,
-)
+from repro.server.engines import QueryEngine, VectorEngine
 from repro.server.response import Row
 from repro.server.server import TopKServer
 
@@ -160,35 +157,28 @@ def measure_batch_seam(dataset: Dataset, reps: int = 20) -> dict:
 
     The engine is warmed first (lazy indexes and row-tuple cache built
     outside the timed region) and the sibling set is answered ``reps``
-    times, so the measured ratio is the seam itself -- shared mask /
-    candidate reuse -- not index-build noise on a microsecond workload.
+    times, so the measured ratio is the seam itself -- shared mask
+    reuse -- not index-build noise on a microsecond workload.
     Each ``top_batch`` call opens a fresh evaluation context, so no
     cache leaks between repetitions.
     """
-    space = dataset.space
-    report = {}
-    base = Query.full(space)
+    base = Query.full(dataset.space)
     queries = [
         base.with_value(0, make).with_value(1, body)
         for make in range(1, 9)
         for body in range(1, 5)
     ]
-    engine_classes = (("vector", VectorEngine), ("indexed", IndexedEngine))
-    for name, engine_cls in engine_classes:
-        engine = engine_cls(dataset.rows)
-        expected = [engine.top(q, K) for q in queries]  # warm the engine
-        looped, loop_seconds = timed(
-            lambda e=engine: [
-                [e.top(q, K) for q in queries] for _ in range(reps)
-            ]
-        )
-        batched, batch_seconds = timed(
-            lambda e=engine: [e.top_batch(queries, K) for _ in range(reps)]
-        )
-        assert all(rep == expected for rep in looped), name
-        assert all(rep == expected for rep in batched), name
-        report[name] = round(loop_seconds / max(batch_seconds, 1e-9), 2)
-    return report
+    engine = VectorEngine(dataset.rows)
+    expected = [engine.top(q, K) for q in queries]  # warm the engine
+    looped, loop_seconds = timed(
+        lambda: [[engine.top(q, K) for q in queries] for _ in range(reps)]
+    )
+    batched, batch_seconds = timed(
+        lambda: [engine.top_batch(queries, K) for _ in range(reps)]
+    )
+    assert all(rep == expected for rep in looped)
+    assert all(rep == expected for rep in batched)
+    return {"vector": round(loop_seconds / max(batch_seconds, 1e-9), 2)}
 
 
 def battery_dataset(dups: int) -> Dataset:

@@ -6,9 +6,9 @@ answers queries.  The vector engine must beat the linear reference by a
 wide margin at paper scale -- it is what makes full-scale experiment
 runs (hundreds of thousands of simulated queries) practical.
 
-The two ``prefix_conjunctions`` cases are the crawls' real regime: the
-deep categorical prefixes a partitioned hybrid crawl of Adult issues.
-They are informational and carry no baseline.
+The ``prefix_conjunctions`` case is the crawls' real regime: the deep
+categorical prefixes a partitioned hybrid crawl of Adult issues.  It
+is informational and carries no baseline.
 """
 
 import numpy as np
@@ -108,32 +108,11 @@ def test_vector_engine_mixed_queries(benchmark, yahoo_small):
     benchmark.extra_info["queries"] = len(queries)
 
 
-def test_indexed_engine_slice_queries(benchmark, nsf_small):
-    server = TopKServer(nsf_small, k=256, engine="indexed")
-    queries = [
-        slice_query(nsf_small.space, i, v)
-        for i in range(3)
-        for v in range(1, nsf_small.space[i].domain_size + 1)
-    ]
-    benchmark(run_queries, server, queries)
-    benchmark.extra_info["queries"] = len(queries)
-
-
-def test_indexed_engine_selective_queries(benchmark, nsf_small):
-    """The indexed engine's sweet spot: deep, rare-prefix queries."""
-    space = nsf_small.space
-    server = TopKServer(nsf_small, k=256, engine="indexed")
-    pi_name = space.dimensionality - 1  # the huge-domain attribute
-    queries = [Query.full(space).with_value(pi_name, v) for v in range(1, 401)]
-    benchmark(run_queries, server, queries)
-    benchmark.extra_info["queries"] = len(queries)
-
-
 def test_vector_engine_selective_queries(benchmark, nsf_small):
-    """Same workload as above on the vector engine, for comparison."""
+    """Selective queries: one rare value of the huge-domain attribute."""
     space = nsf_small.space
     server = TopKServer(nsf_small, k=256, engine="vector")
-    pi_name = space.dimensionality - 1
+    pi_name = space.dimensionality - 1  # the huge-domain attribute
     queries = [Query.full(space).with_value(pi_name, v) for v in range(1, 401)]
     benchmark(run_queries, server, queries)
     benchmark.extra_info["queries"] = len(queries)
@@ -147,11 +126,3 @@ def test_vector_engine_prefix_conjunctions(
     benchmark(run_queries, server, prefix_conjunctions)
     benchmark.extra_info["queries"] = len(prefix_conjunctions)
 
-
-def test_indexed_engine_prefix_conjunctions(
-    benchmark, adult_full, prefix_conjunctions
-):
-    """Same workload as above on the indexed engine, for comparison."""
-    server = TopKServer(adult_full, k=16, engine="indexed")
-    benchmark(run_queries, server, prefix_conjunctions)
-    benchmark.extra_info["queries"] = len(prefix_conjunctions)

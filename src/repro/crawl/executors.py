@@ -509,10 +509,15 @@ class _PayloadPickler(pickle.Pickler):
 
     def reducer_override(self, obj):
         if type(obj) is np.ndarray and obj.nbytes >= _DEDUP_MIN_BYTES:
+            # Hash the bytes in the array's own memory order, so a
+            # column-major matrix is copied once, not twice, and key on
+            # that order, so only an array of the same layout can stand
+            # in for another.
             key = (
                 obj.dtype.str,
                 obj.shape,
-                hashlib.sha256(np.ascontiguousarray(obj).tobytes()).digest(),
+                obj.flags.fnc,
+                hashlib.sha256(obj.tobytes(order="A")).digest(),
             )
             canonical = self._seen.setdefault(key, obj)
             if canonical is not obj:

@@ -173,7 +173,7 @@ def compile_predicate(pred: Predicate) -> Callable[[int], bool] | None:
 
 
 def compile_matcher(
-    predicates: Sequence[Predicate], skip: int | None = None
+    predicates: Sequence[Predicate],
 ) -> Callable[[Sequence[int]], bool] | None:
     """Compile a predicate vector into one row-matching closure.
 
@@ -183,10 +183,9 @@ def compile_matcher(
     the constants inlined (e.g. ``lambda r: 1 <= r[0] <= 5 and
     r[2] == 3``), so a scan over the whole table dispatches **zero**
     predicate methods.  Unconstrained predicates are dropped from the
-    conjunction; ``skip`` excludes one attribute index (used by
-    :class:`repro.server.engines.IndexedEngine`, whose candidate index
-    already enforces that attribute).  Returns ``None`` when nothing
-    remains to test -- i.e. every row matches.
+    conjunction.  Returns ``None`` when nothing remains to test --
+    i.e. every row matches.  The reference
+    :class:`repro.server.engines.LinearScanEngine` scans with it.
 
     Examples
     --------
@@ -199,8 +198,6 @@ def compile_matcher(
     """
     parts: list[str] = []
     for i, pred in enumerate(predicates):
-        if i == skip:
-            continue
         if isinstance(pred, EqualityPredicate):
             if pred.value is not None:
                 parts.append(f"r[{i}] == {int(pred.value)}")

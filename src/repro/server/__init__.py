@@ -8,7 +8,6 @@ that a real crawler deployment would carry.
 
 from repro.server.client import CachingClient, PatientClient
 from repro.server.engines import (
-    IndexedEngine,
     LinearScanEngine,
     QueryEngine,
     VectorEngine,
@@ -30,7 +29,6 @@ from repro.server.workload import WorkloadReport, workload_report
 __all__ = [
     "CachingClient",
     "PatientClient",
-    "IndexedEngine",
     "LinearScanEngine",
     "QueryEngine",
     "QueryInterface",

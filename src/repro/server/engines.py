@@ -4,7 +4,7 @@ The server stores its tuples sorted by descending priority; an engine's
 single job is, given a query and the limit ``k``, to find the first
 ``k`` matching tuples in that order and report whether more exist.
 
-Three interchangeable implementations are provided:
+Two interchangeable implementations are provided:
 
 * :class:`LinearScanEngine` -- the obviously correct reference: walk the
   rows in priority order, stop at the ``k+1``-st match.  Used in tests
@@ -14,46 +14,39 @@ Three interchangeable implementations are provided:
   column-major matrix is filtered with numpy: a query with a selective
   equality narrows one ascending row-id array, predicate by predicate;
   any other query ANDs full-column masks.
-* :class:`IndexedEngine` -- per-column sorted indexes answering both
-  range and equality predicates by binary search; the candidate set of
-  the single most selective predicate is verified row-wise in Python.
-  It suits queries that one predicate alone makes selective.  On a
-  crawl's deep multi-attribute prefixes that set is thousands of rows
-  for a handful of matches, and it is several times slower than the
-  vector engine.
 
-Two hot-path mechanisms are shared by all engines (profiled in
-``docs/performance.md``):
+Two hot-path mechanisms back them (profiled in ``docs/performance.md``):
 
-* **Compiled predicate evaluation** -- row-wise verification goes
+* **Compiled predicate evaluation** -- the linear scan verifies rows
   through :func:`repro.query.compile_matcher`: one codegen pass per
   query instead of one predicate-method dispatch per row per attribute.
 * **Cached row materialisation** -- the priority-ordered rows are
   converted from the numpy matrix to plain-int tuples once
-  (:meth:`QueryEngine._rows`) instead of per response, so returning
-  rows is list slicing.  The cache is derived data and is dropped from
-  pickles.
+  (:meth:`QueryEngine._rows`) instead of per response, so both engines
+  return rows by list slicing or indexing.  The cache is derived data
+  and is dropped from pickles.
 
 Engines also expose a **batched top-k seam**: :meth:`QueryEngine.batch`
 returns a :class:`BatchTopK` evaluation context whose per-query answers
 are bit-identical to :meth:`QueryEngine.top`, but sibling queries (same
 plan prefix, one varying attribute) share per-(attribute, predicate)
-masks/candidate sets -- mirroring how lease batching amortised
-admission round trips.  :meth:`QueryEngine.top_batch` answers a whole
-vector of queries through one such context.
+masks -- mirroring how lease batching amortised admission round
+trips.  :meth:`QueryEngine.top_batch` answers a whole vector of
+queries through one such context.
 
-A property-based test (``tests/server/test_engines.py``) checks all
+A property-based test (``tests/server/test_engines.py``) checks both
 engines agree on arbitrary datasets and queries -- including under
 concurrent ``top()`` calls and between batched and per-query
-evaluation: engines hold no per-query mutable state, and the lazily
-built index structures are guarded by a lock so racing builders
-produce one consistent index.
+evaluation: engines hold no per-query mutable state, and the vector
+engine's lazily built value index is guarded by a lock so racing
+builders produce one consistent index.
 
-Engines are picklable (the index lock is dropped and rebuilt; indexes
-and the row cache are derived data, trimmed from the pickle and rebuilt
-lazily), so a whole server can be shipped to a process-pool worker for
-CPU-bound crawls (:class:`~repro.crawl.executors.ProcessExecutor`).
-A column-major matrix stays column-major through a pickle.
+Engines are picklable (the index lock is dropped and rebuilt; the
+index and the row cache are derived data, trimmed from the pickle and
+rebuilt lazily), so a whole server can be shipped to a process-pool
+worker for CPU-bound crawls
+(:class:`~repro.crawl.executors.ProcessExecutor`).  A column-major
+matrix stays column-major through a pickle.
 """
 
 from __future__ import annotations
@@ -78,7 +71,6 @@ __all__ = [
     "BatchTopK",
     "LinearScanEngine",
     "VectorEngine",
-    "IndexedEngine",
     "make_engine",
 ]
 
@@ -108,11 +100,12 @@ class QueryEngine(abc.ABC):
         """A fresh evaluation context for a vector of sibling queries.
 
         The context's :meth:`BatchTopK.top` answers exactly like
-        :meth:`top`, but engines with shareable per-predicate work
-        (masks, candidate sets) reuse it across the queries evaluated
-        through one context.  Contexts are cheap and not thread-safe;
-        one serves one batch, and :meth:`BatchTopK.carry_over` says
-        what its thread's next batch may start from.
+        :meth:`top`, but an engine with shareable per-predicate work
+        (the vector engine's masks) reuses it across the queries
+        evaluated through one context.  Contexts are cheap and not
+        thread-safe; one serves one batch, and
+        :meth:`BatchTopK.carry_over` says what its thread's next batch
+        may start from.
         """
         return BatchTopK(self)
 
@@ -123,8 +116,8 @@ class QueryEngine(abc.ABC):
 
         Equivalent to ``[self.top(q, k) for q in queries]`` -- same
         rows, same order, same overflow flags -- but sibling queries
-        evaluated together reuse per-(attribute, predicate) masks and
-        candidate sets through one :meth:`batch` context.
+        evaluated together reuse per-(attribute, predicate) masks
+        through one :meth:`batch` context.
 
         Examples
         --------
@@ -179,10 +172,10 @@ class BatchTopK:
 
     The base context shares nothing -- it simply forwards to the
     engine's :meth:`~QueryEngine.top`, so answers are trivially
-    identical to per-query evaluation.  :class:`VectorEngine` and
-    :class:`IndexedEngine` return subclasses that cache
-    per-(attribute, predicate) masks / candidate sets across the
-    queries of one context.
+    identical to per-query evaluation; :class:`LinearScanEngine` uses
+    it.  :class:`VectorEngine` returns a subclass that caches
+    per-(attribute, predicate) masks across the queries of one
+    context.
 
     Examples
     --------
@@ -207,8 +200,10 @@ class BatchTopK:
         """The context this thread's next batch may start from, if any.
 
         Consecutive batteries of one crawl share most predicates, so a
-        context may carry cached work into the next batch.  The base
-        context caches nothing and carries nothing.
+        context may carry cached work into the next batch: the vector
+        engine's context carries its masks over.  The base context
+        caches nothing and carries nothing, so every batch of the
+        linear scan starts from a fresh one.
         """
         return None
 
@@ -431,142 +426,10 @@ class VectorEngine(LocklessPickle, QueryEngine):
         return (column >= pred.lo) & (column <= pred.hi)
 
 
-class _IndexedBatch(BatchTopK):
-    """Indexed-engine context: candidate sets shared across queries."""
-
-    def __init__(self, engine: "IndexedEngine"):
-        super().__init__(engine)
-        self._candidates: dict = {}
-
-    def top(self, query: Query, k: int) -> tuple[list[Row], bool]:
-        return self._engine._top(query, k, self._candidates)  # noqa: SLF001
-
-
-class IndexedEngine(LocklessPickle, QueryEngine):
-    """Binary-search engine over lazily built per-column sorted indexes.
-
-    For each attribute the first query constrains, the engine sorts the
-    column once and remembers ``(sorted values, row ids)``.  A predicate
-    then maps to a contiguous slice of the sorted column via
-    :func:`numpy.searchsorted` -- equality is the degenerate range
-    ``[c, c]`` -- and the row ids in that slice are the predicate's
-    exact candidate set.
-
-    The query is answered from the *smallest* candidate set among its
-    constrained attributes: the ids are re-sorted into priority order
-    (the matrix is stored priority-descending) and the remaining
-    predicates are verified only on those rows, through one compiled
-    matcher per query.  A query therefore costs ``O(log n + m log m)``
-    for the candidate count ``m`` of its most selective *single*
-    predicate, independent of ``n``.  The other predicates never
-    narrow ``m``: on a hybrid crawl's deep categorical prefixes it
-    runs to thousands of rows per query, each verified in Python,
-    which makes this engine several times slower than
-    :class:`VectorEngine` there.  A query with no constrained
-    attribute falls back to "first ``k`` rows".
-
-    Batched evaluation (:meth:`~QueryEngine.batch`) caches candidate
-    sets by ``(attribute, predicate)``, so sibling queries re-run the
-    binary search only for the attribute they differ in.
-    """
-
-    _pickle_lock_attr = "_index_lock"
-
-    def __init__(self, matrix: np.ndarray):
-        super().__init__(matrix)
-        #: attribute index -> (column values ascending, row ids in that order)
-        self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._index_lock = threading.Lock()
-
-    def _column_index(self, attribute: int) -> tuple[np.ndarray, np.ndarray]:
-        index = self._columns.get(attribute)
-        if index is None:
-            with self._index_lock:
-                index = self._columns.get(attribute)
-                if index is None:
-                    column = self._matrix[:, attribute]
-                    order = np.argsort(column, kind="stable")
-                    index = (column[order], order)
-                    self._columns[attribute] = index
-        return index
-
-    def _candidates(self, attribute: int, pred) -> np.ndarray | None:
-        """Row ids matching ``pred``, or ``None`` if it is unconstrained."""
-        if isinstance(pred, EqualityPredicate):
-            if pred.value is None:
-                return None
-            lo, hi = pred.value, pred.value
-        else:
-            assert isinstance(pred, RangePredicate)
-            if pred.lo is None and pred.hi is None:
-                return None
-            lo, hi = pred.lo, pred.hi
-        values, order = self._column_index(attribute)
-        left = 0 if lo is None else int(np.searchsorted(values, lo, "left"))
-        right = values.size if hi is None else int(
-            np.searchsorted(values, hi, "right")
-        )
-        return order[left:right]
-
-    def _pickle_trim(self, state: dict) -> dict:
-        # Route through QueryEngine's trim explicitly (the MRO puts
-        # LocklessPickle's no-op hook first, which silently shipped the
-        # row-tuple cache) and drop the sorted column indexes -- both
-        # are derived data, rebuilt lazily in the worker.
-        state = QueryEngine._pickle_trim(self, state)
-        state["_columns"] = {}
-        return state
-
-    def batch(self) -> BatchTopK:
-        return _IndexedBatch(self)
-
-    def top(self, query: Query, k: int) -> tuple[list[Row], bool]:
-        return self._top(query, k, None)
-
-    def _top(
-        self, query: Query, k: int, candidate_cache: dict | None
-    ) -> tuple[list[Row], bool]:
-        best: np.ndarray | None = None
-        best_attribute = -1
-        for j, pred in enumerate(query.predicates):
-            if candidate_cache is None:
-                rows = self._candidates(j, pred)
-            else:
-                key = (j, pred)
-                if key in candidate_cache:
-                    rows = candidate_cache[key]
-                else:
-                    rows = self._candidates(j, pred)
-                    candidate_cache[key] = rows
-            if rows is not None and (best is None or rows.size < best.size):
-                best = rows
-                best_attribute = j
-        all_rows = self._rows()
-        if best is None:
-            # All-wildcard query: the first k rows in priority order.
-            return all_rows[:k], self.n > k
-        # ascending row id == descending priority
-        ordered = np.sort(best).tolist()
-        match = compile_matcher(query.predicates, skip=best_attribute)
-        if match is None:
-            return [all_rows[i] for i in ordered[:k]], len(ordered) > k
-        matches: list[Row] = []
-        for i in ordered:
-            if match(all_rows[i]):
-                if len(matches) == k:
-                    return matches, True
-                matches.append(all_rows[i])
-        return matches, False
-
-
 def make_engine(name: str, matrix: np.ndarray) -> QueryEngine:
-    """Engine factory: ``"linear"``, ``"vector"`` (default) or ``"indexed"``."""
+    """Engine factory: ``"linear"`` or ``"vector"`` (default)."""
     if name == "linear":
         return LinearScanEngine(matrix)
     if name == "vector":
         return VectorEngine(matrix)
-    if name == "indexed":
-        return IndexedEngine(matrix)
-    raise ValueError(
-        f"unknown engine {name!r}; expected 'linear', 'vector' or 'indexed'"
-    )
+    raise ValueError(f"unknown engine {name!r}; expected 'linear' or 'vector'")

@@ -80,9 +80,8 @@ class TopKServer:
     engine:
         ``"vector"`` (default: a column-major numpy engine that
         narrows one row-id array per query, the fastest on crawl
-        traffic), ``"linear"`` (reference scan) or ``"indexed"``
-        (per-column binary-search indexes, for queries that a single
-        predicate makes selective).
+        traffic) or ``"linear"`` (the reference scan that tests
+        compare against).
     limits:
         Admission controls (budgets, daily quotas) consulted before each
         query is answered.
@@ -179,11 +178,12 @@ class TopKServer:
 
         Inside the ``with`` block, this thread's ``run()`` calls
         evaluate through one :class:`~repro.server.engines.BatchTopK`
-        context, so sibling queries reuse per-(attribute, predicate)
-        masks/candidate sets, and stats recording is buffered into an
-        unlocked :class:`~repro.server.stats.StatsDelta` that merges
-        atomically when the epoch closes -- one lock acquisition per
-        battery instead of one per query.  Everything else about
+        context, so sibling queries reuse the vector engine's
+        per-(attribute, predicate) masks, and stats recording is
+        buffered into an unlocked
+        :class:`~repro.server.stats.StatsDelta` that merges atomically
+        when the epoch closes -- one lock acquisition per battery
+        instead of one per query.  Everything else about
         ``run`` -- admission order, responses, exceptions -- is
         untouched, and every observation point outside the epoch sees
         exactly the counters per-query recording would have produced,

@@ -427,19 +427,28 @@ class TestPayloadSlimming:
         import io
 
         same = np.arange(64, dtype=np.int64)
+        grid = same.reshape(8, 8)
+        symmetric = grid + grid.T  # equal bytes in either memory order
         pairs = (
             (same, same.copy()),  # content-equal: deduplicated
             (same, same.astype(np.int32)),  # dtype differs: kept apart
-            (same, same.reshape(8, 8)),  # shape differs: kept apart
+            (same, grid),  # shape differs: kept apart
+            (grid, np.asfortranarray(grid)),  # order differs: kept apart
+            (symmetric, np.asfortranarray(symmetric)),
         )
         sizes = []
         for left, right in pairs:
             buffer = io.BytesIO()
             _PayloadPickler(buffer).dump((left, right))
             sizes.append(len(buffer.getvalue()))
-        deduped, dtype_kept, shape_kept = sizes
-        assert deduped < dtype_kept
-        assert deduped < shape_kept
+            # Each array unpickles in its own memory order.
+            unpickled = pickle.loads(buffer.getvalue())
+            for sent, got in zip((left, right), unpickled):
+                assert np.array_equal(sent, got)
+                assert got.flags.f_contiguous == sent.flags.f_contiguous
+                assert got.flags.c_contiguous == sent.flags.c_contiguous
+        deduped, *kept = sizes
+        assert all(deduped < size for size in kept)
         # And the deduplicated pair still round-trips content-equal.
         buffer = io.BytesIO()
         _PayloadPickler(buffer).dump((same, same.copy()))

@@ -63,7 +63,7 @@ def assert_identical(parallel, sequential):
 
 
 class TestMatchesSequential:
-    @pytest.mark.parametrize("engine", ["linear", "vector", "indexed"])
+    @pytest.mark.parametrize("engine", ["linear", "vector"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_all_engines_and_worker_counts(self, engine, workers):
         dataset = mixed_dataset()

@@ -120,13 +120,14 @@ class TestCompiledPredicates:
         assert compile_predicate(EqualityPredicate(4))(4)
 
     def test_skip_drops_one_attribute(self):
+        # A wildcard attribute is skipped: the conjunction never reads it.
         from repro.query.predicates import compile_matcher
 
-        preds = [EqualityPredicate(1), EqualityPredicate(2)]
-        match = compile_matcher(preds, skip=0)
+        preds = [EqualityPredicate(None), EqualityPredicate(2)]
+        match = compile_matcher(preds)
         assert match((99, 2)) and not match((1, 3))
-        # Skipping the only constrained attribute: unconstrained.
-        assert compile_matcher([EqualityPredicate(1)], skip=0) is None
+        match = compile_matcher([RangePredicate(), EqualityPredicate(2)])
+        assert match(("not read", 2))
 
     @given(pred=predicate_strategy, v=st.integers(-60, 60))
     def test_compile_predicate_agrees_with_matches(self, pred, v):
@@ -161,6 +162,7 @@ class TestCompiledPredicates:
     def test_skip_equals_interpreting_without_that_attribute(
         self, preds, data
     ):
+        # Widening one attribute to its wildcard skips that attribute.
         from repro.query.predicates import compile_matcher
 
         skip = data.draw(st.integers(0, len(preds) - 1))
@@ -172,7 +174,13 @@ class TestCompiledPredicates:
             for i, (pred, v) in enumerate(zip(preds, row))
             if i != skip
         )
-        match = compile_matcher(preds, skip=skip)
+        widened = list(preds)
+        widened[skip] = (
+            EqualityPredicate(None)
+            if isinstance(preds[skip], EqualityPredicate)
+            else RangePredicate()
+        )
+        match = compile_matcher(widened)
         if match is None:
             assert expected
         else:

@@ -1,6 +1,7 @@
 """Engine tests: correctness of both engines and their equivalence."""
 
 import pickle
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,7 +13,6 @@ from repro.dataspace.dataset import Dataset
 from repro.dataspace.space import DataSpace
 from repro.query.query import Query
 from repro.server.engines import (
-    IndexedEngine,
     LinearScanEngine,
     VectorEngine,
     make_engine,
@@ -36,9 +36,7 @@ def space():
     return DataSpace.mixed([("c", 2)], ["v"])
 
 
-@pytest.mark.parametrize(
-    "engine_cls", [LinearScanEngine, VectorEngine, IndexedEngine]
-)
+@pytest.mark.parametrize("engine_cls", [LinearScanEngine, VectorEngine])
 class TestEngines:
     def test_full_query_overflow(self, engine_cls, matrix, space):
         engine = engine_cls(matrix)
@@ -106,9 +104,14 @@ class TestFactory:
     def test_make_engine(self, matrix):
         assert isinstance(make_engine("linear", matrix), LinearScanEngine)
         assert isinstance(make_engine("vector", matrix), VectorEngine)
-        assert isinstance(make_engine("indexed", matrix), IndexedEngine)
-        with pytest.raises(ValueError):
-            make_engine("gpu", matrix)
+        for name in ("gpu", "indexed"):
+            with pytest.raises(ValueError) as error:
+                make_engine(name, matrix)
+            assert re.findall(r"'(\w+)'", str(error.value)) == [
+                name,
+                "linear",
+                "vector",
+            ]
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -116,7 +119,7 @@ class TestFactory:
 
 
 class TestEquivalence:
-    """Property: the reference, vector and indexed engines agree."""
+    """Property: the vector engine agrees with the reference scan."""
 
     @given(instance=small_instances())
     @settings(max_examples=60, deadline=None)
@@ -124,7 +127,6 @@ class TestEquivalence:
         dataset, k = instance
         linear = LinearScanEngine(dataset.rows)
         vector = VectorEngine(dataset.rows)
-        indexed = IndexedEngine(dataset.rows)
         queries = [Query.full(dataset.space)]
         # Probe a few single-attribute refinements of each kind.
         for i, attr in enumerate(dataset.space):
@@ -139,17 +141,16 @@ class TestEquivalence:
         for q in queries:
             expected = linear.top(q, k)
             assert vector.top(q, k) == expected
-            assert indexed.top(q, k) == expected
 
     @given(instance=small_instances())
     @settings(max_examples=15, deadline=None)
     def test_engines_agree_under_concurrent_top(self, instance):
         """Racing top() calls (lazy indexes built mid-race) stay exact.
 
-        Fresh vector/indexed engines are hammered by several threads at
-        once, so the lazily built per-value and per-column indexes are
-        constructed *during* the race; every response must still equal
-        the single-threaded linear-scan reference.
+        A fresh vector engine is hammered by several threads at once,
+        so its lazily built per-value index is constructed *during* the
+        race; every response must still equal the single-threaded
+        linear-scan reference.
         """
         dataset, k = instance
         queries = [Query.full(dataset.space)]
@@ -163,32 +164,25 @@ class TestEquivalence:
                 queries.append(queries[0].with_range(i, 2, None))
         linear = LinearScanEngine(dataset.rows)
         expected = [linear.top(q, k) for q in queries]
-        for engine in (
-            VectorEngine(dataset.rows),
-            IndexedEngine(dataset.rows),
-        ):
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [
-                    pool.submit(engine.top, q, k)
-                    for _ in range(4)
-                    for q in queries
-                ]
-                answers = [f.result() for f in futures]
-            assert answers == expected * 4
+        engine = VectorEngine(dataset.rows)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [
+                pool.submit(engine.top, q, k)
+                for _ in range(4)
+                for q in queries
+            ]
+            answers = [f.result() for f in futures]
+        assert answers == expected * 4
 
 
 class TestBatchSeam:
     """``top_batch`` answers exactly like a per-query ``top`` loop."""
 
-    @pytest.mark.parametrize(
-        "engine_cls", [LinearScanEngine, VectorEngine, IndexedEngine]
-    )
+    @pytest.mark.parametrize("engine_cls", [LinearScanEngine, VectorEngine])
     def test_empty_batch(self, engine_cls, matrix):
         assert engine_cls(matrix).top_batch([], 3) == []
 
-    @pytest.mark.parametrize(
-        "engine_cls", [LinearScanEngine, VectorEngine, IndexedEngine]
-    )
+    @pytest.mark.parametrize("engine_cls", [LinearScanEngine, VectorEngine])
     def test_sibling_slices(self, engine_cls, matrix, space):
         engine = engine_cls(matrix)
         queries = [Query.full(space).with_value(0, v) for v in (1, 2)]
@@ -200,14 +194,12 @@ class TestBatchSeam:
             engine.top(q, 2) for q in queries
         ]
 
-    @pytest.mark.parametrize(
-        "engine_cls", [LinearScanEngine, VectorEngine, IndexedEngine]
-    )
+    @pytest.mark.parametrize("engine_cls", [LinearScanEngine, VectorEngine])
     def test_repeated_queries_share_cached_work(
         self, engine_cls, matrix, space
     ):
         # The same query twice in one batch must hit the context's
-        # mask/candidate cache and still answer identically.
+        # mask cache and still answer identically.
         engine = engine_cls(matrix)
         query = Query.full(space).with_value(0, 1).with_range(1, 10, 50)
         first, second = engine.top_batch([query, query], 2)
@@ -230,7 +222,6 @@ class TestBatchSeam:
         for engine in (
             LinearScanEngine(dataset.rows),
             VectorEngine(dataset.rows),
-            IndexedEngine(dataset.rows),
         ):
             assert engine.top_batch(queries, k) == expected
 

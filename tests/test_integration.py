@@ -52,7 +52,7 @@ class TestEngineCrawlEquivalence:
         dataset = Dataset(space, rows)
         results = {
             engine: Hybrid(TopKServer(dataset, k=16, engine=engine)).crawl()
-            for engine in ("linear", "vector", "indexed")
+            for engine in ("linear", "vector")
         }
         reference = results["linear"]
         for engine, result in results.items():

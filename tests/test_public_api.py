@@ -221,6 +221,11 @@ class TestExecutionSurface:
         assert set(EXECUTORS) == {"sequential", "thread", "process"}
         assert BACKENDS == ("thread", "process")
 
+    def test_two_engines(self):
+        import repro.server
+
+        assert not hasattr(repro.server, "IndexedEngine")
+
     def test_spec_has_no_shared_limits_knob(self):
         import dataclasses
 
