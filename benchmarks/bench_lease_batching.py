@@ -12,8 +12,8 @@ consume it for free, and unused units flow back at region boundaries.
 
 This benchmark crawls one limit-bearing plan on the process backend
 (whose budgeted sources put it on the shared-limit plane) twice --
-``lease_chunk=1`` (the old per-query protocol) and the estimator-sized
-default -- and
+``lease_chunk=1`` (the old per-query protocol) and the default chunk
+(``DEFAULT_LEASE_CHUNK``, clamped against the budget) -- and
 
 * asserts the two runs are byte-identical with the exact same charge
   (leasing trades zero exactness),
@@ -104,7 +104,7 @@ def test_lease_batching_cuts_coordinator_round_trips(benchmark):
 
     def run_both():
         measurements["per_query"] = crawl(1)
-        measurements["leased"] = crawl(None)  # estimator-sized default
+        measurements["leased"] = crawl(None)  # the default chunk
 
     benchmark.pedantic(run_both, rounds=1, iterations=1)
 

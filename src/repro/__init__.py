@@ -46,7 +46,6 @@ from repro.crawl import (
     RankShrink,
     RegionShardPlan,
     SessionState,
-    ShardPolicy,
     SliceCover,
     SubspaceView,
     SubtreeScheduler,
@@ -107,7 +106,6 @@ __all__ = [
     "RegionShardPlan",
     "SessionState",
     "SliceCover",
-    "ShardPolicy",
     "SubspaceView",
     "SubtreeScheduler",
     "SubtreeShard",

@@ -78,7 +78,6 @@ from repro.crawl.runtime import (
     AggregatorFeed,
     GridSink,
     LocalUnitRunner,
-    ShardPolicy,
     UnitRunner,
     drive_session,
     drive_stealing,
@@ -136,7 +135,6 @@ __all__ = [
     "UnitRunner",
     "LocalUnitRunner",
     "GridSink",
-    "ShardPolicy",
     "run_region",
     "drive_session",
     "drive_stealing",

@@ -30,11 +30,12 @@ deterministic and match a sequential partitioned crawl exactly (see
 GIL on CPU-bound engines, ``sequential`` is the reference) and
 ``--rebalance`` turns on work stealing, which moves regions off the
 slowest session without changing the result.  ``--shard-subtrees``
-additionally splits each region's crawl frontier into subtree shards
-(:mod:`repro.crawl.sharding`) so idle workers can steal *subqueries of
-a live region* -- the lever that helps when one heavy region dominates
-the plan.  ``--max-regions`` caps how many regions the default
-partition planner may produce (see
+with ``--rebalance`` additionally splits each region's crawl frontier
+into subtree shards (:mod:`repro.crawl.sharding`) so idle workers can
+steal *subqueries of a live region* -- the lever that helps when one
+heavy region dominates the plan.  Without ``--rebalance`` no worker
+could take another's shards, so regions crawl whole.  ``--max-regions``
+caps how many regions the default partition planner may produce (see
 :func:`~repro.crawl.partition.partition_space`).
 
 ``--budget N`` puts one server-side :class:`QueryBudget` of ``N``
@@ -94,11 +95,14 @@ from repro.server.limits import QueryBudget
 from repro.server.server import TopKServer
 
 
-def _shard_subtrees_value(value: str):
-    """Parse ``--shard-subtrees``: a positive int target or ``auto``."""
-    if value == "auto":
-        return "auto"
-    return int(value)
+def _shard_count(value: str) -> int:
+    """Parse ``--shard-subtrees N``; :func:`_main` rejects ``N < 1``."""
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive int N, got {value!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,18 +154,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shard-subtrees",
-        type=_shard_subtrees_value,
+        type=_shard_count,
         nargs="?",
         const=DEFAULT_MAX_SHARDS,
         default=None,
-        metavar="N|auto",
-        help="split each region's crawl frontier into subtree shards "
-        "that idle workers can steal, targeting N per region "
-        f"(default N: {DEFAULT_MAX_SHARDS}; a frontier naturally "
-        "wider than N is kept whole; results are unchanged), or "
-        "'auto' to presplit only regions whose estimated cost "
-        "exceeds the fleet's fair share; most effective together "
-        "with --rebalance on skewed data",
+        metavar="N",
+        help="with --rebalance, split each region's crawl frontier into "
+        "subtree shards that idle workers can steal, targeting a "
+        f"positive N per region (default N: {DEFAULT_MAX_SHARDS}; a "
+        "frontier naturally wider than N is kept whole; results are "
+        "unchanged); helps on skewed data",
     )
     parser.add_argument(
         "--max-regions",
@@ -281,11 +283,7 @@ def _main(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if (
-        args.shard_subtrees is not None
-        and args.shard_subtrees != "auto"
-        and args.shard_subtrees < 1
-    ):
+    if args.shard_subtrees is not None and args.shard_subtrees < 1:
         print(
             "error: --shard-subtrees must be positive, got "
             f"{args.shard_subtrees}",
@@ -318,6 +316,12 @@ def _main(args: argparse.Namespace) -> int:
             "note: --executor/--rebalance/--shard-subtrees/"
             "--progress-live only take effect with --workers > 1; "
             "running a single unpartitioned crawl",
+            file=sys.stderr,
+        )
+    elif args.shard_subtrees is not None and not args.rebalance:
+        print(
+            "note: --shard-subtrees only takes effect with --rebalance; "
+            "crawling each region whole",
             file=sys.stderr,
         )
     try:
@@ -448,10 +452,12 @@ def _main(args: argparse.Namespace) -> int:
                     stop.set()
                     monitor.join()
             mode = args.executor + (" + rebalance" if args.rebalance else "")
-            if args.shard_subtrees == "auto":
-                mode += " + adaptive subtree shards"
-            elif args.shard_subtrees is not None:
-                mode += f" + {args.shard_subtrees}-way subtree shards"
+            if args.shard_subtrees is not None:
+                mode += (
+                    f" + {args.shard_subtrees}-way subtree shards"
+                    if args.rebalance
+                    else " (no subtree shards without rebalance)"
+                )
             print(
                 f"plan: {len(plan.regions)} regions on "
                 f"{dataset.space[plan.attribute].name!r}, "

@@ -50,10 +50,10 @@ query -- interface-layer chatter, the very cost the hidden-web
 literature says dominates real deployments.  The plane amortises it
 with budget leases, without giving up a single unit of exactness.
 :meth:`SharedLimitClient.lease` admits query budget in chunks
-(:class:`~repro.server.limits.LimitLease`, sized by the executor from
-the :class:`~repro.crawl.rebalance.CostEstimator`'s per-region
-estimates): ``admit()`` consumes the local lease at zero round trips and
-only returns to the coordinator when the chunk runs dry.  Unused units
+(:class:`~repro.server.limits.LimitLease` of
+:data:`DEFAULT_LEASE_CHUNK` units): ``admit()`` consumes the local
+lease at zero round trips and only returns to the coordinator when the
+chunk runs dry.  Unused units
 flow back on region completion (the runtime's region-boundary flush) and
 on exhaustion, so a completing crawl charges exactly the queries it
 issued; a *refused* budget is terminally exhausted and reads fully
@@ -63,7 +63,7 @@ are invisible to the others until its next flush, so a crawl whose
 demand lands within ``fleet x chunk`` of the budget can be refused where
 strictly per-query admission would have squeaked through (admission is
 *conservative*, never over).  The executor therefore clamps the
-auto-sized chunk against the budgets' remaining headroom
+chunk against the budgets' remaining headroom
 (:func:`clamp_lease_chunk`): tight budgets degrade to exact per-query
 admission, and batching only engages when the budget dwarfs what the
 fleet could strand.
@@ -80,10 +80,9 @@ from __future__ import annotations
 
 import copy
 import threading
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from multiprocessing.managers import BaseManager
 
-from repro.crawl.rebalance import CostEstimator
 from repro.exceptions import QueryBudgetExhausted
 from repro.server.limits import (
     DailyRateLimit,
@@ -97,7 +96,6 @@ from repro.server.stats import QueryStats
 
 __all__ = [
     "DEFAULT_LEASE_CHUNK",
-    "MAX_LEASE_CHUNK",
     "LimitCoordinator",
     "SharedLimitClient",
     "SharedBudget",
@@ -105,17 +103,12 @@ __all__ = [
     "TenantLimitRegistry",
     "carries_limits",
     "clamp_lease_chunk",
-    "lease_chunk_for_plan",
     "set_lease_chunk",
 ]
 
-#: Lease chunk used when the estimator knows nothing about the plan.
+#: Budget units a worker leases per coordinator round trip (before
+#: :func:`clamp_lease_chunk` caps it against the remaining budget).
 DEFAULT_LEASE_CHUNK = 32
-
-#: Ceiling on the lease chunk, however expensive regions look: a huge
-#: chunk parked in one worker starves the rest of a tight budget for
-#: longer than the round trips it saves are worth.
-MAX_LEASE_CHUNK = 256
 
 #: The attributes through which a wrapper (caching client, latency
 #: simulator, patient client, web session) reaches its wrapped source.
@@ -163,35 +156,8 @@ def carries_limits(sources) -> bool:
     )
 
 
-def lease_chunk_for_plan(plan, estimator: CostEstimator | None) -> int:
-    """Size the admission lease chunk from per-region cost estimates.
-
-    The ideal chunk covers about one region's queries: the worker then
-    pays ~one lease round trip per region instead of one per query,
-    and whatever the region leaves unused is returned at its boundary.
-    An estimator that actually knows something (observed costs or
-    priors) supplies the mean per-region estimate, clamped to
-    ``[1, MAX_LEASE_CHUNK]``; a blank estimator falls back to
-    :data:`DEFAULT_LEASE_CHUNK`.
-    """
-    keys = [
-        (session, index)
-        for session, bundle in enumerate(plan.bundles)
-        for index in range(len(bundle))
-    ]
-    if estimator is None or not keys:
-        return DEFAULT_LEASE_CHUNK
-    state = estimator.export_state()
-    if not state["priors"] and state["prior"] == 1.0:
-        # A flat default estimator: every estimate is the meaningless
-        # 1.0 prior, and a 1-query chunk would disable batching.
-        return DEFAULT_LEASE_CHUNK
-    mean = sum(estimator.estimate(key) for key in keys) / len(keys)
-    return max(1, min(MAX_LEASE_CHUNK, round(mean)))
-
-
 def clamp_lease_chunk(stubs, chunk: int, fleet: int) -> int:
-    """Cap an estimator-sized chunk against the budgets' headroom.
+    """Cap a lease chunk against the budgets' headroom.
 
     A fleet of ``fleet`` workers can strand at most ``fleet x chunk``
     leased-but-unissued units between region boundaries; near a
@@ -598,6 +564,10 @@ class SharedLimitClient(QueryLimit):
         self._plane = plane
         self._handle = handle
         self.lease_chunk = lease_chunk
+        #: Admissions this copy granted since the count was last zeroed
+        #: (a pool worker zeroes it per unit; see
+        #: :meth:`LimitCoordinator.credit`).
+        self.admitted = 0
         self._lease: LimitLease | None = None
         self._lock = threading.Lock()
 
@@ -607,6 +577,7 @@ class SharedLimitClient(QueryLimit):
         # starts empty -- exactly-once accounting either way.
         state = self.__dict__.copy()
         state["_lease"] = None
+        state["admitted"] = 0
         del state["_lock"]
         return state
 
@@ -616,10 +587,10 @@ class SharedLimitClient(QueryLimit):
 
     def admit(self) -> None:
         with self._lock:
-            if self._lease is not None and self._lease.take():
-                return
-            self.lease(max(1, int(self.lease_chunk)))
-            self._lease.take()
+            if self._lease is None or not self._lease.take():
+                self.lease(max(1, int(self.lease_chunk)))
+                self._lease.take()
+            self.admitted += 1
 
     def lease(self, n: int) -> LimitLease:
         """Fetch a fresh chunk of ``n`` admissions from the plane.
@@ -726,8 +697,8 @@ class LimitCoordinator:
     whenever :func:`carries_limits` is true.
     """
 
-    def __init__(self, *, mp_context=None):
-        self._manager = _CoordinatorManager(ctx=mp_context)
+    def __init__(self):
+        self._manager = _CoordinatorManager()
         self._plane = None
         self._shared: dict[int, object] = {}
         self._writeback: list[tuple[object, int]] = []
@@ -735,6 +706,9 @@ class LimitCoordinator:
         # credits with the plane's round trips.
         self._stats: dict[int, QueryStats] = {}
         self._trips_written = 0
+        # Serialises credit(): each is a read-modify-write of the
+        # caller's objects, from whichever parent thread a unit lands on.
+        self._credit_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -880,6 +854,30 @@ class LimitCoordinator:
             for stub in self._shared.values()
             if isinstance(stub, SharedLimitClient)
         ]
+
+    def credit(self, admitted: Sequence[int]) -> None:
+        """Add one pool unit's budget admissions to the originals.
+
+        ``admitted`` holds the admissions each of :meth:`shared_stubs`
+        granted during the unit, in that order (a pool worker counts
+        them on its copies of the stubs).  The process backend calls
+        this as each unit lands in the parent, so a caller's
+        :class:`~repro.server.limits.QueryBudget` reads the queries of
+        every unit landed so far -- what a checkpoint written for that
+        unit must store -- and only rises.  The plane's own counter
+        would not do: it also holds the units other workers have leased
+        but not yet spent.  Other limits, and a refusal, settle at
+        :meth:`writeback`.
+        """
+        originals = {handle: obj for obj, handle in self._writeback}
+        stubs = self.shared_stubs()
+        with self._credit_lock:
+            for stub, count in zip(stubs, admitted, strict=True):
+                budget = originals[stub._handle]
+                if count and isinstance(budget, QueryBudget):
+                    state = budget.state()
+                    state["used"] += count
+                    budget.restore_state(state)
 
     def writeback(self) -> None:
         """Copy the authoritative counters back into the originals.

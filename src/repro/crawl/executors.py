@@ -46,8 +46,8 @@ Adaptive rebalancing
 ``rebalance=True`` replaces static session dispatch with the
 :class:`~repro.crawl.rebalance.WorkStealingScheduler`: an idle worker
 steals the tail region of the session with the largest estimated
-remaining cost (estimates start from a prior and are updated with the
-exact observed cost of every finished region).  A stolen region is
+remaining cost (estimates start flat and are updated with the exact
+observed cost of every finished region).  A stolen region is
 still crawled against *its own session's* source -- its identity keeps
 paying the queries -- and its result is filed under its original plan
 position, so rebalancing changes wall-clock behaviour only, never the
@@ -58,22 +58,20 @@ their limits.
 
 Subtree sharding
 ----------------
-``shard_subtrees=N`` drops the unit of scheduling below the region:
-regions are *presplit* (:func:`~repro.crawl.sharding.presplit_region`)
-into a trunk plus independently crawlable subtree shards, and with
-``rebalance=True`` the
+``shard_subtrees=N`` together with ``rebalance=True`` drops the unit of
+scheduling below the region: each region a worker takes is *presplit*
+(:func:`~repro.crawl.sharding.presplit_region`) into a trunk plus at
+most ``N`` independently crawlable subtree shards, and the
 :class:`~repro.crawl.rebalance.SubtreeScheduler` lets idle workers
 steal whole regions first and then *subqueries of the costliest live
 region* -- the only lever that helps when a single heavy region
-dominates the plan.  ``shard_subtrees="auto"`` switches from the fixed
-per-region target to the estimator-driven
-:meth:`~repro.crawl.runtime.ShardPolicy.adaptive` planner, which
-presplits only regions whose estimated cost exceeds the fleet's fair
-share.  Whichever worker completes a region's last shard splices the
-results back in canonical order
+dominates the plan.  Whichever worker completes a region's last shard
+splices the results back in canonical order
 (:func:`~repro.crawl.sharding.merge_region_shards`), so the merged
-result remains byte-identical to the unsharded sequential executor's
-on every backend, under every policy.
+result remains byte-identical to the unsharded sequential executor's.
+Without ``rebalance`` no worker could take another's shards, so static
+dispatch (and the sequential reference) crawl every region whole and
+ignore ``shard_subtrees``.
 
 Failure semantics (all backends): every region is drained before a
 failure propagates, and the exception of the lowest (session, region)
@@ -103,17 +101,17 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.crawl.base import CrawlResult
 from repro.crawl.coordinator import (
+    DEFAULT_LEASE_CHUNK,
     LimitCoordinator,
     _server_stats,
     carries_limits,
     clamp_lease_chunk,
-    lease_chunk_for_plan,
     set_lease_chunk,
 )
 from repro.crawl.partition import (
@@ -127,7 +125,6 @@ from repro.crawl.runtime import (
     AggregatorFeed,
     GridSink,
     LocalUnitRunner,
-    ShardPolicy,
     UnitRunner,
     drive_session,
     drive_stealing,
@@ -168,7 +165,7 @@ def _completed_costs(
 
     What the schedulers need from a checkpoint: the keys are excluded
     from the queues, the costs seed the stealing estimator with truth
-    instead of priors.
+    instead of a flat guess.
     """
     return {key: result.cost for key, result in completed.items()}
 
@@ -176,8 +173,8 @@ def _completed_costs(
 class CrawlExecutor(abc.ABC):
     """Runs a partition plan's region grid and merges deterministically.
 
-    :meth:`run` owns validation, shard-policy resolution, the
-    deterministic merge, and the drain-then-raise failure contract;
+    :meth:`run` owns validation, the deterministic merge, and the
+    drain-then-raise failure contract;
     :meth:`_execute` points parent threads at the runtime's pull loops
     (:mod:`repro.crawl.runtime`), which own all scheduling semantics.
     A backend supplies only :meth:`_runner` -- the *transport* those
@@ -219,22 +216,6 @@ class CrawlExecutor(abc.ABC):
             workers = default_workers(upper)
         return max(1, min(workers, upper))
 
-    def _policy_fleet(self, plan: PartitionPlan, rebalance: bool) -> int:
-        """Concurrency the adaptive shard planner should assume.
-
-        The fair-share rule only makes sense against workers that can
-        actually *take* a heavy region's shards: without work stealing
-        a presplit region's shards are crawled serially by its own
-        session's worker, so static dispatch reports a fleet of 1 and
-        ``shard_subtrees="auto"`` correctly presplits nothing.
-        Single-worker backends override this to 1 outright.
-        """
-        if not rebalance:
-            return 1
-        return self._workers(
-            max(1, sum(len(bundle) for bundle in plan.bundles))
-        )
-
     def _check_spec(self, spec: CrawlSpec) -> None:
         """Reject a spec whose backend half disagrees with this instance."""
         if spec.executor is not None and spec.executor != self.name:
@@ -269,8 +250,8 @@ class CrawlExecutor(abc.ABC):
             :func:`~repro.crawl.partition.crawl_partitioned`.
         plan:
             The partition plan; the unit of scheduling is one region
-            (or, with ``spec.shard_subtrees``, one subtree shard of
-            one).
+            (or, with ``spec.rebalance`` and ``spec.shard_subtrees``,
+            one subtree shard of one).
         spec:
             The crawl configuration, a
             :class:`~repro.crawl.spec.CrawlSpec` (default: a default
@@ -310,15 +291,9 @@ class CrawlExecutor(abc.ABC):
                     f"completed region ({session}, {index}) lies outside "
                     f"the plan"
                 )
-        policy = ShardPolicy.resolve(
-            spec.shard_subtrees,
-            plan,
-            spec.estimator,
-            self._policy_fleet(plan, spec.rebalance),
-        )
         feed = AggregatorFeed(aggregator, plan)
         sink = GridSink(plan, feed, completed, spec.on_region)
-        self._execute(sources, plan, sink, spec, policy, completed)
+        self._execute(sources, plan, sink, spec, completed)
         if sink.failures:
             sink.failures.sort(key=lambda failure: failure[0])
             raise sink.failures[0][1]
@@ -340,14 +315,15 @@ class CrawlExecutor(abc.ABC):
             sources, spec.crawler_factory, spec.allow_partial, feed=feed
         )
 
-    def _execute(self, sources, plan, sink, spec, policy, completed):
+    def _execute(self, sources, plan, sink, spec, completed):
         """Run the grid on parent threads pulling units through a runner.
 
         Without ``rebalance`` one thread per session runs
-        :func:`~repro.crawl.runtime.drive_session`; with it, the
-        worker threads run the shared
+        :func:`~repro.crawl.runtime.drive_session`, whole regions only;
+        with it, the worker threads run the shared
         :func:`~repro.crawl.runtime.drive_stealing` loop (worker ``j``
-        calls session ``j % sessions`` home).
+        calls session ``j % sessions`` home), presplitting regions into
+        stealable shards under ``shard_subtrees``.
 
         The rebalanced fleet is *elastic*: a worker whose loop departs
         (:class:`~repro.exceptions.WorkerDeparted`) has already
@@ -361,7 +337,7 @@ class CrawlExecutor(abc.ABC):
         """
         if spec.rebalance:
             scheduler, upper = steal_setup(
-                plan, spec.estimator, policy, _completed_costs(completed)
+                plan, spec.shard_subtrees, _completed_costs(completed)
             )
         else:
             upper = plan.sessions
@@ -379,7 +355,6 @@ class CrawlExecutor(abc.ABC):
                             plan.bundles[session],
                             runner,
                             sink,
-                            policy,
                             skip,
                         )
                         for session in range(plan.sessions)
@@ -400,7 +375,7 @@ class CrawlExecutor(abc.ABC):
                         next(spawned) % plan.sessions,
                         runner,
                         sink,
-                        policy,
+                        spec.shard_subtrees,
                     )
 
                 pending = {spawn() for _ in range(workers)}
@@ -432,25 +407,20 @@ class CrawlExecutor(abc.ABC):
 class SequentialExecutor(CrawlExecutor):
     """The reference backend: plan order, in the calling thread.
 
-    ``rebalance`` is accepted and ignored -- with a single worker there
-    is nothing to steal, and the scheduler would hand out exactly the
-    plan order anyway.  Stops at the first failure, like the original
+    ``rebalance`` and ``shard_subtrees`` are accepted and ignored --
+    with a single worker there is nothing to steal, and every region
+    crawls whole.  Stops at the first failure, like the original
     sequential :func:`~repro.crawl.partition.crawl_partitioned`.
     """
 
     name = "sequential"
 
-    def _policy_fleet(self, plan, rebalance):
-        # One worker: no region can be the straggler relative to a
-        # fleet, so the adaptive shard planner must presplit nothing.
-        return 1
-
-    def _execute(self, sources, plan, sink, spec, policy, completed):
+    def _execute(self, sources, plan, sink, spec, completed):
         skip = frozenset(completed)
         with self._runner(sources, plan, spec, 1, sink.feed) as runner:
             for session in range(plan.sessions):
                 ok = drive_session(
-                    session, plan.bundles[session], runner, sink, policy, skip
+                    session, plan.bundles[session], runner, sink, skip
                 )
                 if not ok:
                     # Stopping at the first failure abandons the
@@ -591,24 +561,26 @@ def _pool_unit(
     payload: bytes | None,
     allow_partial: bool,
     task: RegionTask | ShardTask,
-    budget: int | None,
-) -> tuple[object, list[dict]]:
+    max_shards: int | None,
+) -> tuple[object, list[dict], list[int]]:
     """Run one unit in a pool worker; outcome and counts pickle back.
 
-    A region crawls whole (``budget`` is ``None``) or is presplit that
-    finely; a shard crawls its subtree.  The shard may run in another
-    worker than its region's presplit did: both crawl deterministic
-    copies of the session source, so the results are identical.  The
-    region boundary returns the worker's leased headroom on every exit
-    path -- an idle pool worker must never sit on charged units.
+    A region crawls whole (``max_shards`` is ``None``) or is presplit
+    into at most that many shards; a shard crawls its subtree.  The
+    shard may run in another worker than its region's presplit did:
+    both crawl deterministic copies of the session source, so the
+    results are identical.  The region boundary returns the worker's
+    leased headroom on every exit path -- an idle pool worker must
+    never sit on charged units.
 
-    Returns ``(outcome, counts)``.  ``outcome`` is the unit's result,
-    or the exception it raised: returned, not raised, so that a failed
-    unit's queries count too.  ``counts`` holds the ``state()`` of each
-    distinct server stats object of the session's source copy, in
-    :func:`~repro.crawl.coordinator._server_stats` order.  Those stats
-    are zeroed before the unit runs, because a cached payload serves
-    many units: the counts are this unit's alone.
+    Returns ``(outcome, counts, admitted)``.  ``outcome`` is the unit's
+    result, or the exception it raised: returned, not raised, so that a
+    failed unit's queries count too.  ``counts`` holds the ``state()``
+    of each distinct server stats object of the session's source copy,
+    in :func:`~repro.crawl.coordinator._server_stats` order, and
+    ``admitted`` the admissions each shared-limit stub granted, in
+    stub order.  Both are zeroed before the unit runs, because a
+    cached payload serves many units: the counts are this unit's alone.
     """
     sources, factory, stubs = _cached_payload(ticket, payload)
     runner = LocalUnitRunner(sources, factory, allow_partial, stubs=stubs)
@@ -616,13 +588,15 @@ def _pool_unit(
     zero = QueryStats().state()
     for each in stats:
         each.restore_state(zero)
+    for stub in stubs:
+        stub.admitted = 0
     try:
         if isinstance(task, ShardTask):
             outcome = runner.shard(task)
-        elif budget is None:
+        elif max_shards is None:
             outcome = runner.region(task)
         else:
-            outcome = runner.presplit(task, budget)
+            outcome = runner.presplit(task, max_shards)
     except Exception as exc:  # noqa: BLE001 - re-raised in the parent
         # Returned rather than raised, the exception would leave the
         # worker's traceback behind: a note carries it home.
@@ -630,7 +604,8 @@ def _pool_unit(
         outcome = exc
     finally:
         runner.region_boundary()
-    return outcome, [each.state() for each in stats]
+    counts = [each.state() for each in stats]
+    return outcome, counts, [stub.admitted for stub in stubs]
 
 
 class WorkerPool:
@@ -656,11 +631,7 @@ class WorkerPool:
     """
 
     def __init__(
-        self,
-        max_workers: int,
-        *,
-        mp_context=None,
-        payload: bytes | None = None,
+        self, max_workers: int, *, payload: bytes | None = None
     ):
         #: Ticket of the installed payload (``None`` without one).
         self.ticket: int | None = None
@@ -671,7 +642,6 @@ class WorkerPool:
         self._make = functools.partial(
             ProcessPoolExecutor,
             max_workers=max_workers,
-            mp_context=mp_context,
             initializer=_cached_payload if initargs else None,
             initargs=initargs,
         )
@@ -719,6 +689,11 @@ class PoolUnitRunner(UnitRunner):
     exception is re-raised, so the caller's ``server.stats`` read what
     the pool answered, on every backend path.
 
+    ``credit``, when given, receives each landed unit's admission
+    counts before its result returns: the process executor passes
+    :meth:`~repro.crawl.coordinator.LimitCoordinator.credit`, so the
+    caller's budget tracks the fleet's charge mid-crawl.
+
     ``payload`` rides along with every unit and is unpickled once per
     worker under this runner's own ticket; without it, units run
     against the pool's installed payload.  A blocking call whose pool
@@ -734,6 +709,7 @@ class PoolUnitRunner(UnitRunner):
         allow_partial: bool,
         *,
         payload: bytes | None = None,
+        credit: Callable[[list[int]], None] | None = None,
     ):
         if payload is None and pool.ticket is None:
             raise ValueError("the pool has no installed payload; pass one")
@@ -741,12 +717,13 @@ class PoolUnitRunner(UnitRunner):
         self._pool = pool
         self._sources = sources
         self._args = (ticket, payload, allow_partial)
+        self._credit = credit
 
-    def _wait(self, task, budget):
+    def _wait(self, task, max_shards):
         pool = self._pool.current()
         try:
-            outcome, counts = pool.submit(
-                _pool_unit, *self._args, task, budget
+            outcome, counts, admitted = pool.submit(
+                _pool_unit, *self._args, task, max_shards
             ).result()
         except BrokenProcessPool as exc:
             self._pool.replace(pool)
@@ -756,6 +733,8 @@ class PoolUnitRunner(UnitRunner):
         stats = _server_stats(self._sources[task.session])
         for each, delta in zip(stats, counts, strict=True):
             each.merge_counts(delta)
+        if self._credit is not None:
+            self._credit(admitted)
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
@@ -793,11 +772,14 @@ class ProcessExecutor(CrawlExecutor):
     limits and clocks move into a coordinator process
     (:mod:`repro.crawl.coordinator`) for the crawl: every worker admits
     through a thin proxy with **lease-batched** exactly-once semantics
-    (budget chunks sized from the estimator's per-region cost
-    estimates, or ``lease_chunk`` explicitly), and the caller's
-    original limit objects read the exact charged totals -- and their
-    servers' stats the fleet's coordinator ``round_trips`` -- after
-    the crawl (also after an exhaustion failure).  Limit-free crawls
+    (budget chunks of :data:`~repro.crawl.coordinator.DEFAULT_LEASE_CHUNK`
+    units, clamped against the remaining budget, or ``lease_chunk``
+    explicitly).  Each unit's admissions reach the caller's budget as
+    the unit lands, so a checkpoint written per region stores the
+    charge so far; after the crawl (also after an exhaustion failure)
+    the caller's original limit objects read the exact charged totals
+    -- and their servers' stats the fleet's coordinator
+    ``round_trips``.  Limit-free crawls
     start no coordinator.
 
     Dispatch is the thread backend's: :meth:`CrawlExecutor._execute`
@@ -820,11 +802,9 @@ class ProcessExecutor(CrawlExecutor):
         self,
         max_workers: int | None = None,
         *,
-        mp_context=None,
         lease_chunk: int | None = None,
     ):
         super().__init__(max_workers)
-        self._mp_context = mp_context
         if lease_chunk is not None and lease_chunk < 1:
             raise ValueError(
                 f"lease_chunk must be positive, got {lease_chunk}"
@@ -856,37 +836,35 @@ class ProcessExecutor(CrawlExecutor):
         """
         with contextlib.ExitStack() as stack:
             stubs = ()
+            credit = None
             if carries_limits(sources):
-                coordinator = stack.enter_context(
-                    LimitCoordinator(mp_context=self._mp_context)
-                )
+                coordinator = stack.enter_context(LimitCoordinator())
                 # Unwinds after the pool below has drained, before the
                 # coordinator shuts down: the caller's limit objects
                 # read the exact charge, even after an exhaustion.
                 stack.callback(coordinator.writeback)
                 sources = coordinator.share_sources(sources)
                 stubs = coordinator.shared_stubs()
+                credit = coordinator.credit
                 chunk = self._lease_chunk
                 if chunk is None:
                     chunk = clamp_lease_chunk(
-                        stubs,
-                        lease_chunk_for_plan(plan, spec.estimator),
-                        workers,
+                        stubs, DEFAULT_LEASE_CHUNK, workers
                     )
                 set_lease_chunk(stubs, chunk)
             payload = pickle_payload(sources, spec.crawler_factory, stubs)
             # Operator-side introspection: the bytes shipped per worker at
             # pool start-up (benchmarks gate this; see bench_hot_path.py).
             self.payload_bytes = len(payload)
-            pool = WorkerPool(
-                workers, mp_context=self._mp_context, payload=payload
-            )
+            pool = WorkerPool(workers, payload=payload)
             stack.callback(pool.shutdown)
             # Start the pool from this thread, before any drive-loop
             # thread exists: forked from a drive-loop thread instead,
             # each worker peaks several megabytes higher.
             pool.current().submit(int).result()
-            yield PoolUnitRunner(pool, sources, spec.allow_partial)
+            yield PoolUnitRunner(
+                pool, sources, spec.allow_partial, credit=credit
+            )
 
 
 #: Backend registry, keyed by the CLI's ``--executor`` names.

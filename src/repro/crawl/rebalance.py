@@ -8,8 +8,7 @@ the scheduling layer that fixes that without touching the result:
 * :class:`CostEstimator` -- per-region query-cost estimates, updated
   from the observed cost of every finished region (each region's cost
   is the exact :class:`~repro.server.stats.QueryStats`-backed query
-  count of its crawl) and seedable with priors from a previous crawl's
-  stats;
+  count of its crawl);
 * :class:`WorkStealingScheduler` -- a thread-safe work queue per
   session; an idle worker first drains its own session's queue in plan
   order, then *steals* the tail region of the session with the largest
@@ -57,7 +56,6 @@ from dataclasses import dataclass
 
 from repro.exceptions import AlgorithmInvariantError
 from repro.query.query import Query
-from repro.server.stats import QueryStats
 
 __all__ = [
     "RegionTask",
@@ -122,30 +120,14 @@ class ShardTask:
 class CostEstimator:
     """Per-region query-cost estimates for scheduling decisions.
 
-    The estimate for a region is, in order of preference: its *observed*
-    cost (once its crawl finished), a caller-supplied prior, the running
-    mean of all observed costs so far, and finally a flat default prior.
-    All methods are thread-safe.
-
-    Parameters
-    ----------
-    prior:
-        The flat default estimate used before anything is observed.
-    priors:
-        Optional per-region priors keyed by (session, index) -- e.g. the
-        measured costs of a previous crawl of the same plan.
+    The estimate for a region is its *observed* cost once its crawl
+    finished, else the running mean of all observed costs so far, else
+    a flat 1.0.  Each scheduler owns one and feeds it the exact costs
+    of finished regions and shards (and of a resumed crawl's completed
+    regions).  All methods are thread-safe.
     """
 
-    def __init__(
-        self,
-        *,
-        prior: float = 1.0,
-        priors: Mapping[RegionKey, float] | None = None,
-    ):
-        if prior <= 0:
-            raise ValueError(f"prior must be positive, got {prior}")
-        self._prior = float(prior)
-        self._priors = dict(priors or {})
+    def __init__(self):
         self._observed: dict[RegionKey, int] = {}
         # Running sum of observed costs, so the fallback mean is O(1);
         # plans can have tens of thousands of regions (one per value of
@@ -156,25 +138,12 @@ class CostEstimator:
         self._shard_observed: dict[RegionKey, tuple[int, int]] = {}
         self._lock = threading.Lock()
 
-    @classmethod
-    def from_stats(cls, stats: QueryStats, regions: int) -> "CostEstimator":
-        """Seed the default prior from a previous crawl's query stats.
-
-        ``stats.queries / regions`` -- the mean observed per-region cost
-        of an earlier run over a comparable plan -- becomes the flat
-        prior, so the first stealing decisions of a re-crawl start from
-        measured reality instead of a guess.
-        """
-        mean = stats.queries / max(1, regions)
-        return cls(prior=max(1.0, mean))
-
     def record(self, key: RegionKey, cost: int) -> None:
         """Record the exact observed cost of a finished region.
 
         Supersedes any partial per-shard view of the region
-        (:meth:`record_shard`): the shard tally is dropped, so an
-        estimator reused across crawls never feeds a stale shard mean
-        into the next crawl's steal decisions.
+        (:meth:`record_shard`): the shard tally is dropped, so a
+        stale shard mean never outlives its region.
         """
         with self._lock:
             previous = self._observed.get(key)
@@ -189,11 +158,9 @@ class CostEstimator:
         with self._lock:
             if key in self._observed:
                 return float(self._observed[key])
-            if key in self._priors:
-                return float(self._priors[key])
             if self._observed:
                 return self._observed_sum / len(self._observed)
-            return self._prior
+            return 1.0
 
     def record_shard(self, key: RegionKey, cost: int) -> None:
         """Fold one subtree shard's exact cost into a live region.
@@ -201,9 +168,9 @@ class CostEstimator:
         Called by the subtree-sharding executors as each shard of the
         region at ``key`` finishes, so stealing decisions about the
         *rest* of that region's shards rest on measured shard costs
-        (see :meth:`shard_mean`) instead of a whole-region prior.  Once
-        the region completes, :meth:`record` supersedes this partial
-        view with the exact merged total.
+        (see :meth:`shard_mean`) instead of a whole-region estimate.
+        Once the region completes, :meth:`record` supersedes this
+        partial view with the exact merged total.
         """
         with self._lock:
             total, count = self._shard_observed.get(key, (0, 0))
@@ -226,22 +193,6 @@ class CostEstimator:
         """A copy of the observed per-region costs."""
         with self._lock:
             return dict(self._observed)
-
-    def export_state(self) -> dict:
-        """Constructor kwargs reproducing this estimator's knowledge.
-
-        The flat prior plus every per-region prior and observed cost,
-        the latter folded into ``priors``.
-        :func:`~repro.crawl.coordinator.lease_chunk_for_plan` reads it
-        to tell a blank estimator (no priors, the default flat prior)
-        from one that knows something about the plan.
-        """
-        with self._lock:
-            priors = dict(self._priors)
-            priors.update(
-                (key, float(cost)) for key, cost in self._observed.items()
-            )
-            return {"prior": self._prior, "priors": priors}
 
     def total_observed(self) -> int:
         """Sum of all observed region costs."""
@@ -297,12 +248,10 @@ class WorkStealingScheduler:
     def __init__(
         self,
         bundles,
-        estimator: CostEstimator | None = None,
         completed: Mapping[RegionKey, int] | None = None,
     ):
-        self.estimator = (
-            estimator if estimator is not None else CostEstimator()
-        )
+        #: The scheduler's own estimator, fed every observed cost.
+        self.estimator = CostEstimator()
         # Resume support: regions already crawled (e.g. restored from a
         # CrawlCheckpoint) are never enqueued -- they enter the books as
         # completed with their exact recorded costs, and the estimator
@@ -659,10 +608,9 @@ class SubtreeScheduler(WorkStealingScheduler):
     def __init__(
         self,
         bundles,
-        estimator: CostEstimator | None = None,
         completed: Mapping[RegionKey, int] | None = None,
     ):
-        super().__init__(bundles, estimator, completed)
+        super().__init__(bundles, completed)
         self._cond = threading.Condition(self._lock)
         self._live: dict[RegionKey, _LiveRegion] = {}
         self._merging: set[RegionKey] = set()

@@ -2,8 +2,9 @@
 
 The paper's optimality argument is about *which queries* a crawl issues,
 never about *where* they run.  The execution layer has three backends
-(sequential, thread, process), each times rebalancing and subtree
-sharding, and the dispatch logic for all of them lives here, once.  It
+(sequential, thread, process), each with or without rebalancing (and,
+when stealing, subtree sharding), and the dispatch logic for all of
+them lives here, once.  It
 owns the **session lifecycle state machine** over
 :class:`~repro.crawl.rebalance.RegionTask` /
 :class:`~repro.crawl.rebalance.ShardTask` units -- acquire, run,
@@ -32,12 +33,14 @@ parent thread asks for its own next unit and waits on the runner:
   (:class:`~repro.crawl.rebalance.SubtreeScheduler`), run by the
   pooled backends' workers.
 
-:class:`ShardPolicy` decides which regions are presplit into subtree
-shards and how finely -- uniformly (the classic ``shard_subtrees=N``)
-or adaptively (``"auto"``: only regions whose estimated cost exceeds
-the fleet's fair share).  Because sharding is result-invariant (an
-exact prefix decomposition; see :mod:`repro.crawl.sharding`), any
-policy yields the same merged bytes.
+Subtree sharding lives in the stealing loop alone: under
+``shard_subtrees=N`` :func:`drive_stealing` presplits every region it
+takes into at most ``N`` shards, so idle workers can take the shards of
+a heavy region.  Static dispatch crawls each region whole -- its
+shards would run one after another on the thread that took the region,
+which buys nothing.  Because sharding is result-invariant (an exact
+prefix decomposition; see :mod:`repro.crawl.sharding`), either way
+yields the same merged bytes.
 
 Determinism contract: nothing in this module may influence *what* a
 region crawl computes -- only when and where it runs.  Every unit files
@@ -50,9 +53,7 @@ the sequential reference.
 from __future__ import annotations
 
 import abc
-import math
 import threading
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.crawl import profiling
@@ -64,7 +65,6 @@ from repro.crawl.base import (
 )
 from repro.crawl.partition import PartitionPlan, _crawl_region
 from repro.crawl.rebalance import (
-    CostEstimator,
     RegionCompletion,
     RegionKey,
     RegionTask,
@@ -73,7 +73,6 @@ from repro.crawl.rebalance import (
     WorkStealingScheduler,
 )
 from repro.crawl.sharding import (
-    DEFAULT_MAX_SHARDS,
     crawl_shard,
     merge_region_shards,
     presplit_region,
@@ -85,7 +84,6 @@ __all__ = [
     "UnitRunner",
     "LocalUnitRunner",
     "GridSink",
-    "ShardPolicy",
     "crawl_region_unit",
     "requeue_departed",
     "run_region",
@@ -414,134 +412,13 @@ class GridSink:
 
 
 # ----------------------------------------------------------------------
-# Shard policy: which regions presplit, and how finely
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ShardPolicy:
-    """Which regions are presplit into subtree shards, and how finely.
-
-    ``budgets`` maps a region's plan position to its ``max_shards``
-    target; regions absent from the map crawl whole.  Policies are
-    plain data (picklable into pool workers) and -- because subtree
-    sharding is result-invariant -- *any* policy produces the same
-    merged bytes; the policy only decides where scheduling effort is
-    spent.
-
-    Examples
-    --------
-    The classic fixed target presplits every region; the adaptive
-    planner spends shards only on regions estimated to exceed the
-    fleet's fair share::
-
-        uniform = ShardPolicy.uniform(plan, 8)
-        auto = ShardPolicy.adaptive(plan, estimator, workers=4)
-        auto.budget_for((0, 0))   # int target, or None (crawl whole)
-    """
-
-    budgets: Mapping[RegionKey, int]
-
-    def budget_for(self, key: RegionKey) -> int | None:
-        """The region's shard target, or ``None`` to crawl it whole."""
-        return self.budgets.get(key)
-
-    @property
-    def max_budget(self) -> int:
-        """The largest per-region shard target (0 when none presplit)."""
-        return max(self.budgets.values(), default=0)
-
-    @property
-    def sharded(self) -> bool:
-        """Whether any region is presplit under this policy."""
-        return bool(self.budgets)
-
-    @classmethod
-    def uniform(cls, plan: PartitionPlan, max_shards: int) -> "ShardPolicy":
-        """Presplit every region to the same ``max_shards`` target."""
-        if max_shards < 1:
-            raise ValueError(
-                f"shard_subtrees must be positive, got {max_shards}"
-            )
-        budgets = {
-            (session, index): max_shards
-            for session, bundle in enumerate(plan.bundles)
-            for index in range(len(bundle))
-        }
-        return cls(budgets)
-
-    @classmethod
-    def adaptive(
-        cls,
-        plan: PartitionPlan,
-        estimator: CostEstimator | None,
-        workers: int,
-        *,
-        target: int = DEFAULT_MAX_SHARDS,
-    ) -> "ShardPolicy":
-        """Presplit only regions estimated above the fleet's fair share.
-
-        The fair share is ``total estimated cost / workers``: a region
-        below it cannot be the straggler, so splitting it buys nothing
-        and costs presplit overhead.  A region above it gets a shard
-        target proportional to how many fair shares it spans (capped at
-        ``target``), so the fleet can spread exactly the regions that
-        would otherwise serialise the crawl.  With a fresh (flat)
-        estimator and at least as many regions as workers, *nothing*
-        is presplit -- whole-region stealing already balances that.
-        """
-        estimator = estimator if estimator is not None else CostEstimator()
-        estimates = {
-            (session, index): estimator.estimate((session, index))
-            for session, bundle in enumerate(plan.bundles)
-            for index in range(len(bundle))
-        }
-        total = sum(estimates.values())
-        if not estimates or total <= 0:
-            return cls({})
-        fair_share = total / max(1, workers)
-        budgets = {
-            key: max(2, min(target, math.ceil(estimate / fair_share)))
-            for key, estimate in estimates.items()
-            if estimate > fair_share
-        }
-        return cls(budgets)
-
-    @classmethod
-    def resolve(
-        cls,
-        shard_subtrees: "int | str | None",
-        plan: PartitionPlan,
-        estimator: CostEstimator | None,
-        workers: int,
-    ) -> "ShardPolicy | None":
-        """Map an executor's ``shard_subtrees`` argument to a policy.
-
-        ``None`` disables sharding, an ``int`` is the uniform target,
-        and ``"auto"`` selects the estimator-driven adaptive planner.
-        Raises :class:`ValueError` for anything else.
-        """
-        if shard_subtrees is None:
-            return None
-        if shard_subtrees == "auto":
-            return cls.adaptive(plan, estimator, workers)
-        if isinstance(shard_subtrees, bool) or not isinstance(
-            shard_subtrees, int
-        ):
-            raise ValueError(
-                "shard_subtrees must be a positive int, 'auto' or None, "
-                f"got {shard_subtrees!r}"
-            )
-        return cls.uniform(plan, shard_subtrees)
-
-
-# ----------------------------------------------------------------------
 # The drive loops: the one session lifecycle state machine
 # ----------------------------------------------------------------------
-def crawl_region_unit(task: RegionTask, runner: UnitRunner, budget=None):
-    """Crawl one region unit and *raise* on failure.
+def crawl_region_unit(task: RegionTask, runner: UnitRunner):
+    """Crawl one whole region unit and *raise* on failure.
 
     The raising core of :func:`run_region`: crawl ``task``'s region
-    through ``runner`` -- as a whole, or presplit into ``budget``-sized
-    subtree shards and merged back byte-identically -- and return the
+    through ``runner`` and return the
     :class:`~repro.crawl.parallel.CrawlResult`.  The runner's region
     boundary is always flushed, success or failure, so leased budget
     headroom never outlives the attempt.  Callers that must distinguish
@@ -550,58 +427,39 @@ def crawl_region_unit(task: RegionTask, runner: UnitRunner, budget=None):
     drive loops that only need pass/fail wrap it via :func:`run_region`.
 
     When the profiling seam (:mod:`repro.crawl.profiling`) is active,
-    ``runtime.region_unit`` times the whole attempt; the finer phases
-    (``runtime.region`` / ``runtime.presplit`` / ``runtime.shard``,
-    recorded by :class:`LocalUnitRunner`, and ``runtime.merge`` by
-    :func:`~repro.crawl.sharding.merge_region_shards`) are recorded at
-    the seams every drive shape shares.  Timers only read wall clocks
-    around the existing calls; the queries issued and the result
-    returned are identical with profiling on or off.
+    ``runtime.region_unit`` times the whole attempt and
+    :class:`LocalUnitRunner` records the ``runtime.region`` crawl inside
+    it.  Timers only read wall clocks around the existing calls; the
+    queries issued and the result returned are identical with profiling
+    on or off.
     """
     prof = profiling.active()
     start = profiling.clock() if prof is not None else 0.0
     try:
-        if budget is None:
-            return runner.region(task)
-        plan = runner.presplit(task, budget)
-        results = [
-            runner.shard(
-                ShardTask(task.session, task.index, task.region, shard)
-            )
-            for shard in plan.shards
-        ]
-        return merge_region_shards(plan, results)
+        return runner.region(task)
     finally:
         runner.region_boundary()
         if prof is not None:
             prof.record("runtime.region_unit", profiling.clock() - start)
 
 
-def run_region(
-    task: RegionTask,
-    runner: UnitRunner,
-    sink: GridSink,
-    policy: ShardPolicy | None = None,
-) -> bool:
-    """Run one region end to end locally (presplit+merge if budgeted).
+def run_region(task: RegionTask, runner: UnitRunner, sink: GridSink) -> bool:
+    """Run one whole region end to end and file its outcome.
 
     The smallest complete unit of work the runtime knows: crawl
-    ``task``'s region through ``runner`` (as a whole, or -- when
-    ``policy`` budgets the region -- presplit into subtree shards and
-    merged back byte-identically), file the outcome into ``sink``, and
-    flush the runner's region boundary.  Returns whether the region
-    succeeded; the failure is filed, never raised.  Static dispatch
-    (:func:`drive_session`) bottoms out here.
+    ``task``'s region through ``runner``, file the outcome into
+    ``sink``, and flush the runner's region boundary.  Returns whether
+    the region succeeded; the failure is filed, never raised.  Static
+    dispatch (:func:`drive_session`) bottoms out here.
 
     Examples
     --------
-    One region, no sharding::
+    ::
 
         ok = run_region(RegionTask(0, 0, region), runner, sink)
     """
-    budget = policy.budget_for(task.key) if policy is not None else None
     try:
-        result = crawl_region_unit(task, runner, budget)
+        result = crawl_region_unit(task, runner)
     except Exception as exc:  # noqa: BLE001 - filed, never raised
         sink.region_failed(task.key, task.session, exc)
         return False
@@ -635,19 +493,16 @@ def drive_session(
     bundle: Sequence,
     runner: UnitRunner,
     sink: GridSink,
-    policy: ShardPolicy | None = None,
     skip: frozenset[RegionKey] = frozenset(),
 ) -> bool:
     """Static dispatch: crawl one session's regions in plan order.
 
     Stops at the session's first failure (later regions of a failed
     session are never crawled -- exactly the sequential semantics) and
-    reports whether the whole bundle succeeded.  With a
-    :class:`ShardPolicy`, budgeted regions go through the sharded unit
-    of work (presplit, shards in canonical order, merge) -- same
-    result, same failure semantics.  ``skip`` holds plan positions a
-    resumed crawl already completed (pre-filed into the sink by the
-    executor); they are never re-crawled.
+    reports whether the whole bundle succeeded.  Each region crawls
+    whole.  ``skip`` holds plan positions a resumed crawl already
+    completed (pre-filed into the sink by the executor); they are never
+    re-crawled.
 
     Examples
     --------
@@ -663,8 +518,7 @@ def drive_session(
     for index, region in enumerate(bundle):
         if (session, index) in skip:
             continue
-        task = RegionTask(session, index, region)
-        if not run_region(task, runner, sink, policy):
+        if not run_region(RegionTask(session, index, region), runner, sink):
             return False
     return True
 
@@ -696,8 +550,8 @@ def _transition(
     """Advance the state machine after one unit ran successfully.
 
     ``payload`` is the unit's output (a :class:`CrawlResult`, or a
-    shard plan when ``presplit``).  Returns whether a region-level
-    boundary was crossed (a region completed or merged).
+    region's shard plan when ``presplit``).  Returns whether a
+    region-level boundary was crossed (a region completed or merged).
     """
     if isinstance(task, ShardTask):
         completion = scheduler.complete_shard(task, payload)
@@ -718,7 +572,7 @@ def drive_stealing(
     home_session: int | None,
     runner: UnitRunner,
     sink: GridSink,
-    policy: ShardPolicy | None = None,
+    shard_subtrees: int | None = None,
 ) -> bool:
     """One worker's work-stealing pull loop, any runner.
 
@@ -727,9 +581,12 @@ def drive_stealing(
     :class:`~repro.crawl.rebalance.SubtreeScheduler` -- subtree shards
     of the costliest live region), execute it through ``runner``, and
     advance the scheduler's state machine (complete / publish /
-    merge-on-last-shard / fail).  Whichever worker lands a region's
-    last shard performs the deterministic merge and files the result at
-    the region's plan position.
+    merge-on-last-shard / fail).  With ``shard_subtrees=N`` (which needs
+    the :class:`~repro.crawl.rebalance.SubtreeScheduler` that
+    :func:`steal_setup` builds for it) every region taken is presplit
+    into at most ``N`` shards; whichever worker lands a region's last
+    shard performs the deterministic merge and files the result at the
+    region's plan position.
 
     Returns ``True`` when the loop ran the scheduler dry, ``False``
     when the worker *departed* mid-crawl: a unit that raises
@@ -750,35 +607,19 @@ def drive_stealing(
                        sink=sink)
         assert scheduler.done()
     """
+    presplit = shard_subtrees is not None
     try:
         while True:
             task = scheduler.acquire(home_session)
             if task is None:
                 return True
-            if isinstance(task, ShardTask):
-                try:
-                    payload = runner.shard(task)
-                except WorkerDeparted as exc:
-                    requeue_departed(scheduler, task, sink, exc)
-                    return False
-                except Exception as exc:  # noqa: BLE001 - re-raised by run()
-                    scheduler.fail(task)
-                    sink.region_failed(task.key, task.session, exc)
-                    runner.region_boundary()
-                    continue
-                if _transition(
-                    scheduler, task, payload, sink, presplit=False
-                ):
-                    runner.region_boundary()
-                continue
-            budget = (
-                policy.budget_for(task.key) if policy is not None else None
-            )
             try:
-                if budget is None:
-                    payload = runner.region(task)
+                if isinstance(task, ShardTask):
+                    payload = runner.shard(task)
+                elif presplit:
+                    payload = runner.presplit(task, shard_subtrees)
                 else:
-                    payload = runner.presplit(task, budget)
+                    payload = runner.region(task)
             except WorkerDeparted as exc:
                 requeue_departed(scheduler, task, sink, exc)
                 return False
@@ -787,9 +628,7 @@ def drive_stealing(
                 sink.region_failed(task.key, task.session, exc)
                 runner.region_boundary()
                 continue
-            if _transition(
-                scheduler, task, payload, sink, presplit=budget is not None
-            ):
+            if _transition(scheduler, task, payload, sink, presplit):
                 runner.region_boundary()
     finally:
         runner.region_boundary()
@@ -797,17 +636,16 @@ def drive_stealing(
 
 def steal_setup(
     plan: PartitionPlan,
-    estimator: CostEstimator | None,
-    policy: ShardPolicy | None,
+    shard_subtrees: int | None = None,
     completed: Mapping[RegionKey, int] | None = None,
 ) -> tuple[WorkStealingScheduler, int]:
     """Build the right scheduler for a rebalanced run.
 
     Returns ``(scheduler, upper)``: a two-level
-    :class:`~repro.crawl.rebalance.SubtreeScheduler` whenever the
-    policy presplits anything (subtree shards expose more parallelism
-    than whole regions alone, so ``upper`` -- the number of workers the
-    plan can keep busy -- grows accordingly), otherwise a plain
+    :class:`~repro.crawl.rebalance.SubtreeScheduler` under
+    ``shard_subtrees=N`` (subtree shards expose more parallelism than
+    whole regions alone, so ``upper`` -- the number of workers the plan
+    can keep busy -- grows to at least ``N``), otherwise a plain
     :class:`~repro.crawl.rebalance.WorkStealingScheduler`.  The one
     place that decides between one- and two-level stealing, so the
     transports cannot drift apart in how they wire the loops.
@@ -815,11 +653,10 @@ def steal_setup(
     positions to their costs; the scheduler never queues them but
     seeds its estimator from their true costs.
     """
-    if policy is not None and policy.sharded:
+    if shard_subtrees is not None:
         scheduler: WorkStealingScheduler = SubtreeScheduler(
-            plan.bundles, estimator, completed
+            plan.bundles, completed
         )
-        upper = max(1, scheduler.total_tasks, policy.max_budget)
-        return scheduler, upper
-    scheduler = WorkStealingScheduler(plan.bundles, estimator, completed)
+        return scheduler, max(1, scheduler.total_tasks, shard_subtrees)
+    scheduler = WorkStealingScheduler(plan.bundles, completed)
     return scheduler, max(1, scheduler.total_tasks)

@@ -7,8 +7,8 @@ single frozen, validated dataclass, and
 takes nothing else:
 
 * the **run half** (``crawler_factory``, ``allow_partial``,
-  ``aggregator``, ``rebalance``, ``estimator``, ``shard_subtrees``,
-  ``completed``, ``on_region``) configures one executor invocation --
+  ``aggregator``, ``rebalance``, ``shard_subtrees``, ``completed``,
+  ``on_region``) configures one executor invocation --
   ``executor.run(sources, plan, spec)``;
 * the **backend half** (``executor``, ``max_workers``) configures
   which executor to build -- ``make_executor(spec=spec)``.
@@ -36,7 +36,7 @@ from repro.crawl.binary_shrink import BinaryShrink
 from repro.crawl.dfs import DepthFirstSearch
 from repro.crawl.hybrid import Hybrid
 from repro.crawl.rank_shrink import RankShrink
-from repro.crawl.rebalance import CostEstimator, RegionKey
+from repro.crawl.rebalance import RegionKey
 from repro.crawl.slice_cover import LazySliceCover, SliceCover
 
 __all__ = ["CrawlSpec", "spec_from_args", "ALGORITHMS"]
@@ -73,7 +73,7 @@ class CrawlSpec:
 
         spec = CrawlSpec(
             executor="process", max_workers=4,
-            rebalance=True, shard_subtrees="auto",
+            rebalance=True, shard_subtrees=8,
         )
         executor = make_executor(spec=spec)
         merged = executor.run(sources, plan, spec)
@@ -101,11 +101,10 @@ class CrawlSpec:
     aggregator: ProgressAggregator | None = None
     #: Enable work stealing.
     rebalance: bool = False
-    #: Optional cost estimator seeding stealing / shard / lease
-    #: decisions.
-    estimator: CostEstimator | None = None
-    #: ``None`` | shard target per region | ``"auto"``.
-    shard_subtrees: int | str | None = None
+    #: With ``rebalance``, presplit each region taken into at most this
+    #: many subtree shards that idle workers can steal; ``None`` crawls
+    #: regions whole.  Static dispatch always crawls regions whole.
+    shard_subtrees: int | None = None
     #: Already-crawled results keyed by plan position (resume).
     completed: Mapping[RegionKey, CrawlResult] | None = None
     #: Callback fired per newly completed region (checkpoint seam).
@@ -127,16 +126,15 @@ class CrawlSpec:
                 f"max_workers must be positive, got {self.max_workers}"
             )
         shards = self.shard_subtrees
-        if shards is not None and shards != "auto":
-            if isinstance(shards, bool) or not isinstance(shards, int):
-                raise ValueError(
-                    "shard_subtrees must be a positive int, 'auto' or "
-                    f"None, got {shards!r}"
-                )
-            if shards < 1:
-                raise ValueError(
-                    f"shard_subtrees must be positive, got {shards}"
-                )
+        if shards is not None and (
+            isinstance(shards, bool)
+            or not isinstance(shards, int)
+            or shards < 1
+        ):
+            raise ValueError(
+                "shard_subtrees must be a positive int or None, got "
+                f"{shards!r}"
+            )
         if not callable(self.crawler_factory):
             raise ValueError(
                 "crawler_factory must be callable, got "

@@ -63,10 +63,10 @@ from dataclasses import dataclass
 
 from repro.crawl.base import CrawlResult
 from repro.crawl.coordinator import (
+    DEFAULT_LEASE_CHUNK,
     LimitCoordinator,
     TenantLimitRegistry,
     clamp_lease_chunk,
-    lease_chunk_for_plan,
     set_lease_chunk,
 )
 from repro.crawl.executors import PoolUnitRunner, WorkerPool, pickle_payload
@@ -81,7 +81,6 @@ from repro.crawl.runtime import (
     AggregatorFeed,
     GridSink,
     LocalUnitRunner,
-    ShardPolicy,
     UnitRunner,
     crawl_region_unit,
     requeue_departed,
@@ -189,7 +188,6 @@ class _Job:
     scheduler: WorkStealingScheduler
     sink: GridSink
     runner: UnitRunner
-    policy: ShardPolicy | None
     priority: int = 0
     state: JobState = JobState.PENDING
     error: str | None = None
@@ -375,25 +373,21 @@ class JobManager:
                     spec.on_region(key, result)
 
             sink = GridSink(plan, feed, completed, on_region)
+            # Each fleet thread crawls the regions it takes whole: no
+            # other thread could take a region's shards, so the spec's
+            # shard_subtrees presplits nothing here.
             scheduler = WorkStealingScheduler(
                 plan.bundles,
-                spec.estimator,
                 {key: result.cost for key, result in completed.items()},
-            )
-            # A presplit region's shards crawl one after another on the
-            # fleet thread that took the region (crawl_region_unit), so
-            # "auto" resolves against a fleet of 1, as static dispatch
-            # does (CrawlExecutor._policy_fleet).
-            policy = ShardPolicy.resolve(
-                spec.shard_subtrees, plan, spec.estimator, 1
             )
             runner: UnitRunner
             if backend == "process":
                 # Clamped against this tenant's budget only: one poor
                 # tenant never shrinks a rich one's batching.
-                chunk = lease_chunk_for_plan(plan, spec.estimator)
-                fleet = len(self._threads)
-                set_lease_chunk(stubs, clamp_lease_chunk(stubs, chunk, fleet))
+                chunk = clamp_lease_chunk(
+                    stubs, DEFAULT_LEASE_CHUNK, len(self._threads)
+                )
+                set_lease_chunk(stubs, chunk)
                 payload = pickle_payload(sources, spec.crawler_factory, stubs)
                 # Operator-side introspection: bytes shipped per dispatched
                 # process job (benchmarks gate this; lower is better).
@@ -417,7 +411,6 @@ class JobManager:
                 scheduler,
                 sink,
                 runner,
-                policy,
                 priority=priority,
             )
             with self._cond:
@@ -733,13 +726,8 @@ class JobManager:
                 if item is None:
                     return
             job, task = item
-            budget = (
-                job.policy.budget_for(task.key)
-                if job.policy is not None
-                else None
-            )
             try:
-                result = crawl_region_unit(task, job.runner, budget)
+                result = crawl_region_unit(task, job.runner)
             except WorkerDeparted as exc:
                 # The worker is gone, not the unit: requeue it for the
                 # fleet (the doomed attempt flushed its leases, so the

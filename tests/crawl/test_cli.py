@@ -64,14 +64,11 @@ class TestParser:
         )
         assert args.shard_subtrees == 12
         assert args.max_regions == 64
-        args = build_parser().parse_args(
-            [path, "--k", "8", "--shard-subtrees", "auto"]
-        )
-        assert args.shard_subtrees == "auto"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                [path, "--k", "8", "--shard-subtrees", "many"]
-            )
+        for bad in ("many", "auto"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    [path, "--k", "8", "--shard-subtrees", bad]
+                )
 
 
 class TestMain:
@@ -196,26 +193,15 @@ class TestExecutors:
         assert "subtree shards" in out
         assert "complete" in out
 
-    def test_shard_subtrees_auto_verifies_complete(self, mixed_csv, capsys):
+    def test_shard_subtrees_without_rebalance_crawls_regions_whole(
+        self, mixed_csv, capsys
+    ):
         path, _ = mixed_csv
-        assert (
-            main(
-                [
-                    path,
-                    "--k",
-                    "8",
-                    "--workers",
-                    "2",
-                    "--rebalance",
-                    "--shard-subtrees",
-                    "auto",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "adaptive subtree shards" in out
-        assert "complete" in out
+        argv = [path, "--k", "8", "--workers", "2", "--shard-subtrees", "4"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "only takes effect with --rebalance" in captured.err
+        assert "no subtree shards without rebalance" in captured.out
 
     def test_shard_subtrees_must_be_positive(self, mixed_csv, capsys):
         path, _ = mixed_csv

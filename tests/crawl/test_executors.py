@@ -28,7 +28,6 @@ from repro.crawl.executors import (
 )
 from repro.crawl.hybrid import Hybrid
 from repro.crawl.partition import crawl_partitioned, partition_space
-from repro.crawl.rebalance import CostEstimator
 from repro.dataspace.dataset import Dataset
 from repro.dataspace.space import DataSpace
 from repro.exceptions import QueryBudgetExhausted, SchemaError
@@ -36,7 +35,6 @@ from repro.server.client import CachingClient
 from repro.server.latency import LatencySource
 from repro.server.limits import QueryBudget
 from repro.server.server import TopKServer
-from repro.server.stats import QueryStats
 from repro.web.adapter import WebSession
 from repro.web.site import HiddenWebSite
 
@@ -142,20 +140,6 @@ class TestParity:
             make_sources(dataset), plan, CrawlSpec(rebalance=True)
         )
         assert_identical(result, reference)
-
-    def test_rebalance_with_seeded_estimator(self, dataset, plan, reference):
-        """Priors from a previous crawl steer, never change, results."""
-        stats = QueryStats()
-        stats.queries = reference.cost
-        estimator = CostEstimator.from_stats(stats, len(plan.regions))
-        result = ThreadExecutor(max_workers=SESSIONS).run(
-            make_sources(dataset),
-            plan,
-            CrawlSpec(rebalance=True, estimator=estimator),
-        )
-        assert_identical(result, reference)
-        # Every region's exact cost was recorded on the way through.
-        assert estimator.total_observed() == reference.cost
 
     def test_latency_wrapped_sources(self, dataset, plan):
         """The same parity through latency wrappers on worker threads."""

@@ -45,7 +45,6 @@ from repro.crawl.runtime import (
     AggregatorFeed,
     GridSink,
     LocalUnitRunner,
-    ShardPolicy,
     UnitRunner,
     drive_stealing,
     steal_setup,
@@ -407,7 +406,7 @@ class TestDriveLoopDeparture:
         """The two-level sweep: kill the worker before every presplit
         and every subtree shard in turn (mid-shard departures included)
         and resume; the merged grid never wavers."""
-        policy = ShardPolicy.uniform(plan, 3)
+        shards = 3
         die_at = 1
         while True:
             assert die_at < 100, "sweep failed to terminate"
@@ -415,12 +414,12 @@ class TestDriveLoopDeparture:
                 LocalUnitRunner(make_sources(dataset), Hybrid, False),
                 die_at,
             )
-            scheduler, _ = steal_setup(plan, None, policy)
+            scheduler, _ = steal_setup(plan, shards)
             sink = GridSink(plan, AggregatorFeed(None, plan))
-            drained = drive_stealing(scheduler, 0, runner, sink, policy)
+            drained = drive_stealing(scheduler, 0, runner, sink, shards)
             if not drained:
                 assert (
-                    drive_stealing(scheduler, 0, runner, sink, policy)
+                    drive_stealing(scheduler, 0, runner, sink, shards)
                     is True
                 )
             assert scheduler.done()

@@ -18,7 +18,6 @@ from repro.crawl.rebalance import (
     WorkStealingScheduler,
 )
 from repro.exceptions import AlgorithmInvariantError
-from repro.server.stats import QueryStats
 
 # The scheduler only reads plan.bundles, and only iterates the regions;
 # opaque string tokens stand in for region queries here.
@@ -32,27 +31,15 @@ def bundles_of(sizes):
 
 
 class TestCostEstimator:
-    def test_estimate_prefers_observed_then_prior_then_mean(self):
-        estimator = CostEstimator(prior=7.0, priors={(0, 1): 3.0})
-        assert estimator.estimate((0, 0)) == 7.0  # flat prior
-        assert estimator.estimate((0, 1)) == 3.0  # supplied prior
+    def test_estimate_prefers_observed_then_mean_then_flat(self):
+        estimator = CostEstimator()
+        assert estimator.estimate((0, 0)) == 1.0  # nothing observed
         estimator.record((1, 0), 10)
         estimator.record((1, 1), 20)
         assert estimator.estimate((1, 0)) == 10.0  # observed wins
         assert estimator.estimate((0, 0)) == 15.0  # running mean
-        assert estimator.estimate((0, 1)) == 3.0  # prior still wins
         assert estimator.total_observed() == 30
         assert estimator.observed() == {(1, 0): 10, (1, 1): 20}
-
-    def test_from_stats_prior_is_mean_per_region(self):
-        stats = QueryStats()
-        stats.queries = 120
-        estimator = CostEstimator.from_stats(stats, 6)
-        assert estimator.estimate((0, 0)) == 20.0
-
-    def test_rejects_nonpositive_prior(self):
-        with pytest.raises(ValueError):
-            CostEstimator(prior=0)
 
 
 class TestScheduler:
@@ -64,18 +51,16 @@ class TestScheduler:
         assert scheduler.steals() == []
 
     def test_steals_tail_of_costliest_victim(self):
-        # Session 1's queue is estimated far more expensive, so an idle
-        # session-0 worker must steal from it -- and from the tail.
-        priors = {(1, 0): 100.0, (1, 1): 100.0, (0, 0): 1.0}
-        scheduler = WorkStealingScheduler(
-            bundles_of([1, 2]), CostEstimator(priors=priors)
-        )
+        # Session 2 queues the most regions, so with flat estimates it
+        # is the costliest victim: an idle session-0 worker must steal
+        # from it -- and from the tail.
+        scheduler = WorkStealingScheduler(bundles_of([1, 2, 3]))
         first = scheduler.acquire(0)
         assert first.key == (0, 0)  # own queue first
         stolen = scheduler.acquire(0)
-        assert stolen.session == 1
-        assert stolen.index == 1  # the tail region
-        assert scheduler.steals() == [((1, 1), 0)]
+        assert stolen.session == 2
+        assert stolen.index == 2  # the tail region
+        assert scheduler.steals() == [((2, 2), 0)]
 
     def test_adaptive_victim_choice_follows_observed_costs(self):
         # Prior says both sessions look equal; observing a huge cost on

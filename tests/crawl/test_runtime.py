@@ -3,9 +3,9 @@
 The tentpole refactor moved all dispatch semantics into
 :mod:`repro.crawl.runtime`; the executor parity suites already prove
 every backend produces byte-identical results *through* the runtime, so
-these tests pin the runtime's own contracts directly: the shard-policy
-planner (uniform vs adaptive fair-share), the sink protocols, and the
-drive loops' failure and flush behaviour against fake runners.
+these tests pin the runtime's own contracts directly: the sink
+protocols, and the drive loops' failure and flush behaviour against
+fake runners.
 """
 
 import numpy as np
@@ -13,16 +13,11 @@ import pytest
 
 from repro.crawl.base import ProgressAggregator, SessionState
 from repro.crawl.partition import partition_space
-from repro.crawl.rebalance import (
-    CostEstimator,
-    RegionTask,
-    WorkStealingScheduler,
-)
+from repro.crawl.rebalance import RegionTask, WorkStealingScheduler
 from repro.crawl.runtime import (
     AggregatorFeed,
     GridSink,
     LocalUnitRunner,
-    ShardPolicy,
     UnitRunner,
     drive_session,
     drive_stealing,
@@ -76,86 +71,13 @@ class _ScriptedRunner(UnitRunner):
         return _FakeResult()
 
     def presplit(self, task, max_shards):
-        raise AssertionError("no shard policy in this test")
+        raise AssertionError("no subtree sharding in this test")
 
     def shard(self, task):
-        raise AssertionError("no shard policy in this test")
+        raise AssertionError("no subtree sharding in this test")
 
     def region_boundary(self):
         self.boundaries += 1
-
-
-class TestShardPolicy:
-    def test_uniform_budgets_every_region(self, plan):
-        policy = ShardPolicy.uniform(plan, 4)
-        assert policy.sharded
-        assert policy.max_budget == 4
-        for session, bundle in enumerate(plan.bundles):
-            for index in range(len(bundle)):
-                assert policy.budget_for((session, index)) == 4
-
-    def test_uniform_rejects_nonpositive(self, plan):
-        with pytest.raises(ValueError, match="shard_subtrees"):
-            ShardPolicy.uniform(plan, 0)
-
-    def test_adaptive_flat_estimates_presplit_nothing(self, plan):
-        """Uniform estimates with regions >= workers: whole-region
-        stealing already balances, so auto spends no presplits."""
-        policy = ShardPolicy.adaptive(plan, CostEstimator(), workers=3)
-        assert not policy.sharded
-        assert policy.max_budget == 0
-
-    def test_adaptive_splits_only_regions_above_fair_share(self, plan):
-        estimator = CostEstimator(
-            prior=1.0, priors={(0, 0): 500.0, (1, 0): 2.0}
-        )
-        policy = ShardPolicy.adaptive(plan, estimator, workers=3)
-        # Only the dominant region busts total/3; it gets a real budget.
-        assert set(policy.budgets) == {(0, 0)}
-        assert policy.budget_for((0, 0)) >= 2
-        assert policy.budget_for((1, 0)) is None
-
-    def test_adaptive_budget_scales_with_dominance_capped_at_target(
-        self, plan
-    ):
-        estimator = CostEstimator(prior=1.0, priors={(0, 0): 10_000.0})
-        scaled = ShardPolicy.adaptive(plan, estimator, workers=4, target=8)
-        # fair share = total/4, so the dominant region spans ~4 shares.
-        assert scaled.budget_for((0, 0)) == 4
-        capped = ShardPolicy.adaptive(plan, estimator, workers=16, target=8)
-        assert capped.budget_for((0, 0)) == 8  # capped at the target
-
-    def test_sequential_auto_presplits_nothing(self, plan):
-        """A one-worker backend has no fleet to balance: auto must
-        resolve to an empty policy however skewed the estimates."""
-        from repro.crawl.executors import SequentialExecutor
-
-        estimator = CostEstimator(prior=1.0, priors={(0, 0): 500.0})
-        policy = ShardPolicy.adaptive(plan, estimator, workers=1)
-        assert not policy.sharded
-        assert SequentialExecutor()._policy_fleet(plan, True) == 1
-
-    def test_static_dispatch_auto_presplits_nothing(self, plan):
-        """Without stealing there is nobody to hand shards to, so the
-        executors resolve 'auto' against a fleet of one."""
-        from repro.crawl.executors import ThreadExecutor
-
-        executor = ThreadExecutor(max_workers=4)
-        assert executor._policy_fleet(plan, False) == 1
-        assert executor._policy_fleet(plan, True) > 1
-
-    def test_resolve_maps_the_run_argument(self, plan):
-        assert ShardPolicy.resolve(None, plan, None, 4) is None
-        uniform = ShardPolicy.resolve(6, plan, None, 4)
-        assert uniform.max_budget == 6
-        auto = ShardPolicy.resolve("auto", plan, None, 4)
-        assert isinstance(auto, ShardPolicy)
-        with pytest.raises(ValueError, match="shard_subtrees"):
-            ShardPolicy.resolve(0, plan, None, 4)
-        with pytest.raises(ValueError, match="shard_subtrees"):
-            ShardPolicy.resolve("many", plan, None, 4)
-        with pytest.raises(ValueError, match="shard_subtrees"):
-            ShardPolicy.resolve(True, plan, None, 4)
 
 
 class TestDriveSession:
@@ -226,11 +148,9 @@ class TestDriveStealing:
         reference = crawl_partitioned(sources(), plan)
         feed = AggregatorFeed(None, plan)
         sink = GridSink(plan, feed)
-        scheduler, _ = steal_setup(plan, None, ShardPolicy.uniform(plan, 4))
+        scheduler, _ = steal_setup(plan, 4)
         runner = LocalUnitRunner(sources(), Hybrid, False, feed=feed)
-        drive_stealing(
-            scheduler, None, runner, sink, ShardPolicy.uniform(plan, 4)
-        )
+        drive_stealing(scheduler, None, runner, sink, 4)
         merged_rows = [
             row
             for session in sink.grid

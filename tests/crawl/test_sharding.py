@@ -320,18 +320,14 @@ class TestExecutorParity:
         self.assert_identical(result, reference)
         assert sorted(result.rows) == sorted(dataset.iter_rows())
 
-    def test_sharding_with_estimator_and_aggregator(self, dataset, plan):
+    def test_sharding_with_aggregator(self, dataset, plan):
         reference = crawl_partitioned(self.sources(dataset), plan)
         aggregator = ProgressAggregator(SESSIONS)
-        estimator = CostEstimator(prior=10.0)
         result = make_executor("thread", max_workers=SESSIONS).run(
             self.sources(dataset),
             plan,
             CrawlSpec(
-                rebalance=True,
-                shard_subtrees=6,
-                estimator=estimator,
-                aggregator=aggregator,
+                rebalance=True, shard_subtrees=6, aggregator=aggregator
             ),
         )
         self.assert_identical(result, reference)
@@ -339,8 +335,6 @@ class TestExecutorParity:
         totals = aggregator.totals()
         assert totals.queries == result.cost
         assert totals.tuples == result.tuples_extracted
-        # Every region's merged cost was recorded exactly.
-        assert estimator.total_observed() == result.cost
 
     def test_invalid_shard_count_rejected(self, dataset, plan):
         with pytest.raises(ValueError, match="shard_subtrees"):
@@ -458,10 +452,9 @@ class TestSubtreeScheduler:
         assert scheduler.done()
 
     def test_costliest_live_region_is_the_shard_victim(self):
-        # Region (1, 0) starts with a heavy prior; once measured shard
-        # costs exist they take over the victim choice.
-        estimator = CostEstimator(priors={(1, 0): 1000.0})
-        scheduler = SubtreeScheduler(self.bundles(), estimator)
+        # Both live regions start level; once measured shard costs
+        # exist they take over the victim choice.
+        scheduler = SubtreeScheduler(self.bundles())
         t00 = scheduler.acquire(0)
         t10 = scheduler.acquire(1)
         t01 = scheduler.acquire(0)
@@ -469,15 +462,17 @@ class TestSubtreeScheduler:
         dear = [_toy_shard(i, i, i, t10.region) for i in range(2)]
         scheduler.publish(t00, _toy_plan(t00.region, cheap))
         scheduler.publish(t10, _toy_plan(t10.region, dear))
-        s = scheduler.acquire(1)
-        assert s.key == (1, 0)  # the prior marks it costliest
-        scheduler.complete_shard(s, _FakeResult(100))
+        first = scheduler.acquire(1)
+        assert first.key == (0, 0)  # a tie goes to the lowest key
+        second = scheduler.acquire(1)
+        assert second.key == (1, 0)  # more of its shards are pending
+        scheduler.complete_shard(first, _FakeResult(1))
+        scheduler.complete_shard(second, _FakeResult(100))
         nxt = scheduler.acquire(0)
-        assert nxt.key == (1, 0)  # measured shard mean 100 beats 0.5
+        assert nxt.key == (1, 0)  # measured shard mean 100 beats 1
         scheduler.complete_shard(nxt, _FakeResult(90))
-        # Only region (0, 0)'s shards remain.
-        rest = [scheduler.acquire(0), scheduler.acquire(0)]
-        assert [t.key for t in rest] == [(0, 0), (0, 0)]
+        # Only region (0, 0)'s last shard remains.
+        assert scheduler.acquire(0).key == (0, 0)
         # Subtree steals by a foreign worker were recorded.
         assert ((1, 0), 0) in scheduler.steals()
         scheduler.fail(t01)
@@ -605,95 +600,3 @@ class TestSchedulerInterleavingProperty:
         assert count == n
         assert total == sum(costs)
 
-
-class TestAdaptiveShardBudgets:
-    """Satellite: --shard-subtrees auto presplits only regions whose
-    estimated cost exceeds the fleet's fair share, and stays
-    byte-identical to the unsharded sequential reference on every
-    backend."""
-
-    AUTO_MATRIX = [
-        ("sequential", False),
-        ("thread", False),
-        ("thread", True),
-        ("process", True),
-    ]
-
-    @pytest.fixture(scope="class")
-    def dataset(self):
-        return skewed_mixed_dataset()
-
-    @pytest.fixture(scope="class")
-    def plan(self, dataset):
-        return partition_space(dataset.space, SESSIONS)
-
-    @staticmethod
-    def sources(dataset):
-        return [TopKServer(dataset, k=24) for _ in range(SESSIONS)]
-
-    @pytest.fixture(scope="class")
-    def reference(self, dataset, plan):
-        return crawl_partitioned(self.sources(dataset), plan)
-
-    @pytest.fixture(scope="class")
-    def seeded_estimator(self, dataset, plan, reference):
-        """Observed per-region costs of a previous crawl of the plan."""
-
-        def build():
-            estimator = CostEstimator()
-            for session, results in enumerate(reference.results):
-                for index, result in enumerate(results):
-                    estimator.record((session, index), result.cost)
-            return estimator
-
-        return build
-
-    @pytest.mark.parametrize("name,rebalance", AUTO_MATRIX)
-    def test_auto_matches_unsharded_sequential(
-        self, name, rebalance, dataset, plan, reference, seeded_estimator
-    ):
-        executor = make_executor(name, max_workers=SESSIONS)
-        result = executor.run(
-            self.sources(dataset),
-            plan,
-            CrawlSpec(
-                rebalance=rebalance,
-                shard_subtrees="auto",
-                estimator=seeded_estimator(),
-            ),
-        )
-        assert result.rows == reference.rows
-        assert result.cost == reference.cost
-        assert result.progress == reference.progress
-        assert sorted(result.rows) == sorted(dataset.iter_rows())
-
-    def test_auto_presplits_the_heavy_region_only(
-        self, dataset, plan, reference, seeded_estimator
-    ):
-        """The skewed plan has one dominant region; the fair-share rule
-        must budget it (and only comparable heavyweights)."""
-        from repro.crawl.runtime import ShardPolicy
-
-        estimator = seeded_estimator()
-        policy = ShardPolicy.adaptive(plan, estimator, workers=SESSIONS)
-        costs = {
-            (session, index): result.cost
-            for session, results in enumerate(reference.results)
-            for index, result in enumerate(results)
-        }
-        fair = sum(costs.values()) / SESSIONS
-        assert set(policy.budgets) == {
-            key for key, cost in costs.items() if cost > fair
-        }
-        assert policy.sharded  # the heavy region busts its fair share
-
-    def test_auto_without_estimator_runs_whole_regions(
-        self, dataset, plan, reference
-    ):
-        """No knowledge, regions >= workers: auto spends no presplits
-        but still crawls identically."""
-        result = make_executor("thread", max_workers=SESSIONS).run(
-            self.sources(dataset),
-            plan, CrawlSpec(rebalance=True, shard_subtrees="auto"))
-        assert result.rows == reference.rows
-        assert result.cost == reference.cost

@@ -44,7 +44,6 @@ from repro.crawl.executors import (
     make_executor,
 )
 from repro.crawl.partition import crawl_partitioned, partition_space
-from repro.crawl.rebalance import CostEstimator
 from repro.crawl.spec import CrawlSpec
 from repro.dataspace.dataset import Dataset
 from repro.dataspace.space import DataSpace
@@ -310,20 +309,23 @@ class TestProcessSharedParity:
         # The worker's side of the traceback travels home as a note.
         assert "admit" in exc.__notes__[0]
 
-    def test_estimator_receives_exact_observed_costs(
+    def test_on_region_receives_exact_observed_costs(
         self, dataset, plan, reference
     ):
         expected, _ = reference
-        estimator = CostEstimator()
+        costs = {}
         result = ProcessExecutor(max_workers=2).run(
             budgeted_sources(dataset, QueryBudget(100_000)),
             plan,
-            CrawlSpec(rebalance=True, estimator=estimator),
+            CrawlSpec(
+                rebalance=True,
+                on_region=lambda key, region: costs.update({key: region.cost}),
+            ),
         )
         assert_identical(result, expected)
         # Every region's exact cost crossed the process boundary back.
-        assert estimator.total_observed() == expected.cost
-        assert len(estimator.observed()) == len(plan.regions)
+        assert sum(costs.values()) == expected.cost
+        assert len(costs) == len(plan.regions)
 
     @pytest.mark.parametrize("kwargs", SHARED_MATRIX)
     def test_sessions_reach_terminal_states(self, kwargs, dataset, plan):
@@ -637,11 +639,14 @@ class TestPoolUnitFlush:
         executors, ticket, stub = worker
         region = plan.bundles[0][0]
         task = RegionTask(0, 0, region)
-        result, counts = executors._pool_unit(ticket, None, False, task, None)
+        result, counts, admitted = executors._pool_unit(
+            ticket, None, False, task, None
+        )
         runner, budget = self.reference(dataset)
         assert result.rows == runner.region(task).rows
         assert stub.used == budget.used
         assert [state["queries"] for state in counts] == [budget.used]
+        assert admitted == [budget.used]
 
     def test_presplit_and_shard_units_flush(self, worker, dataset, plan):
         from repro.crawl.rebalance import RegionTask, ShardTask
@@ -650,14 +655,16 @@ class TestPoolUnitFlush:
         runner, budget = self.reference(dataset)
         region = plan.bundles[0][0]
         task = RegionTask(0, 0, region)
-        shard_plan, counts = executors._pool_unit(ticket, None, False, task, 4)
+        shard_plan, counts, _ = executors._pool_unit(
+            ticket, None, False, task, 4
+        )
         runner.presplit(task, 4)
         assert shard_plan.shards
         answered = counts[0]["queries"]
         assert stub.used == budget.used == answered
         for shard in shard_plan.shards:
             shard_task = ShardTask(0, 0, region, shard)
-            _, counts = executors._pool_unit(
+            _, counts, _ = executors._pool_unit(
                 ticket, None, False, shard_task, None
             )
             answered += counts[0]["queries"]
@@ -887,21 +894,6 @@ class TestRoundTripReduction:
             f"batching, got {per_query[2]} per-query vs {leased[2]} leased"
         )
 
-    def test_auto_chunk_is_estimator_sized(self, dataset, plan):
-        from repro.crawl.coordinator import (
-            DEFAULT_LEASE_CHUNK,
-            MAX_LEASE_CHUNK,
-            lease_chunk_for_plan,
-        )
-
-        assert lease_chunk_for_plan(plan, None) == DEFAULT_LEASE_CHUNK
-        blank = CostEstimator()
-        assert lease_chunk_for_plan(plan, blank) == DEFAULT_LEASE_CHUNK
-        informed = CostEstimator(prior=24.0)
-        assert lease_chunk_for_plan(plan, informed) == 24
-        huge = CostEstimator(prior=100_000.0)
-        assert lease_chunk_for_plan(plan, huge) == MAX_LEASE_CHUNK
-
     def test_round_trips_land_in_caller_stats(self, dataset, plan):
         budget = QueryBudget(100_000)
         sources = budgeted_sources(dataset, budget)
@@ -924,3 +916,51 @@ class TestRoundTripReduction:
         stub.lease(8)  # prior lease: 7 unused units released, not lost
         stub.flush()
         assert stub.used == 1
+
+
+class TestCheckpointedCharge:
+    """A checkpoint written mid-crawl stores the charge so far."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_stored_budget_tracks_every_landed_region(
+        self, backend, tmp_path
+    ):
+        """Each region's checkpoint stores a positive, nondecreasing
+        ``used``, and the last one equals the final charge -- so a kill
+        mid-window resumes with the window's true remainder."""
+        import json
+
+        from repro.crawl.checkpoint import CheckpointWriter
+        from repro.datasets.adult import adult
+
+        data = adult(n=3000, seed=3)
+        plan = partition_space(data.space, 2)
+        budget = QueryBudget(10_000_000)
+        path = tmp_path / "crawl.ckpt"
+        writer = CheckpointWriter(path, plan, 32, budget=budget)
+        stored = []
+        lock = threading.Lock()
+
+        def on_region(key, result):
+            # Write, read back and record as one step, so the list keeps
+            # the order in which the checkpoints were written.
+            with lock:
+                writer.region_done(key, result)
+                checkpoint = json.loads(path.read_text())
+                stored.append(checkpoint["budget"]["used"])
+
+        spec = CrawlSpec(
+            executor=backend,
+            max_workers=2,
+            rebalance=True,
+            on_region=on_region,
+        )
+        sources = [
+            TopKServer(data, 32, limits=[budget])
+            for _ in range(plan.sessions)
+        ]
+        make_executor(spec=spec).run(sources, plan, spec)
+        assert len(stored) == len(plan.regions)
+        assert stored[0] > 0
+        assert stored == sorted(stored)
+        assert stored[-1] == budget.used

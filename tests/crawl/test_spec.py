@@ -87,13 +87,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_workers"):
             CrawlSpec(max_workers=0)
 
-    @pytest.mark.parametrize("bad", [0, -2, True, 1.5, "many"])
+    @pytest.mark.parametrize("bad", [0, -2, True, 1.5, "many", "auto"])
     def test_bad_shard_subtrees(self, bad):
-        with pytest.raises(ValueError, match="shard_subtrees"):
+        with pytest.raises(ValueError, match="positive int or None"):
             CrawlSpec(shard_subtrees=bad)
-
-    def test_auto_shards_accepted(self):
-        assert CrawlSpec(shard_subtrees="auto").shard_subtrees == "auto"
 
     def test_non_callable_factory(self):
         with pytest.raises(ValueError, match="crawler_factory"):
@@ -229,7 +226,7 @@ class TestSpecFromArgs:
             executor="process",
             workers=4,
             rebalance=True,
-            shard_subtrees="auto",
+            shard_subtrees=8,
             allow_partial=True,
         )
         spec = spec_from_args(args)
@@ -238,7 +235,7 @@ class TestSpecFromArgs:
         assert spec.executor == "process"
         assert spec.max_workers == 4
         assert spec.rebalance is True
-        assert spec.shard_subtrees == "auto"
+        assert spec.shard_subtrees == 8
         assert spec.allow_partial is True
 
     def test_unknown_algorithm(self):

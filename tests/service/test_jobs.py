@@ -179,41 +179,69 @@ class TestLifecycle:
             assert status.state is JobState.DONE
             assert service.rows(job) == list(standalone.rows)
 
-    def test_auto_sharding_presplits_nothing_on_the_fleet(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize(
+        "leg",
+        [
+            "sequential",
+            "thread",
+            "process",
+            "service",
+            "thread+rebalance",
+        ],
+    )
+    def test_only_the_stealing_loop_presplits(
+        self, tmp_path, monkeypatch, leg
     ):
-        """A presplit region's shards crawl one after another on the
-        fleet thread that took it, so ``shard_subtrees="auto"`` must
-        resolve against a fleet of 1 and presplit nothing -- even for
-        a region the estimator calls huge."""
-        from repro.crawl.rebalance import CostEstimator
+        """Shards pay only where a thief can take them: under
+        ``shard_subtrees=N`` the sequential reference, static dispatch
+        on both pooled backends and the job service's fleet crawl every
+        region whole, while the rebalanced loop presplits each region
+        it takes exactly once.  Every leg keeps the reference bytes."""
+        from repro.crawl.executors import PoolUnitRunner, make_executor
         from repro.crawl.runtime import LocalUnitRunner
         from repro.datasets.adult import adult
 
         presplits = []
-        original = LocalUnitRunner.presplit
+        for runner_class in (LocalUnitRunner, PoolUnitRunner):
 
-        def spy(self, task, max_shards):
-            presplits.append((task.key, max_shards))
-            return original(self, task, max_shards)
+            def spy(self, task, max_shards, original=runner_class.presplit):
+                presplits.append(task.key)
+                return original(self, task, max_shards)
 
-        monkeypatch.setattr(LocalUnitRunner, "presplit", spy)
+            monkeypatch.setattr(runner_class, "presplit", spy)
         data = adult(n=2000, seed=11)
         plan = partition_space(data.space, 2)
-        expected = crawl_partitioned(
-            [TopKServer(data, 64) for _ in range(plan.sessions)], plan
-        )
-        spec = CrawlSpec(
-            max_workers=2,
-            shard_subtrees="auto",
-            estimator=CostEstimator(priors={(0, 0): 1e6}),
-        )
-        with open_service(tmp_path) as service:
-            service.register_tenant("acme")
-            job = service.submit("acme", data, 64, name="auto", spec=spec)
-            assert service.wait(job, timeout=60).state is JobState.DONE
-            assert service.rows(job) == list(expected.rows)
-        assert presplits == []
+
+        def sources():
+            return [TopKServer(data, 64) for _ in range(plan.sessions)]
+
+        expected = crawl_partitioned(sources(), plan)
+        if leg == "service":
+            spec = CrawlSpec(max_workers=2, shard_subtrees=4)
+            with open_service(tmp_path) as service:
+                service.register_tenant("acme")
+                job = service.submit("acme", data, 64, name="n", spec=spec)
+                assert service.wait(job, timeout=60).state is JobState.DONE
+                assert service.rows(job) == list(expected.rows)
+        else:
+            name, _, rebalance = leg.partition("+")
+            spec = CrawlSpec(
+                executor=name,
+                max_workers=2,
+                rebalance=bool(rebalance),
+                shard_subtrees=4,
+            )
+            result = make_executor(spec=spec).run(sources(), plan, spec)
+            assert result.rows == expected.rows
+            assert result.cost == expected.cost
+        if leg == "thread+rebalance":
+            assert sorted(presplits) == [
+                (session, index)
+                for session, bundle in enumerate(plan.bundles)
+                for index in range(len(bundle))
+            ]
+        else:
+            assert presplits == []
 
     def test_identity_drift_raises(self, tmp_path, dataset):
         with open_service(tmp_path) as service:

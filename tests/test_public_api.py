@@ -64,7 +64,6 @@ class TestDocstrings:
             AggregatorFeed,
             GridSink,
             LocalUnitRunner,
-            ShardPolicy,
             UnitRunner,
             drive_session,
             drive_stealing,
@@ -76,7 +75,6 @@ class TestDocstrings:
             UnitRunner,
             LocalUnitRunner,
             GridSink,
-            ShardPolicy,
             drive_session,
             drive_stealing,
             LimitLease,
@@ -234,7 +232,17 @@ class TestExecutionSurface:
         names = {field.name for field in dataclasses.fields(CrawlSpec)}
         assert "shared_limits" not in names
         assert "lease_chunk" not in names
-        assert len(names) == 10
+        assert "estimator" not in names
+        assert len(names) == 9
+
+    def test_no_shard_policy(self):
+        """Subtree sharding is the stealing loop's shard count alone."""
+        import repro
+        import repro.crawl
+        import repro.crawl.runtime
+
+        for module in (repro, repro.crawl, repro.crawl.runtime):
+            assert not hasattr(module, "ShardPolicy")
 
     def test_run_takes_a_spec_not_keywords(self):
         from repro.crawl import ThreadExecutor
