@@ -28,7 +28,6 @@ import time
 import numpy as np
 
 from benchmarks.conftest import bench_scale
-from repro.crawl.executors import ProcessExecutor, make_executor
 from repro.crawl.partition import crawl_partitioned, partition_space
 from repro.crawl.spec import CrawlSpec
 from repro.dataspace.dataset import Dataset
@@ -119,7 +118,9 @@ def measure_coordinator_round_trips() -> int:
     budget = QueryBudget(10_000_000)
     sources = [TopKServer(dataset, 24, limits=[budget]) for _ in range(3)]
     # Budgeted sources alone put the pool on the shared-limit plane.
-    ProcessExecutor(max_workers=2).run(sources, plan)
+    crawl_partitioned(
+        sources, plan, CrawlSpec(executor="process", max_workers=2)
+    )
     return sources[0].stats.round_trips
 
 
@@ -143,11 +144,11 @@ def test_backend_speedups_cpu_bound(benchmark):
 
     def run_all():
         for name in ("thread", "process"):
-            executor = make_executor(name, max_workers=SESSIONS)
+            spec = CrawlSpec(
+                executor=name, max_workers=SESSIONS, rebalance=True
+            )
             results[name], seconds[name] = timed(
-                lambda executor=executor: executor.run(
-                    sources(), plan, CrawlSpec(rebalance=True)
-                )
+                lambda spec=spec: crawl_partitioned(sources(), plan, spec)
             )
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -206,12 +207,14 @@ def test_rebalancing_on_a_skewed_plan(benchmark):
             for _ in range(SESSIONS)
         ]
 
-    executor = make_executor("thread", max_workers=SESSIONS)
-    static, static_seconds = timed(lambda: executor.run(sources(), plan))
+    spec = CrawlSpec(executor="thread", max_workers=SESSIONS)
+    static, static_seconds = timed(
+        lambda: crawl_partitioned(sources(), plan, spec)
+    )
 
     def rebalanced():
-        return make_executor("thread", max_workers=SESSIONS).run(
-            sources(), plan, CrawlSpec(rebalance=True)
+        return crawl_partitioned(
+            sources(), plan, spec.replace(rebalance=True)
         )
 
     stolen = benchmark.pedantic(rebalanced, rounds=1, iterations=1)

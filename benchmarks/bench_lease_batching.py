@@ -39,6 +39,7 @@ import numpy as np
 from benchmarks.conftest import bench_scale
 from repro.crawl.executors import ProcessExecutor
 from repro.crawl.partition import crawl_partitioned, partition_space
+from repro.crawl.spec import CrawlSpec
 from repro.dataspace.dataset import Dataset
 from repro.dataspace.space import DataSpace
 from repro.server.limits import QueryBudget
@@ -96,8 +97,10 @@ def test_lease_batching_cuts_coordinator_round_trips(benchmark):
     def crawl(lease_chunk):
         budget = QueryBudget(10_000_000)
         crawl_sources = sources(budget)
-        executor = ProcessExecutor(max_workers=2, lease_chunk=lease_chunk)
-        result, seconds = timed(lambda: executor.run(crawl_sources, plan))
+        executor = ProcessExecutor(lease_chunk=lease_chunk)
+        result, seconds = timed(
+            lambda: executor.run(crawl_sources, plan, CrawlSpec(max_workers=2))
+        )
         return result, seconds, budget.used, crawl_sources[0].stats
 
     measurements = {}

@@ -1,7 +1,8 @@
 """Parallel partitioned crawling: wall-clock speedup, identical results.
 
-The concurrent executor (:mod:`repro.crawl.parallel`) promises two
-things over sequential :func:`~repro.crawl.partition.crawl_partitioned`:
+:func:`~repro.crawl.partition.crawl_partitioned` on the thread backend
+(``CrawlSpec(executor="thread")``) promises two things over the
+sequential reference:
 
 * a wall-clock win on latency-bound sessions -- the whole point of
   owning several identities; and
@@ -27,7 +28,6 @@ import time
 import pytest
 
 from benchmarks.conftest import bench_scale
-from repro.crawl.parallel import crawl_partitioned_parallel
 from repro.crawl.spec import CrawlSpec
 from repro.crawl.partition import crawl_partitioned, partition_space
 from repro.datasets.yahoo import yahoo_autos
@@ -63,8 +63,12 @@ def test_parallel_speedup_and_determinism(benchmark, dataset, plan):
     seq_seconds = time.perf_counter() - start
 
     parallel = benchmark.pedantic(
-        crawl_partitioned_parallel,
-        args=(make_sources(dataset), plan, CrawlSpec(max_workers=SESSIONS)),
+        crawl_partitioned,
+        args=(
+            make_sources(dataset),
+            plan,
+            CrawlSpec(executor="thread", max_workers=SESSIONS),
+        ),
         rounds=1,
         iterations=1,
     )
@@ -100,8 +104,10 @@ def test_worker_count_sweep(benchmark, dataset, plan):
     def sweep():
         for workers in (1, 2, 4):
             start = time.perf_counter()
-            merged = crawl_partitioned_parallel(
-                make_sources(dataset), plan, CrawlSpec(max_workers=workers)
+            merged = crawl_partitioned(
+                make_sources(dataset),
+                plan,
+                CrawlSpec(executor="thread", max_workers=workers),
             )
             timings[workers] = time.perf_counter() - start
             assert merged.rows == reference.rows

@@ -33,7 +33,6 @@ import numpy as np
 
 from benchmarks.conftest import bench_scale
 from repro.crawl.checkpoint import CheckpointWriter, load_crawl_checkpoint
-from repro.crawl.executors import ThreadExecutor
 from repro.crawl.partition import crawl_partitioned, partition_space
 from repro.crawl.spec import CrawlSpec
 from repro.dataspace.dataset import Dataset
@@ -42,6 +41,8 @@ from repro.server.server import TopKServer
 
 K = 24
 SESSIONS = 3
+#: Every crawl here runs on two worker threads.
+THREADS = CrawlSpec(executor="thread", max_workers=2)
 
 
 def crawl_dataset(n: int, seed: int = 23) -> Dataset:
@@ -113,12 +114,11 @@ def test_resume_reissues_zero_queries(benchmark, tmp_path):
                 if len(done) == midpoint_at:
                     shutil.copy(path, midpoint_path)
 
-        executor = ThreadExecutor(max_workers=2)
         result, seconds = timed(
-            lambda: executor.run(
+            lambda: crawl_partitioned(
                 sources(),
                 plan,
-                CrawlSpec(rebalance=True, on_region=on_region),
+                THREADS.replace(rebalance=True, on_region=on_region),
             )
         )
         measurements["interrupted"] = (result, seconds)
@@ -133,10 +133,10 @@ def test_resume_reissues_zero_queries(benchmark, tmp_path):
     assert len(checkpoint.completed) == len(plan.regions)
     full_sources = sources()
     resumed, resume_seconds = timed(
-        lambda: ThreadExecutor(max_workers=2).run(
+        lambda: crawl_partitioned(
             full_sources,
             plan,
-            CrawlSpec(rebalance=True, completed=checkpoint.completed),
+            THREADS.replace(rebalance=True, completed=checkpoint.completed),
         )
     )
     assert_identical(resumed, reference, "full resume")
@@ -152,10 +152,10 @@ def test_resume_reissues_zero_queries(benchmark, tmp_path):
     total_queries = sum(source.stats.queries for source in baseline)
     mid_sources = sources()
     mid_resumed, _ = timed(
-        lambda: ThreadExecutor(max_workers=2).run(
+        lambda: crawl_partitioned(
             mid_sources,
             plan,
-            CrawlSpec(rebalance=True, completed=snapshot.completed),
+            THREADS.replace(rebalance=True, completed=snapshot.completed),
         )
     )
     assert_identical(mid_resumed, reference, "midpoint resume")

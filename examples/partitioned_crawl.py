@@ -11,19 +11,19 @@ re-paid per session).
 This example partitions a synthetic Yahoo! Autos database on MAKE
 across four sessions, gives each a 60-queries-per-day quota, and
 compares the calendar time against a single-identity crawl under the
-same quota.  It then re-runs the plan on the concurrent executor
-(:func:`repro.crawl.parallel.crawl_partitioned_parallel`) against
-latency-simulating servers, showing the real wall-clock win: worker
-threads overlap the per-query round trips, and the merged bag and total
-cost are identical to the sequential run -- that is the executor's
-determinism contract.
+same quota.  It then re-runs the plan on worker threads
+(:func:`repro.crawl.partition.crawl_partitioned` with
+``CrawlSpec(executor="thread")``) against latency-simulating servers,
+showing the real wall-clock win: worker threads overlap the per-query
+round trips, and the merged bag and total cost are identical to the
+sequential run -- that is the executors' determinism contract.
 
 Picking an executor backend
 ---------------------------
 The thread pool is one of three pluggable backends
-(:mod:`repro.crawl.executors`); all of them honour the same
-determinism contract, so the choice is purely about where the time
-goes:
+(:mod:`repro.crawl.executors`), picked by ``CrawlSpec.executor``; all
+of them honour the same determinism contract, so the choice is purely
+about where the time goes:
 
 ``--executor thread`` (default)
     Latency-bound crawls: real round trips dominate, threads overlap
@@ -34,7 +34,9 @@ goes:
     servers carrying limits (``--budget``) admit them exactly once
     across the pool through a coordinator process.
 ``--executor sequential``
-    The reference: one region after another in the calling thread.
+    The reference: one region after another in the calling thread --
+    also what ``crawl_partitioned`` runs when the spec names no
+    executor.
 ``--rebalance``
     Any backend: work stealing moves whole regions off the slowest
     session, using the observed cost of every finished region to pick
@@ -42,8 +44,8 @@ goes:
 
 The same switches exist programmatically::
 
-    from repro.crawl.parallel import crawl_partitioned_parallel
-    merged = crawl_partitioned_parallel(
+    from repro import CrawlSpec, crawl_partitioned
+    merged = crawl_partitioned(
         sources, plan, CrawlSpec(executor="process", rebalance=True)
     )
 
@@ -70,7 +72,6 @@ from repro import (
     SimulatedClock,
     TopKServer,
 )
-from repro.crawl.parallel import crawl_partitioned_parallel
 from repro.crawl.partition import (
     SubspaceView,
     crawl_partitioned,
@@ -164,8 +165,8 @@ def main() -> None:
     print(f"merged bag      : exact ({len(all_rows)} tuples)")
 
     # ------------------------------------------------------------------
-    # Wall clock: the same plan on the concurrent executor, against
-    # servers that charge a simulated network round trip per query.
+    # Wall clock: the same plan on worker threads, against servers that
+    # charge a simulated network round trip per query.
     # ------------------------------------------------------------------
     rtt = 0.002  # 2ms per query, a fast but honest round trip
 
@@ -180,8 +181,10 @@ def main() -> None:
     seq_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = crawl_partitioned_parallel(
-        latency_sources(), plan, CrawlSpec(max_workers=sessions)
+    parallel = crawl_partitioned(
+        latency_sources(),
+        plan,
+        CrawlSpec(executor="thread", max_workers=sessions),
     )
     par_seconds = time.perf_counter() - start
 
@@ -205,7 +208,7 @@ def main() -> None:
         return [TopKServer(dataset, k) for _ in range(sessions)]
 
     start = time.perf_counter()
-    stolen = crawl_partitioned_parallel(
+    stolen = crawl_partitioned(
         plain_sources(),
         plan,
         CrawlSpec(executor="process", max_workers=sessions, rebalance=True),

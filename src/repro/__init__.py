@@ -48,14 +48,11 @@ from repro.crawl import (
     SessionState,
     SliceCover,
     SubspaceView,
-    SubtreeScheduler,
     SubtreeShard,
     WorkStealingScheduler,
     assert_complete,
     crawl_partitioned,
-    crawl_partitioned_parallel,
     crawl_shard,
-    make_executor,
     merge_region_shards,
     partition_space,
     presplit_region,
@@ -107,14 +104,11 @@ __all__ = [
     "SessionState",
     "SliceCover",
     "SubspaceView",
-    "SubtreeScheduler",
     "SubtreeShard",
     "WorkStealingScheduler",
     "assert_complete",
     "crawl_partitioned",
-    "crawl_partitioned_parallel",
     "crawl_shard",
-    "make_executor",
     "merge_region_shards",
     "partition_space",
     "presplit_region",

@@ -47,7 +47,7 @@ from repro.crawl.executors import (
     ProcessExecutor,
     SequentialExecutor,
     ThreadExecutor,
-    make_executor,
+    default_workers,
 )
 from repro.crawl.hybrid import Hybrid
 from repro.crawl.incremental import SnapshotDiff, diff_snapshots, recrawl
@@ -56,7 +56,6 @@ from repro.crawl.ordering import (
     order_by_domain_size,
     reorder_dataset,
 )
-from repro.crawl.parallel import crawl_partitioned_parallel, default_workers
 from repro.crawl.partition import (
     DEFAULT_MAX_REGIONS,
     PartitionedResult,
@@ -71,7 +70,6 @@ from repro.crawl.rebalance import (
     RegionCompletion,
     RegionTask,
     ShardTask,
-    SubtreeScheduler,
     WorkStealingScheduler,
 )
 from repro.crawl.runtime import (
@@ -116,7 +114,6 @@ __all__ = [
     "ThreadExecutor",
     "ProcessExecutor",
     "EXECUTORS",
-    "make_executor",
     "ALGORITHMS",
     "CrawlSpec",
     "spec_from_args",
@@ -130,7 +127,6 @@ __all__ = [
     "ShardTask",
     "RegionCompletion",
     "WorkStealingScheduler",
-    "SubtreeScheduler",
     "AggregatorFeed",
     "UnitRunner",
     "LocalUnitRunner",
@@ -169,7 +165,6 @@ __all__ = [
     "PartitionPlan",
     "SubspaceView",
     "crawl_partitioned",
-    "crawl_partitioned_parallel",
     "default_workers",
     "partition_space",
     "SnapshotDiff",

@@ -23,11 +23,13 @@ out::
 
 ``--workers N`` partitions the data space into ``N`` disjoint regions
 and crawls them concurrently, one session (with its own server
-connection) per worker -- the merged bag and total cost are
-deterministic and match a sequential partitioned crawl exactly (see
-:mod:`repro.crawl.executors`).  ``--executor`` picks the backend
-(``thread`` overlaps simulated round trips, ``process`` escapes the
-GIL on CPU-bound engines, ``sequential`` is the reference) and
+connection) per worker, through
+:func:`~repro.crawl.partition.crawl_partitioned` -- the merged bag and
+total cost are deterministic and match a sequential partitioned crawl
+exactly (see :mod:`repro.crawl.executors`).  ``--executor`` picks the
+backend (``thread``, the default, overlaps simulated round trips,
+``process`` escapes the GIL on CPU-bound engines, ``sequential`` is
+the reference) and
 ``--rebalance`` turns on work stealing, which moves regions off the
 slowest session without changing the result.  ``--shard-subtrees``
 with ``--rebalance`` additionally splits each region's crawl frontier
@@ -79,8 +81,11 @@ from repro.crawl.checkpoint import (
     save_checkpoint,
 )
 from repro.crawl.executors import EXECUTORS
-from repro.crawl.parallel import crawl_partitioned_parallel
-from repro.crawl.partition import DEFAULT_MAX_REGIONS, partition_space
+from repro.crawl.partition import (
+    DEFAULT_MAX_REGIONS,
+    crawl_partitioned,
+    partition_space,
+)
 from repro.crawl.sharding import DEFAULT_MAX_SHARDS
 from repro.crawl.spec import ALGORITHMS, spec_from_args
 from repro.crawl.verify import verify_complete
@@ -446,7 +451,7 @@ def _main(args: argparse.Namespace) -> int:
                 ),
             )
             try:
-                merged = crawl_partitioned_parallel(sources, plan, spec=spec)
+                merged = crawl_partitioned(sources, plan, spec)
             finally:
                 if monitor is not None:
                     stop.set()

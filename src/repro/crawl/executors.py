@@ -1,5 +1,11 @@
 """Pluggable crawl transports: sequential, thread and process.
 
+A plan runs through :func:`~repro.crawl.partition.crawl_partitioned`,
+which runs ``EXECUTORS[spec.executor or "sequential"]()`` over it: the
+:class:`~repro.crawl.spec.CrawlSpec` alone says which backend runs and
+on how many workers, and an executor instance carries no setting of
+its own (bar the process backend's ``lease_chunk`` tuning knob).
+
 A partitioned crawl is a grid of region crawls -- ``plan.bundles[s][i]``
 -- each of which is a pure function of (session source, region): a
 fresh crawler with a fresh response cache is built per region (see
@@ -61,8 +67,8 @@ Subtree sharding
 ``shard_subtrees=N`` together with ``rebalance=True`` drops the unit of
 scheduling below the region: each region a worker takes is *presplit*
 (:func:`~repro.crawl.sharding.presplit_region`) into a trunk plus at
-most ``N`` independently crawlable subtree shards, and the
-:class:`~repro.crawl.rebalance.SubtreeScheduler` lets idle workers
+most ``N`` independently crawlable subtree shards, and the same
+:class:`~repro.crawl.rebalance.WorkStealingScheduler` lets idle workers
 steal whole regions first and then *subqueries of the costliest live
 region* -- the only lever that helps when a single heavy region
 dominates the plan.  Whichever worker completes a region's last shard
@@ -101,7 +107,7 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -120,7 +126,7 @@ from repro.crawl.partition import (
     _check_sources,
     _merge_session_results,
 )
-from repro.crawl.rebalance import RegionKey, RegionTask, ShardTask
+from repro.crawl.rebalance import RegionTask, ShardTask, WorkStealingScheduler
 from repro.crawl.runtime import (
     AggregatorFeed,
     GridSink,
@@ -128,7 +134,6 @@ from repro.crawl.runtime import (
     UnitRunner,
     drive_session,
     drive_stealing,
-    steal_setup,
 )
 from repro.crawl.spec import CrawlSpec
 from repro.exceptions import SchemaError, WorkerDeparted
@@ -142,7 +147,6 @@ __all__ = [
     "PoolUnitRunner",
     "WorkerPool",
     "EXECUTORS",
-    "make_executor",
     "default_workers",
     "pickle_payload",
 ]
@@ -158,18 +162,6 @@ def default_workers(sessions: int) -> int:
     return max(1, min(sessions, 4 * (os.cpu_count() or 1)))
 
 
-def _completed_costs(
-    completed: Mapping[RegionKey, CrawlResult],
-) -> dict[RegionKey, int]:
-    """Exact per-region costs of a resumed crawl's pre-filed results.
-
-    What the schedulers need from a checkpoint: the keys are excluded
-    from the queues, the costs seed the stealing estimator with truth
-    instead of a flat guess.
-    """
-    return {key: result.cost for key, result in completed.items()}
-
-
 class CrawlExecutor(abc.ABC):
     """Runs a partition plan's region grid and merges deterministically.
 
@@ -182,10 +174,10 @@ class CrawlExecutor(abc.ABC):
 
     Examples
     --------
-    Pick a backend by registry name and crawl a plan; whatever backend
+    The spec names the backend and its worker count; whatever backend
     runs, the merged result is byte-identical::
 
-        from repro import CrawlSpec, TopKServer, make_executor
+        from repro import CrawlSpec, TopKServer, crawl_partitioned
         from repro import partition_space
 
         plan = partition_space(dataset.space, 4)
@@ -194,45 +186,26 @@ class CrawlExecutor(abc.ABC):
             executor="process", max_workers=4,
             rebalance=True, shard_subtrees=8,
         )
-        executor = make_executor(spec=spec)
-        merged = executor.run(sources, plan, spec)
+        merged = crawl_partitioned(sources, plan, spec)
         assert merged.complete
     """
 
     #: Registry name of the backend; subclasses override.
     name: str = "executor"
 
-    def __init__(self, max_workers: int | None = None):
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(
-                f"max_workers must be positive, got {max_workers}"
-            )
-        self._max_workers = max_workers
-
-    def _workers(self, upper: int) -> int:
-        """The effective worker count, capped at ``upper`` tasks."""
-        workers = self._max_workers
-        if workers is None:
-            workers = default_workers(upper)
+    def _workers(self, upper: int, spec: CrawlSpec) -> int:
+        """``spec.max_workers`` (or the default), capped at ``upper``."""
+        workers = spec.max_workers or default_workers(upper)
         return max(1, min(workers, upper))
 
     def _check_spec(self, spec: CrawlSpec) -> None:
-        """Reject a spec whose backend half disagrees with this instance."""
+        """Reject a spec that names another backend than this one."""
         if spec.executor is not None and spec.executor != self.name:
             raise ValueError(
                 f"spec names executor {spec.executor!r} but run() was "
-                f"called on the {self.name!r} backend; build the "
-                "executor with make_executor(spec=spec) so they cannot "
-                "disagree"
-            )
-        if (
-            spec.max_workers is not None
-            and spec.max_workers != self._max_workers
-        ):
-            raise ValueError(
-                f"spec asks for max_workers={spec.max_workers} but this "
-                f"executor was built with {self._max_workers}; build it "
-                "with make_executor(spec=spec) so they cannot disagree"
+                f"called on the {self.name!r} backend; run the plan "
+                "with crawl_partitioned(sources, plan, spec) so they "
+                "cannot disagree"
             )
 
     def run(
@@ -255,12 +228,11 @@ class CrawlExecutor(abc.ABC):
         spec:
             The crawl configuration, a
             :class:`~repro.crawl.spec.CrawlSpec` (default: a default
-            spec).  Its *run half* is consumed here; the field
-            semantics are documented on the spec.  A spec whose
-            ``executor`` or ``max_workers`` disagrees with this
-            instance is rejected -- build the instance with
-            :func:`make_executor(spec=spec) <make_executor>` so the
-            two cannot disagree.
+            spec); the field semantics are documented on the spec.
+            A spec whose ``executor`` names another backend is
+            rejected -- :func:`~repro.crawl.partition.crawl_partitioned`
+            picks the instance from the spec, so the two cannot
+            disagree.
 
         Raises
         ------
@@ -336,12 +308,17 @@ class CrawlExecutor(abc.ABC):
         and ranks its failure after every real region failure.
         """
         if spec.rebalance:
-            scheduler, upper = steal_setup(
-                plan, spec.shard_subtrees, _completed_costs(completed)
+            # A checkpoint's costs seed the estimator with truth, and
+            # its regions never enter the queues.
+            scheduler = WorkStealingScheduler(
+                plan.bundles,
+                {key: result.cost for key, result in completed.items()},
             )
+            # Shards expose more parallelism than whole regions alone.
+            upper = max(1, scheduler.total_tasks, spec.shard_subtrees or 1)
         else:
             upper = plan.sessions
-        workers = self._workers(upper)
+        workers = self._workers(upper, spec)
         with self._runner(sources, plan, spec, workers, sink.feed) as runner:
             if not spec.rebalance:
                 skip = frozenset(completed)
@@ -400,9 +377,6 @@ class CrawlExecutor(abc.ABC):
             for session in range(plan.sessions):
                 sink.feed.cancelled(session)
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(max_workers={self._max_workers})"
-
 
 class SequentialExecutor(CrawlExecutor):
     """The reference backend: plan order, in the calling thread.
@@ -437,7 +411,7 @@ class ThreadExecutor(CrawlExecutor):
 
     Runs :meth:`CrawlExecutor._execute` with the default in-process
     runner: one :func:`~repro.crawl.runtime.drive_session` thread per
-    session, or ``max_workers`` elastic
+    session, or ``spec.max_workers`` elastic
     :func:`~repro.crawl.runtime.drive_stealing` threads with
     ``rebalance``.  Wins on latency-bound sessions: the threads overlap
     the per-query round trips, and limits and stats are exact without
@@ -798,13 +772,7 @@ class ProcessExecutor(CrawlExecutor):
 
     name = "process"
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        *,
-        lease_chunk: int | None = None,
-    ):
-        super().__init__(max_workers)
+    def __init__(self, *, lease_chunk: int | None = None):
         if lease_chunk is not None and lease_chunk < 1:
             raise ValueError(
                 f"lease_chunk must be positive, got {lease_chunk}"
@@ -813,7 +781,7 @@ class ProcessExecutor(CrawlExecutor):
         #: Bytes of the last payload shipped to the pool initializer.
         self.payload_bytes = 0
 
-    def _workers(self, upper: int) -> int:
+    def _workers(self, upper: int, spec: CrawlSpec) -> int:
         """Default to the core count, not the thread executor's 4x cap.
 
         Oversubscription pays off for latency-bound threads; worker
@@ -821,9 +789,7 @@ class ProcessExecutor(CrawlExecutor):
         cores adds only spawn time and a per-worker copy of the
         sources.
         """
-        workers = self._max_workers
-        if workers is None:
-            workers = os.cpu_count() or 1
+        workers = spec.max_workers or os.cpu_count() or 1
         return max(1, min(workers, upper))
 
     @contextlib.contextmanager
@@ -873,42 +839,3 @@ EXECUTORS: dict[str, type[CrawlExecutor]] = {
     "thread": ThreadExecutor,
     "process": ProcessExecutor,
 }
-
-
-def make_executor(
-    name: str | None = None,
-    *,
-    max_workers: int | None = None,
-    spec: CrawlSpec | None = None,
-) -> CrawlExecutor:
-    """Build a backend by registry name (see :data:`EXECUTORS`).
-
-    With ``spec=`` the backend half of a
-    :class:`~repro.crawl.spec.CrawlSpec` drives construction: the
-    registry name comes from ``spec.executor`` (explicit ``name`` wins,
-    ``"thread"`` if neither is set) and ``spec.max_workers`` fills in
-    when ``max_workers`` is not given.
-
-    Examples
-    --------
-    ::
-
-        spec = CrawlSpec(executor="process", max_workers=4)
-        executor = make_executor(spec=spec)
-        merged = executor.run(sources, plan, spec)
-    """
-    if spec is not None:
-        if name is None:
-            name = spec.executor or "thread"
-        if max_workers is None:
-            max_workers = spec.max_workers
-    elif name is None:
-        raise TypeError("make_executor() needs a name or a spec")
-    try:
-        cls = EXECUTORS[name]
-    except KeyError:
-        known = ", ".join(sorted(EXECUTORS))
-        raise ValueError(
-            f"unknown executor {name!r}; expected one of: {known}"
-        ) from None
-    return cls(max_workers=max_workers)

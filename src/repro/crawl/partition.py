@@ -15,18 +15,16 @@ provides the three pieces:
   that confines any crawler to one region by intersecting every query
   it issues with the region (contradictory queries are answered empty
   locally, at zero cost);
-* :func:`crawl_partitioned` -- run one crawler per session over its
-  bundle (sessions executed one after another in this process) and
-  merge everything into a single result.
+* :func:`crawl_partitioned` -- the one way to run a plan: one crawler
+  per region, on the backend a :class:`~repro.crawl.spec.CrawlSpec`
+  names (the sequential reference by default; threads or processes
+  for wall-clock concurrency, also exposed as ``python -m repro.crawl
+  ... --workers N``), merged into a single result.
 
-For true wall-clock concurrency, :mod:`repro.crawl.parallel` executes
-the same plan with one worker thread per session
-(:func:`~repro.crawl.parallel.crawl_partitioned_parallel`, also exposed
-as ``python -m repro.crawl ... --workers N``).  Both executors honour
-the same **determinism contract**: the merged rows are ordered by
-(session index, region index, extraction order), per-region results and
-the summed cost are identical between the two, and the merged progress
-curve is the canonical :func:`~repro.crawl.base.merge_progress`
+Every backend honours the same **determinism contract**: the merged
+rows are ordered by (session index, region index, extraction order),
+per-region results and the summed cost are identical, and the merged
+progress curve is the canonical :func:`~repro.crawl.base.merge_progress`
 interleaving of the per-session curves -- never a function of thread
 scheduling.
 
@@ -51,7 +49,7 @@ from repro.crawl.base import (
     concat_progress,
     merge_progress,
 )
-from repro.crawl.hybrid import Hybrid
+from repro.crawl.spec import CrawlSpec
 from repro.dataspace.space import DataSpace
 from repro.exceptions import SchemaError, UnboundedDomainError
 from repro.query.query import Query
@@ -385,11 +383,16 @@ class PartitionedResult:
 def crawl_partitioned(
     sources: Sequence,
     plan: PartitionPlan,
-    *,
-    crawler_factory: Callable[..., Crawler] = Hybrid,
-    allow_partial: bool = False,
+    spec: CrawlSpec | None = None,
 ) -> PartitionedResult:
     """Crawl every region of ``plan``, one source per session.
+
+    Runs ``EXECUTORS[spec.executor or "sequential"]`` (see
+    :mod:`repro.crawl.executors`) over the plan.  Whichever backend
+    runs, the merged result is byte-identical to the sequential
+    reference's; only failures differ: the sequential backend stops at
+    the first failing region, the thread and process backends drain
+    every session and raise the failure of the lowest plan position.
 
     Parameters
     ----------
@@ -397,12 +400,21 @@ def crawl_partitioned(
         One query source per bundle (e.g. servers constructed with
         separate :class:`~repro.server.limits.DailyRateLimit` objects,
         modelling distinct IPs).  Must match ``plan.sessions``.
-    crawler_factory:
-        Crawler class (or factory) applied to each region's
-        :class:`SubspaceView`; defaults to :class:`Hybrid`.
-    allow_partial:
-        Forwarded to each region crawl; a budget-interrupted region
-        marks the merged result incomplete.
+    plan:
+        The partition plan.
+    spec:
+        The whole configuration, a :class:`~repro.crawl.spec.CrawlSpec`
+        (default: a default spec -- the sequential reference with the
+        :class:`~repro.crawl.hybrid.Hybrid` crawler).  ``spec.executor`` and
+        ``spec.max_workers`` pick the backend and its worker count;
+        the other fields configure the run.
+
+    Raises
+    ------
+    SchemaError
+        If ``sources`` does not match ``plan.sessions``.
+    QueryBudgetExhausted
+        When a limit fires and ``spec.allow_partial`` is ``False``.
 
     Examples
     --------
@@ -424,14 +436,21 @@ def crawl_partitioned(
     True
     >>> sorted(merged.rows) == sorted(dataset.iter_rows())
     True
-    """
-    from repro.crawl.executors import SequentialExecutor
-    from repro.crawl.spec import CrawlSpec
 
-    spec = CrawlSpec(
-        crawler_factory=crawler_factory, allow_partial=allow_partial
-    )
-    return SequentialExecutor().run(sources, plan, spec)
+    The same plan on two threads, stealing regions off the slowest
+    session, merges to the same bytes:
+
+    >>> from repro import CrawlSpec
+    >>> spec = CrawlSpec(executor="thread", max_workers=2, rebalance=True)
+    >>> sources = [TopKServer(dataset, k=16) for _ in range(2)]
+    >>> crawl_partitioned(sources, plan, spec).rows == merged.rows
+    True
+    """
+    # Late import: the executors import this module at their top.
+    from repro.crawl.executors import EXECUTORS
+
+    spec = spec if spec is not None else CrawlSpec()
+    return EXECUTORS[spec.executor or "sequential"]().run(sources, plan, spec)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ the scheduling layer that fixes that without touching the result:
 * :class:`WorkStealingScheduler` -- a thread-safe work queue per
   session; an idle worker first drains its own session's queue in plan
   order, then *steals* the tail region of the session with the largest
-  estimated remaining cost.
+  estimated remaining cost, and last a subtree shard of a live region.
 
 Stealing never changes what is crawled, only *when* and *by which
 worker*: a stolen region is still crawled against its own session's
@@ -25,24 +25,28 @@ equals the sum of the per-region costs no matter how acquisitions and
 completions interleave (a hypothesis property test drives arbitrary
 schedules through it).
 
-:class:`SubtreeScheduler` adds the second level introduced with
-subtree sharding (:mod:`repro.crawl.sharding`): when no whole region is
-left to take, an idle worker steals a *subquery* of a live region --
-the next pending subtree shard of the region with the largest estimated
-remaining cost.  Shard results carry their exact per-shard cost back to
-the :class:`CostEstimator` (:meth:`CostEstimator.record_shard`), so the
-"costliest live region" signal sharpens as the region progresses.  The
-same invariants hold one level down: each shard is handed out at most
-once, filed at its canonical position, and merged deterministically.
+Under subtree sharding (:mod:`repro.crawl.sharding`) the same scheduler
+works one level down: a region taken is presplit and *published*, and
+when no whole region is left to take, an idle worker steals a
+*subquery* of a live region -- the next pending subtree shard of the
+region with the largest estimated remaining cost.  Shard results carry
+their exact per-shard cost back to the :class:`CostEstimator`
+(:meth:`CostEstimator.record_shard`), so the "costliest live region"
+signal sharpens as the region progresses.  The same invariants hold one
+level down: each shard is handed out at most once, filed at its
+canonical position, and merged deterministically.  Only a sharded crawl
+waits in :meth:`WorkStealingScheduler.acquire` (``block=True``): a
+presplit in flight can still publish shards, while an unsharded queue
+that ran dry stays dry.
 
-Both schedulers are *elastic*: a worker that leaves a running crawl
+The scheduler is *elastic*: a worker that leaves a running crawl
 (:class:`~repro.exceptions.WorkerDeparted`) hands its acquired region
 or shard back via ``requeue()`` -- the unit returns to the front of its
-home queue, any surviving or newly joined worker picks it up, and the
+queue, any surviving or newly joined worker picks it up, and the
 exactly-once accounting is untouched.  Departures are bounded: past
 ``max_departures`` a departing unit is failed instead of requeued, so
-a fleet whose every replacement departs ends instead of spinning.
-Both also accept a ``completed`` map of pre-crawled region costs (a
+a fleet whose every replacement departs ends instead of spinning.  It
+also accepts a ``completed`` map of pre-crawled region costs (a
 resumed crawl's checkpoint), which enter the books as done without
 ever being enqueued.
 """
@@ -63,7 +67,6 @@ __all__ = [
     "RegionCompletion",
     "CostEstimator",
     "WorkStealingScheduler",
-    "SubtreeScheduler",
 ]
 
 #: A region's identity inside a plan: (session index, index in bundle).
@@ -93,7 +96,7 @@ class RegionTask:
 class ShardTask:
     """One schedulable subtree shard of a live region.
 
-    Produced by :class:`SubtreeScheduler` after a region's
+    Produced by :class:`WorkStealingScheduler` after a region's
     :class:`~repro.crawl.sharding.RegionShardPlan` is published; the
     shard is crawled against *its own session's* source (the session's
     identity keeps paying the queries) and its result is filed at the
@@ -205,8 +208,38 @@ class CostEstimator:
         return f"CostEstimator({observed} regions observed)"
 
 
+class _LiveRegion:
+    """A region whose shard plan is published but not yet merged."""
+
+    __slots__ = ("task", "plan", "pending", "in_flight", "results", "failed")
+
+    def __init__(self, task: RegionTask, plan, pending):
+        self.task = task
+        self.plan = plan
+        self.pending = pending
+        self.in_flight = 0
+        self.results: dict[int, object] = {}
+        self.failed = False
+
+
+@dataclass(frozen=True)
+class RegionCompletion:
+    """Everything needed to merge a finished region's shard results.
+
+    Returned by :meth:`WorkStealingScheduler.publish` (zero-shard plans) and
+    :meth:`WorkStealingScheduler.complete_shard` (when the last shard of a
+    region lands).  Exactly one worker receives it; that worker calls
+    :func:`~repro.crawl.sharding.merge_region_shards` and then reports
+    the merged cost via :meth:`WorkStealingScheduler.complete_region`.
+    """
+
+    task: RegionTask
+    plan: object  # a repro.crawl.sharding.RegionShardPlan
+    results: tuple  # shard CrawlResults in canonical shard order
+
+
 class WorkStealingScheduler:
-    """Thread-safe region scheduler with estimate-guided stealing.
+    """Thread-safe two-level work stealing: whole regions, then subtrees.
 
     One FIFO queue per session holds the session's regions in plan
     order.  :meth:`acquire` serves a worker from its home session's
@@ -215,14 +248,28 @@ class WorkStealingScheduler:
     cost -- splitting remaining work off the (estimated) slowest
     session, with ties broken by the lowest session index.
 
+    A region is either crawled whole and reported with
+    :meth:`complete`, or, under subtree sharding, *presplit*
+    (:func:`~repro.crawl.sharding.presplit_region`) and its plan handed
+    back via :meth:`publish`, which turns the region *live* and exposes
+    its subtree shards.  Only when no whole region is left to take does
+    a worker fall through to the subtree layer and take the next shard
+    of the **costliest live region** -- the region with the largest
+    estimated remaining shard cost, measured from the exact costs of
+    its already-finished shards (:meth:`CostEstimator.record_shard`)
+    and falling back to the region-level estimate divided by its shard
+    count.  A crawl that never publishes never has a live region, so
+    its scheduling is the region layer's alone.
+
     Accounting invariants, enforced and exposed for tests:
 
-    * a region is handed out at most once (acquire pops it);
-    * :meth:`complete` and :meth:`fail` accept only regions currently
-      in flight, so double completion is impossible;
+    * a region (and a shard) is handed out at most once (acquire pops
+      it);
+    * :meth:`complete` and :meth:`fail` accept only units currently in
+      flight, so double completion is impossible;
     * when everything has drained, :meth:`total_observed_cost` equals
       the exact sum of the per-region costs reported to
-      :meth:`complete`.
+      :meth:`complete` and :meth:`complete_region`.
 
     Examples
     --------
@@ -277,11 +324,16 @@ class WorkStealingScheduler:
         #: fleet that never survives a unit terminates.
         self.departures = 0
         self.max_departures = 4 * (self._total + 1)
+        # Regions handed out and not yet completed, published or failed.
         self._in_flight: dict[RegionKey, int | None] = {}
+        # Published regions with shards outstanding, and regions whose
+        # last shard landed but whose merge has not been reported yet.
+        self._live: dict[RegionKey, _LiveRegion] = {}
+        self._merging: set[RegionKey] = set()
         self._failed: set[RegionKey] = set()
         self._aborted = False
         self._steals: list[tuple[RegionKey, int | None]] = []
-        self._lock = threading.Lock()
+        self._cond = threading.Condition(threading.Lock())
         # Per-session sums of the queued tasks' cached estimates, kept
         # incrementally so picking a victim is O(sessions) per acquire.
         self._cached_estimate: dict[RegionKey, float] = {}
@@ -304,29 +356,50 @@ class WorkStealingScheduler:
         """Number of schedulable regions (pre-completed ones excluded)."""
         return self._total
 
+    # ------------------------------------------------------------------
+    # Acquisition
+    # ------------------------------------------------------------------
     def acquire(
-        self, worker_session: int | None = None, *, block: bool = True
-    ) -> RegionTask | None:
-        """Hand out the next region for a worker, or ``None`` when dry.
+        self, worker_session: int | None = None, *, block: bool = False
+    ) -> RegionTask | ShardTask | None:
+        """The next region or shard for a worker, or ``None``.
 
-        ``worker_session`` is the worker's home session: its own queue
-        is drained first (in plan order); afterwards the worker steals.
-        ``None`` means the caller has no home queue (the job service's
-        fleet, which serves many jobs) and always picks by estimate.
-        ``block`` is accepted for signature parity with
-        :meth:`SubtreeScheduler.acquire` (the job service's fleet polls
-        with ``block=False``); this one-level scheduler never blocks,
-        so the flag changes nothing.
+        Preference order: the worker's home queue (``worker_session``,
+        drained in plan order), then a stolen whole region, then a
+        shard of the costliest live region.  ``worker_session=None``
+        means the caller has no home queue (the job service's fleet,
+        which serves many jobs) and always picks by estimate.
+
+        With ``block=False`` the call returns ``None`` as soon as there
+        is nothing to take.  With ``block=True`` it waits while the
+        queues are momentarily empty but units are still in flight --
+        a presplit may publish shards, a departing worker may hand its
+        unit back -- and returns ``None`` only once every region has
+        completed, merged or failed (or the scheduler was aborted).
+        Only a sharded crawl needs to block: without presplits, a dry
+        queue stays dry for every worker still pulling.
         """
-        with self._lock:
-            if self._aborted:
-                return None
-            return self._acquire_region_locked(worker_session)
+        with self._cond:
+            while True:
+                # The fast path out for workers woken by (or racing) an
+                # abort: everything is written off, so return without
+                # consulting the queue state -- a waiter blocked in
+                # wait() is guaranteed to observe this on wake-up.
+                if self._aborted:
+                    return None
+                task = self._acquire_region_locked(worker_session)
+                if task is None:
+                    task = self._acquire_shard_locked(worker_session)
+                if task is not None:
+                    return task
+                if not block or self._drained_locked():
+                    return None
+                self._cond.wait()
 
     def _acquire_region_locked(
         self, worker_session: int | None
     ) -> RegionTask | None:
-        # Caller holds self._lock.
+        # Caller holds self._cond.
         if worker_session is not None and (
             0 <= worker_session < len(self._queues)
         ):
@@ -346,312 +419,10 @@ class WorkStealingScheduler:
             self._steals.append((task.key, worker_session))
         return task
 
-    def _dequeued(self, task: RegionTask) -> None:
-        # Caller holds self._lock.
-        value = self._cached_estimate.pop(task.key, 0.0)
-        session_cost = self._queued_cost[task.session] - value
-        self._queued_cost[task.session] = max(0.0, session_cost)
-
-    def _pick_victim(self) -> int | None:
-        # Caller holds self._lock.
-        best: int | None = None
-        best_cost = -1.0
-        for session, queue in enumerate(self._queues):
-            if queue and self._queued_cost[session] > best_cost:
-                best, best_cost = session, self._queued_cost[session]
-        return best
-
-    def _refresh_estimates(self) -> None:
-        # Caller holds self._lock.  Exact refresh of the cached sums;
-        # skipped on huge queues (see _REFRESH_LIMIT).
-        if len(self._cached_estimate) > self._REFRESH_LIMIT:
-            return
-        for session, queue in enumerate(self._queues):
-            total = 0.0
-            for task in queue:
-                value = self.estimator.estimate(task.key)
-                self._cached_estimate[task.key] = value
-                total += value
-            self._queued_cost[session] = total
-
-    def complete(self, task: RegionTask, cost: int) -> None:
-        """Mark an in-flight region finished with its exact query cost.
-
-        After :meth:`abort` the call degrades to a no-op for tasks the
-        abort already wrote off -- a surviving worker reporting a
-        result it was mid-crawl on must drain quietly, not crash.
-        """
-        with self._lock:
-            if not self._check_in_flight(task):
-                return
-            del self._in_flight[task.key]
-            self._completed[task.key] = int(cost)
-        self.estimator.record(task.key, int(cost))
-        with self._lock:
-            self._refresh_estimates()
-
-    def fail(self, task: RegionTask) -> None:
-        """Mark an in-flight region as failed (its worker died on it)."""
-        with self._lock:
-            if not self._check_in_flight(task):
-                return
-            del self._in_flight[task.key]
-            self._failed.add(task.key)
-
-    def requeue(self, task: RegionTask) -> bool:
-        """Return an in-flight region to the *front* of its home queue.
-
-        The departed-worker contract: when a worker leaves a running
-        crawl (:class:`~repro.exceptions.WorkerDeparted`), its acquired
-        unit goes back to the scheduler instead of failing the session
-        -- any surviving (or newly joined) worker picks it up next, and
-        the crawl completes with full parity.  The task returns to the
-        front of its own session's queue so plan order is preserved for
-        that session's next acquirer.  Every call counts one departure;
-        past :attr:`max_departures` the task is failed instead and
-        ``False`` returned -- the caller files the failure.  Also
-        returns ``False`` (dropping the task silently) when an abort
-        already wrote the task off; raises
-        :class:`~repro.exceptions.AlgorithmInvariantError` if the task
-        was never in flight -- only an acquirer may hand work back.
-
-        Examples
-        --------
-        ::
-
-            task = scheduler.acquire(0)
-            scheduler.requeue(task)            # the worker departed
-            assert scheduler.acquire(0) == task  # another worker resumes
-        """
-        with self._lock:
-            return self._requeue_locked(task)
-
-    def _requeue_locked(self, task: RegionTask) -> bool:
-        # Caller holds self._lock.
-        if task.key not in self._in_flight:
-            if self._aborted:
-                return False
-            raise AlgorithmInvariantError(
-                f"region {task.key} is not in flight; only its acquirer "
-                "may requeue it"
-            )
-        del self._in_flight[task.key]
-        if not self._departed_locked():
-            self._failed.add(task.key)
-            return False
-        self._queues[task.session].appendleft(task)
-        value = self.estimator.estimate(task.key)
-        self._cached_estimate[task.key] = value
-        self._queued_cost[task.session] += value
-        return True
-
-    def _departed_locked(self) -> bool:
-        # Caller holds self._lock.  Counts one departure; False once
-        # the bound is spent.
-        self.departures += 1
-        return self.departures <= self.max_departures
-
-    def _check_in_flight(self, task: RegionTask) -> bool:
-        # Caller holds self._lock.  Returns False when the task should
-        # be silently dropped (an abort wrote it off while its worker
-        # was still crawling); raises on a genuine protocol violation.
-        if task.key in self._in_flight:
-            return True
-        if self._aborted:
-            return False
-        raise AlgorithmInvariantError(
-            f"region {task.key} is not in flight; a scheduler task "
-            "may only be completed or failed once, by its acquirer"
-        )
-
-    def abort(self) -> None:
-        """Discard all unfinished work so every worker drains out.
-
-        The escape hatch for irrecoverable worker loss (a pool process
-        dying without reporting back, which would otherwise leave its
-        in-flight task blocking the drain forever): queued and
-        in-flight regions are marked failed, and subsequent
-        :meth:`acquire` calls return ``None``.  Completed regions keep
-        their exact recorded costs, and surviving workers that report
-        an aborted task afterwards are drained silently instead of
-        tripping the exactly-once check.
-
-        Idempotent and safe against concurrent workers: abort-on-abort
-        is a no-op (the shared-limit drain calls it once per dead
-        worker), and a worker racing :meth:`acquire` either gets a task
-        the abort writes off or observes the aborted state and drains.
-
-        Examples
-        --------
-        ::
-
-            task = scheduler.acquire(0)
-            scheduler.abort()
-            scheduler.abort()               # no-op, still aborted
-            scheduler.complete(task, 5)     # silently dropped
-            assert scheduler.acquire(0) is None
-        """
-        with self._lock:
-            if self._aborted:
-                return
-            self._abort_locked()
-
-    def _abort_locked(self) -> None:
-        # Caller holds self._lock.
-        self._aborted = True
-        for queue in self._queues:
-            while queue:
-                self._failed.add(queue.pop().key)
-        self._failed.update(self._in_flight)
-        self._in_flight.clear()
-        self._cached_estimate.clear()
-        self._queued_cost = [0.0] * len(self._queues)
-
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-    def remaining(self) -> int:
-        """Regions not yet completed or failed (queued + in flight)."""
-        with self._lock:
-            queued = sum(len(q) for q in self._queues)
-            return queued + len(self._in_flight)
-
-    def done(self) -> bool:
-        """``True`` once every region has completed or failed."""
-        return self.remaining() == 0
-
-    def completed_costs(self) -> dict[RegionKey, int]:
-        """Exact observed cost per completed region."""
-        with self._lock:
-            return dict(self._completed)
-
-    def failed_keys(self) -> set[RegionKey]:
-        """Plan positions of regions whose crawl raised."""
-        with self._lock:
-            return set(self._failed)
-
-    def total_observed_cost(self) -> int:
-        """Sum of the completed regions' costs -- exact, by construction."""
-        with self._lock:
-            return sum(self._completed.values())
-
-    def steals(self) -> list[tuple[RegionKey, int | None]]:
-        """Every steal that happened: (region key, thief's session)."""
-        with self._lock:
-            return list(self._steals)
-
-    def __repr__(self) -> str:
-        with self._lock:
-            queued = sum(len(q) for q in self._queues)
-            return (
-                f"WorkStealingScheduler({self._total} regions: "
-                f"{queued} queued, {len(self._in_flight)} in flight, "
-                f"{len(self._completed)} done, {len(self._failed)} failed, "
-                f"{len(self._steals)} steals)"
-            )
-
-
-class _LiveRegion:
-    """A region whose shard plan is published but not yet merged."""
-
-    __slots__ = ("task", "plan", "pending", "in_flight", "results", "failed")
-
-    def __init__(self, task: RegionTask, plan, pending):
-        self.task = task
-        self.plan = plan
-        self.pending = pending
-        self.in_flight = 0
-        self.results: dict[int, object] = {}
-        self.failed = False
-
-
-@dataclass(frozen=True)
-class RegionCompletion:
-    """Everything needed to merge a finished region's shard results.
-
-    Returned by :meth:`SubtreeScheduler.publish` (zero-shard plans) and
-    :meth:`SubtreeScheduler.complete_shard` (when the last shard of a
-    region lands).  Exactly one worker receives it; that worker calls
-    :func:`~repro.crawl.sharding.merge_region_shards` and then reports
-    the merged cost via :meth:`SubtreeScheduler.complete_region`.
-    """
-
-    task: RegionTask
-    plan: object  # a repro.crawl.sharding.RegionShardPlan
-    results: tuple  # shard CrawlResults in canonical shard order
-
-
-class SubtreeScheduler(WorkStealingScheduler):
-    """Two-level work stealing: whole regions first, then subtrees.
-
-    The region layer behaves exactly like
-    :class:`WorkStealingScheduler`: a worker drains its home session's
-    queue in plan order, then steals the tail region of the costliest
-    session.  Acquiring a region means *presplitting* it
-    (:func:`~repro.crawl.sharding.presplit_region`); the resulting plan
-    is handed back via :meth:`publish`, which turns the region *live*
-    and exposes its subtree shards.  Only when no whole region is left
-    to take does a worker fall through to the subtree layer and steal
-    the next shard of the **costliest live region** -- the region with
-    the largest estimated remaining shard cost, measured from the exact
-    costs of its already-finished shards
-    (:meth:`CostEstimator.record_shard`) and falling back to the
-    region-level estimate divided by its shard count.
-
-    :meth:`acquire` blocks while work may still appear (a presplit in
-    flight can publish new shards); it returns ``None`` only when every
-    region has been merged or failed.  Pass ``block=False`` for a
-    non-blocking poll (a caller, like the job service's fleet, that
-    must not park on one scheduler).
-    """
-
-    def __init__(
-        self,
-        bundles,
-        completed: Mapping[RegionKey, int] | None = None,
-    ):
-        super().__init__(bundles, completed)
-        self._cond = threading.Condition(self._lock)
-        self._live: dict[RegionKey, _LiveRegion] = {}
-        self._merging: set[RegionKey] = set()
-
-    # ------------------------------------------------------------------
-    # Acquisition
-    # ------------------------------------------------------------------
-    def acquire(
-        self, worker_session: int | None = None, *, block: bool = True
-    ) -> RegionTask | ShardTask | None:
-        """The next region or shard for a worker; ``None`` when done.
-
-        Preference order: the worker's own region queue, then a stolen
-        whole region, then a shard of the costliest live region.  With
-        ``block=True`` (workers) the call waits whenever the queues are
-        momentarily empty but presplits in flight may still publish
-        shards; with ``block=False`` (a caller polling several
-        schedulers) it returns ``None`` immediately in that situation.
-        """
-        with self._cond:
-            while True:
-                # The fast path out for workers woken by (or racing) an
-                # abort: everything is written off, so return without
-                # consulting the queue state -- a waiter blocked in
-                # wait() is guaranteed to observe this on wake-up.
-                if self._aborted:
-                    return None
-                task = self._acquire_region_locked(worker_session)
-                if task is not None:
-                    return task
-                shard = self._acquire_shard_locked(worker_session)
-                if shard is not None:
-                    return shard
-                if self._drained_locked() or not block:
-                    return None
-                self._cond.wait()
-
     def _acquire_shard_locked(
         self, worker_session: int | None
     ) -> ShardTask | None:
-        # Caller holds self._lock.  Victim: largest estimated remaining
+        # Caller holds self._cond.  Victim: largest estimated remaining
         # shard cost; ties broken by the lowest region key.
         best_key: RegionKey | None = None
         best_score = -1.0
@@ -680,14 +451,57 @@ class SubtreeScheduler(WorkStealingScheduler):
         return task
 
     def _drained_locked(self) -> bool:
-        # Caller holds self._lock.
+        # Caller holds self._cond.
         if any(self._queues):
             return False
         return not (self._in_flight or self._live or self._merging)
 
+    def _dequeued(self, task: RegionTask) -> None:
+        # Caller holds self._cond.
+        value = self._cached_estimate.pop(task.key, 0.0)
+        session_cost = self._queued_cost[task.session] - value
+        self._queued_cost[task.session] = max(0.0, session_cost)
+
+    def _pick_victim(self) -> int | None:
+        # Caller holds self._cond.
+        best: int | None = None
+        best_cost = -1.0
+        for session, queue in enumerate(self._queues):
+            if queue and self._queued_cost[session] > best_cost:
+                best, best_cost = session, self._queued_cost[session]
+        return best
+
+    def _refresh_estimates(self) -> None:
+        # Caller holds self._cond.  Exact refresh of the cached sums;
+        # skipped on huge queues (see _REFRESH_LIMIT).
+        if len(self._cached_estimate) > self._REFRESH_LIMIT:
+            return
+        for session, queue in enumerate(self._queues):
+            total = 0.0
+            for task in queue:
+                value = self.estimator.estimate(task.key)
+                self._cached_estimate[task.key] = value
+                total += value
+            self._queued_cost[session] = total
+
     # ------------------------------------------------------------------
     # Region lifecycle
     # ------------------------------------------------------------------
+    def complete(self, task: RegionTask, cost: int) -> None:
+        """Mark an in-flight region finished with its exact query cost.
+
+        After :meth:`abort` the call degrades to a no-op for tasks the
+        abort already wrote off -- a surviving worker reporting a
+        result it was mid-crawl on must drain quietly, not crash.
+        """
+        with self._cond:
+            if not self._check_in_flight(task):
+                return
+            del self._in_flight[task.key]
+            self._completed[task.key] = int(cost)
+            self._cond.notify_all()
+        self._learn(task.key, cost)
+
     def publish(self, task: RegionTask, plan) -> RegionCompletion | None:
         """File a presplit region's shard plan and expose its shards.
 
@@ -704,16 +518,15 @@ class SubtreeScheduler(WorkStealingScheduler):
                     "acquirer may publish a shard plan"
                 )
             del self._in_flight[task.key]
+            self._cond.notify_all()
             if plan.shards:
                 pending = deque(
                     ShardTask(task.session, task.index, task.region, shard)
                     for shard in plan.shards
                 )
                 self._live[task.key] = _LiveRegion(task, plan, pending)
-                self._cond.notify_all()
                 return None
             self._merging.add(task.key)
-            self._cond.notify_all()
             return RegionCompletion(task=task, plan=plan, results=())
 
     def complete_shard(
@@ -736,17 +549,14 @@ class SubtreeScheduler(WorkStealingScheduler):
                 )
             live.in_flight -= 1
             live.results[task.shard.order] = result
+            self._cond.notify_all()
             if live.failed:
-                if live.in_flight == 0 and not live.pending:
-                    del self._live[task.key]
-                self._cond.notify_all()
+                self._drop_if_drained_locked(task.key, live)
                 return None
             if live.pending or live.in_flight > 0:
-                self._cond.notify_all()
                 return None
             del self._live[task.key]
             self._merging.add(task.key)
-            self._cond.notify_all()
             return RegionCompletion(
                 task=live.task,
                 plan=live.plan,
@@ -765,58 +575,41 @@ class SubtreeScheduler(WorkStealingScheduler):
         surviving worker reads.
         """
         with self._cond:
+            self._cond.notify_all()
             if self._aborted:
-                self._cond.notify_all()
                 return
             self._merging.discard(key)
             self._completed[key] = int(cost)
-            self._cond.notify_all()
+        self._learn(key, cost)
+
+    def _learn(self, key: RegionKey, cost: int) -> None:
+        """Feed a finished region's cost to the estimator and re-rank."""
         self.estimator.record(key, int(cost))
-        with self._lock:
+        with self._cond:
             self._refresh_estimates()
 
-    def complete(self, task: RegionTask, cost: int) -> None:
-        """Region-level completion (inherited path), plus a wake-up."""
-        super().complete(task, cost)
-        with self._cond:
-            self._cond.notify_all()
-
     # ------------------------------------------------------------------
-    # Failure
+    # Failure and departure
     # ------------------------------------------------------------------
-    def fail(self, task) -> None:
-        """Mark a region (presplit) or shard task as failed.
+    def fail(self, task: RegionTask | ShardTask) -> None:
+        """Mark an in-flight region (or presplit) or shard as failed.
 
         A shard failure fails its whole region: the region's queued
         shards are dropped, in-flight siblings are drained silently,
         and the region is never merged.
         """
-        if isinstance(task, ShardTask):
-            with self._cond:
-                live = self._live.get(task.key)
-                if live is None:
-                    if self._aborted:
-                        return  # region written off; drain out
-                    raise AlgorithmInvariantError(
-                        f"shard {task.shard.order} of region {task.key} "
-                        "is not in flight"
-                    )
-                live.in_flight -= 1
-                self._fail_live_locked(task.key, live)
-            return
-        super().fail(task)
         with self._cond:
+            if isinstance(task, ShardTask):
+                live = self._live_of_locked(task, "")
+                if live is not None:
+                    live.in_flight -= 1
+                    self._fail_live_locked(task.key, live)
+                return
+            if not self._check_in_flight(task):
+                return
+            del self._in_flight[task.key]
+            self._failed.add(task.key)
             self._cond.notify_all()
-
-    def _fail_live_locked(self, key: RegionKey, live: _LiveRegion) -> None:
-        # Caller holds self._cond and has already retired the shard.
-        live.pending.clear()
-        if not live.failed:
-            live.failed = True
-            self._failed.add(key)
-        if live.in_flight == 0:
-            del self._live[key]
-        self._cond.notify_all()
 
     def fail_region(self, key: RegionKey) -> None:
         """Mark a region failed after its merge step raised."""
@@ -825,72 +618,165 @@ class SubtreeScheduler(WorkStealingScheduler):
             self._failed.add(key)
             self._cond.notify_all()
 
-    def requeue(self, task) -> bool:
-        """Hand a departed worker's region *or shard* back to the queue.
+    def requeue(self, task: RegionTask | ShardTask) -> bool:
+        """Hand a departed worker's region or shard back for another.
 
-        A region (pre-presplit) returns to the front of its home queue
-        exactly as in the base class.  A shard returns to the front of
-        its live region's pending deque, so the next acquirer resumes
-        the region where the departed worker left it.  Either way,
-        waiters blocked in :meth:`acquire` are notified -- requeued work
-        is new work.  A shard of a region a sibling failure already
-        wrote off is drained silently (``False``), mirroring
-        :meth:`fail`'s drain semantics; past :attr:`max_departures` the
-        shard fails its region like :meth:`fail` (``False``).
+        The departed-worker contract: when a worker leaves a running
+        crawl (:class:`~repro.exceptions.WorkerDeparted`), its acquired
+        unit goes back to the scheduler instead of failing the session
+        -- any surviving (or newly joined) worker picks it up next, and
+        the crawl completes with full parity.  A region returns to the
+        front of its own session's queue, so plan order is preserved
+        for that session's next acquirer; a shard returns to the front
+        of its live region's pending shards.  Every call counts one
+        departure; past :attr:`max_departures` the unit is failed
+        instead and ``False`` returned -- the caller files the failure.
+
+        Also returns ``False`` (dropping the unit silently) when an
+        abort, or a sibling shard's failure, already wrote it off;
+        raises :class:`~repro.exceptions.AlgorithmInvariantError` if
+        the unit was never in flight -- only an acquirer may hand work
+        back.
+
+        Examples
+        --------
+        ::
+
+            task = scheduler.acquire(0)
+            scheduler.requeue(task)            # the worker departed
+            assert scheduler.acquire(0) == task  # another worker resumes
         """
-        if not isinstance(task, ShardTask):
-            with self._cond:
-                self._cond.notify_all()
-                return self._requeue_locked(task)
         with self._cond:
-            live = self._live.get(task.key)
-            if live is None:
+            self._cond.notify_all()
+            if isinstance(task, ShardTask):
+                live = self._live_of_locked(
+                    task, "; only its acquirer may requeue it"
+                )
+                if live is None:
+                    return False
+                live.in_flight -= 1
+                if live.failed:
+                    # A sibling shard already failed the whole region;
+                    # the returned shard drains like a late completion.
+                    self._drop_if_drained_locked(task.key, live)
+                    return False
+                if not self._departed_locked():
+                    self._fail_live_locked(task.key, live)
+                    return False
+                live.pending.appendleft(task)
+                return True
+            if task.key not in self._in_flight:
                 if self._aborted:
                     return False
                 raise AlgorithmInvariantError(
-                    f"shard {task.shard.order} of region {task.key} is "
-                    "not in flight; only its acquirer may requeue it"
+                    f"region {task.key} is not in flight; only its "
+                    "acquirer may requeue it"
                 )
-            live.in_flight -= 1
-            if live.failed:
-                # A sibling shard already failed the whole region; the
-                # returned shard drains like a late completion would.
-                if live.in_flight == 0 and not live.pending:
-                    del self._live[task.key]
-                self._cond.notify_all()
-                return False
+            del self._in_flight[task.key]
             if not self._departed_locked():
-                self._fail_live_locked(task.key, live)
+                self._failed.add(task.key)
                 return False
-            live.pending.appendleft(task)
-            self._cond.notify_all()
+            self._queues[task.session].appendleft(task)
+            value = self.estimator.estimate(task.key)
+            self._cached_estimate[task.key] = value
+            self._queued_cost[task.session] += value
             return True
 
-    def abort(self) -> None:
-        """Discard all unfinished work and wake every blocked worker.
+    def _departed_locked(self) -> bool:
+        # Caller holds self._cond.  Counts one departure; False once
+        # the bound is spent.
+        self.departures += 1
+        return self.departures <= self.max_departures
 
-        Extends :meth:`WorkStealingScheduler.abort` one level down:
-        live regions (published shard plans) and pending merges are
-        failed too, and waiters blocked in :meth:`acquire` are notified
-        so they observe the aborted state and return ``None``.
-        Idempotent like the base class -- a repeated abort only
-        re-notifies the waiters, it never re-fails anything.
+    def _check_in_flight(self, task: RegionTask) -> bool:
+        # Caller holds self._cond.  Returns False when the task should
+        # be silently dropped (an abort wrote it off while its worker
+        # was still crawling); raises on a genuine protocol violation.
+        if task.key in self._in_flight:
+            return True
+        if self._aborted:
+            return False
+        raise AlgorithmInvariantError(
+            f"region {task.key} is not in flight; a scheduler task "
+            "may only be completed or failed once, by its acquirer"
+        )
+
+    def _live_of_locked(
+        self, task: ShardTask, hint: str
+    ) -> _LiveRegion | None:
+        # Caller holds self._cond.  The shard's live region; None when
+        # an abort wrote the region off, raising on a protocol error.
+        live = self._live.get(task.key)
+        if live is None and not self._aborted:
+            raise AlgorithmInvariantError(
+                f"shard {task.shard.order} of region {task.key} is not "
+                f"in flight{hint}"
+            )
+        return live
+
+    def _fail_live_locked(self, key: RegionKey, live: _LiveRegion) -> None:
+        # Caller holds self._cond and has already retired the shard.
+        live.pending.clear()
+        if not live.failed:
+            live.failed = True
+            self._failed.add(key)
+        self._drop_if_drained_locked(key, live)
+        self._cond.notify_all()
+
+    def _drop_if_drained_locked(self, key: RegionKey, live) -> None:
+        # Caller holds self._cond.  A failed region leaves the books
+        # once its last in-flight shard has reported back.
+        if live.in_flight == 0 and not live.pending:
+            del self._live[key]
+
+    def abort(self) -> None:
+        """Discard all unfinished work so every worker drains out.
+
+        The escape hatch for irrecoverable worker loss (a pool process
+        dying without reporting back, which would otherwise leave its
+        in-flight unit blocking the drain forever): queued, in-flight,
+        live and merging regions are marked failed, waiters blocked in
+        :meth:`acquire` wake up, and subsequent :meth:`acquire` calls
+        return ``None``.  Completed regions keep their exact recorded
+        costs, and surviving workers that report an aborted unit
+        afterwards are drained silently instead of tripping the
+        exactly-once check.
+
+        Idempotent and safe against concurrent workers: abort-on-abort
+        only re-notifies the waiters, and a worker racing
+        :meth:`acquire` either gets a task the abort writes off or
+        observes the aborted state and drains.
+
+        Examples
+        --------
+        ::
+
+            task = scheduler.acquire(0)
+            scheduler.abort()
+            scheduler.abort()               # no-op, still aborted
+            scheduler.complete(task, 5)     # silently dropped
+            assert scheduler.acquire(0) is None
         """
         with self._cond:
-            if not self._aborted:
-                self._abort_locked()
-                self._failed.update(self._live)
-                self._live.clear()
-                self._failed.update(self._merging)
-                self._merging.clear()
             self._cond.notify_all()
+            if self._aborted:
+                return
+            self._aborted = True
+            for queue in self._queues:
+                while queue:
+                    self._failed.add(queue.pop().key)
+            for written_off in (self._in_flight, self._live, self._merging):
+                self._failed.update(written_off)
+                written_off.clear()
+            self._cached_estimate.clear()
+            self._queued_cost = [0.0] * len(self._queues)
 
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
     def remaining(self) -> int:
-        """Regions not yet merged or failed (any lifecycle stage)."""
-        with self._lock:
+        """Regions not yet completed, merged or failed (any stage)."""
+        with self._cond:
             queued = sum(len(q) for q in self._queues)
             return (
                 queued
@@ -899,12 +785,36 @@ class SubtreeScheduler(WorkStealingScheduler):
                 + len(self._merging)
             )
 
+    def done(self) -> bool:
+        """``True`` once every region has completed or failed."""
+        return self.remaining() == 0
+
+    def completed_costs(self) -> dict[RegionKey, int]:
+        """Exact observed cost per completed region."""
+        with self._cond:
+            return dict(self._completed)
+
+    def failed_keys(self) -> set[RegionKey]:
+        """Plan positions of regions whose crawl raised."""
+        with self._cond:
+            return set(self._failed)
+
+    def total_observed_cost(self) -> int:
+        """Sum of the completed regions' costs -- exact, by construction."""
+        with self._cond:
+            return sum(self._completed.values())
+
+    def steals(self) -> list[tuple[RegionKey, int | None]]:
+        """Every steal that happened: (region key, thief's session)."""
+        with self._cond:
+            return list(self._steals)
+
     def __repr__(self) -> str:
-        with self._lock:
+        with self._cond:
             queued = sum(len(q) for q in self._queues)
             return (
-                f"SubtreeScheduler({self._total} regions: {queued} queued, "
-                f"{len(self._in_flight)} presplitting, "
+                f"WorkStealingScheduler({self._total} regions: "
+                f"{queued} queued, {len(self._in_flight)} in flight, "
                 f"{len(self._live)} live, {len(self._merging)} merging, "
                 f"{len(self._completed)} done, {len(self._failed)} failed, "
                 f"{len(self._steals)} steals)"

@@ -28,15 +28,15 @@ parent thread asks for its own next unit and waits on the runner:
 
 * :func:`drive_session` -- static dispatch: one session's bundle in
   plan order (every backend without rebalancing);
-* :func:`drive_stealing` -- the work-stealing loop, one-level
-  (:class:`~repro.crawl.rebalance.WorkStealingScheduler`) or two-level
-  (:class:`~repro.crawl.rebalance.SubtreeScheduler`), run by the
+* :func:`drive_stealing` -- the work-stealing loop over one
+  :class:`~repro.crawl.rebalance.WorkStealingScheduler`, run by the
   pooled backends' workers.
 
 Subtree sharding lives in the stealing loop alone: under
 ``shard_subtrees=N`` :func:`drive_stealing` presplits every region it
 takes into at most ``N`` shards, so idle workers can take the shards of
-a heavy region.  Static dispatch crawls each region whole -- its
+a heavy region, and it waits on the scheduler while a presplit may
+still publish some.  Static dispatch crawls each region whole -- its
 shards would run one after another on the thread that took the region,
 which buys nothing.  Because sharding is result-invariant (an exact
 prefix decomposition; see :mod:`repro.crawl.sharding`), either way
@@ -69,7 +69,6 @@ from repro.crawl.rebalance import (
     RegionKey,
     RegionTask,
     ShardTask,
-    SubtreeScheduler,
     WorkStealingScheduler,
 )
 from repro.crawl.sharding import (
@@ -89,7 +88,6 @@ __all__ = [
     "run_region",
     "drive_session",
     "drive_stealing",
-    "steal_setup",
 ]
 
 #: One recorded failure: the region's plan position and its exception
@@ -419,7 +417,7 @@ def crawl_region_unit(task: RegionTask, runner: UnitRunner):
 
     The raising core of :func:`run_region`: crawl ``task``'s region
     through ``runner`` and return the
-    :class:`~repro.crawl.parallel.CrawlResult`.  The runner's region
+    :class:`~repro.crawl.base.CrawlResult`.  The runner's region
     boundary is always flushed, success or failure, so leased budget
     headroom never outlives the attempt.  Callers that must distinguish
     failure *kinds* (the job service treats :class:`WorkerDeparted` as
@@ -524,7 +522,7 @@ def drive_session(
 
 
 def _finish_completion(
-    scheduler: SubtreeScheduler,
+    scheduler: WorkStealingScheduler,
     completion: RegionCompletion,
     sink: GridSink,
 ) -> None:
@@ -568,7 +566,7 @@ def _transition(
 
 
 def drive_stealing(
-    scheduler,
+    scheduler: WorkStealingScheduler,
     home_session: int | None,
     runner: UnitRunner,
     sink: GridSink,
@@ -577,16 +575,17 @@ def drive_stealing(
     """One worker's work-stealing pull loop, any runner.
 
     Drains the scheduler until it runs dry: acquire the next unit
-    (own-session regions first, then stolen regions, then -- under a
-    :class:`~repro.crawl.rebalance.SubtreeScheduler` -- subtree shards
-    of the costliest live region), execute it through ``runner``, and
-    advance the scheduler's state machine (complete / publish /
-    merge-on-last-shard / fail).  With ``shard_subtrees=N`` (which needs
-    the :class:`~repro.crawl.rebalance.SubtreeScheduler` that
-    :func:`steal_setup` builds for it) every region taken is presplit
-    into at most ``N`` shards; whichever worker lands a region's last
-    shard performs the deterministic merge and files the result at the
-    region's plan position.
+    (own-session regions first, then stolen regions, then subtree
+    shards of the costliest live region), execute it through
+    ``runner``, and advance the scheduler's state machine (complete /
+    publish / merge-on-last-shard / fail).  With ``shard_subtrees=N``
+    every region taken is presplit into at most ``N`` shards, and the
+    loop blocks in :meth:`~repro.crawl.rebalance.WorkStealingScheduler.
+    acquire` while a peer's presplit may still publish shards;
+    whichever worker lands a region's last shard performs the
+    deterministic merge and files the result at the region's plan
+    position.  Without it, regions crawl whole and the loop ends as
+    soon as nothing is left to take.
 
     Returns ``True`` when the loop ran the scheduler dry, ``False``
     when the worker *departed* mid-crawl: a unit that raises
@@ -610,7 +609,7 @@ def drive_stealing(
     presplit = shard_subtrees is not None
     try:
         while True:
-            task = scheduler.acquire(home_session)
+            task = scheduler.acquire(home_session, block=presplit)
             if task is None:
                 return True
             try:
@@ -632,31 +631,3 @@ def drive_stealing(
                 runner.region_boundary()
     finally:
         runner.region_boundary()
-
-
-def steal_setup(
-    plan: PartitionPlan,
-    shard_subtrees: int | None = None,
-    completed: Mapping[RegionKey, int] | None = None,
-) -> tuple[WorkStealingScheduler, int]:
-    """Build the right scheduler for a rebalanced run.
-
-    Returns ``(scheduler, upper)``: a two-level
-    :class:`~repro.crawl.rebalance.SubtreeScheduler` under
-    ``shard_subtrees=N`` (subtree shards expose more parallelism than
-    whole regions alone, so ``upper`` -- the number of workers the plan
-    can keep busy -- grows to at least ``N``), otherwise a plain
-    :class:`~repro.crawl.rebalance.WorkStealingScheduler`.  The one
-    place that decides between one- and two-level stealing, so the
-    transports cannot drift apart in how they wire the loops.
-    ``completed`` maps a resumed crawl's already-finished plan
-    positions to their costs; the scheduler never queues them but
-    seeds its estimator from their true costs.
-    """
-    if shard_subtrees is not None:
-        scheduler: WorkStealingScheduler = SubtreeScheduler(
-            plan.bundles, completed
-        )
-        return scheduler, max(1, scheduler.total_tasks, shard_subtrees)
-    scheduler = WorkStealingScheduler(plan.bundles, completed)
-    return scheduler, max(1, scheduler.total_tasks)

@@ -1,17 +1,19 @@
 """`CrawlSpec`: one validated config object for a partitioned crawl.
 
-Every caller of the execution layer -- the CLI, the parallel front
-door, the benchmarks, the job service -- configures a crawl through a
-single frozen, validated dataclass, and
-:meth:`CrawlExecutor.run <repro.crawl.executors.CrawlExecutor.run>`
-takes nothing else:
+Every caller of the execution layer -- the CLI, the benchmarks, the
+job service -- configures a crawl through a single frozen, validated
+dataclass, and :func:`~repro.crawl.partition.crawl_partitioned` takes
+nothing else:
 
+* the **backend half** (``executor``, ``max_workers``) says which
+  backend runs the plan and on how many workers -- ``executor=None``
+  is the sequential reference in ``crawl_partitioned`` and the
+  manager's own backend in the job service;
 * the **run half** (``crawler_factory``, ``allow_partial``,
   ``aggregator``, ``rebalance``, ``shard_subtrees``, ``completed``,
-  ``on_region``) configures one executor invocation --
-  ``executor.run(sources, plan, spec)``;
-* the **backend half** (``executor``, ``max_workers``) configures
-  which executor to build -- ``make_executor(spec=spec)``.
+  ``on_region``) configures the run itself.
+
+Each setting lives here only: an executor instance keeps no copy.
 
 Specs are plain frozen dataclasses: derive variants with
 :func:`dataclasses.replace`, ship them across process boundaries
@@ -57,10 +59,10 @@ ALGORITHMS: dict[str, type[Crawler]] = {
 class CrawlSpec:
     """Everything one partitioned crawl needs, as one frozen object.
 
-    The backend half is consumed by
-    :func:`~repro.crawl.executors.make_executor`, the run half by
-    :meth:`~repro.crawl.executors.CrawlExecutor.run`; see those
-    docstrings for the full contracts.  Validation happens at
+    :func:`~repro.crawl.partition.crawl_partitioned` reads the backend
+    half to pick the executor, which reads the rest; see
+    :meth:`~repro.crawl.executors.CrawlExecutor.run` for the full
+    contract.  Validation happens at
     construction, so an invalid combination fails where the spec is
     *built* (the CLI, a service submission) rather than deep inside a
     worker fleet.
@@ -69,14 +71,13 @@ class CrawlSpec:
     --------
     Build once, run anywhere -- the spec is the whole configuration::
 
-        from repro import CrawlSpec, make_executor
+        from repro import CrawlSpec, crawl_partitioned
 
         spec = CrawlSpec(
             executor="process", max_workers=4,
             rebalance=True, shard_subtrees=8,
         )
-        executor = make_executor(spec=spec)
-        merged = executor.run(sources, plan, spec)
+        merged = crawl_partitioned(sources, plan, spec)
 
     Derive variants with :func:`dataclasses.replace`::
 
@@ -84,9 +85,10 @@ class CrawlSpec:
         resumed = dataclasses.replace(spec, completed=ckpt.completed)
     """
 
-    # -- backend half: consumed by make_executor(spec=...) ------------
-    #: Registry name of the backend to build (``None`` = caller's
-    #: choice, defaulting to ``"thread"`` in :func:`make_executor`).
+    # -- backend half: which executor crawl_partitioned() runs ---------
+    #: Registry name of the backend (``None`` = the caller's default:
+    #: ``"sequential"`` in ``crawl_partitioned``, the manager's backend
+    #: in the job service).
     executor: str | None = None
     #: Worker count for the backend; ``None`` picks the default.
     max_workers: int | None = None
@@ -170,7 +172,7 @@ def spec_from_args(args: Any) -> CrawlSpec:
 
         args = build_parser().parse_args(argv)
         spec = spec_from_args(args)
-        executor = make_executor(spec=spec)
+        merged = crawl_partitioned(sources, plan, spec)
     """
     algorithm = getattr(args, "algorithm", "hybrid")
     try:

@@ -13,7 +13,7 @@ tuples"), which is why naive re-querying cannot crawl a hidden database
 and why client-side memoisation is free.
 
 The server is safe for concurrent callers (one server shared by several
-crawl sessions, as :mod:`repro.crawl.parallel` allows): the tuple matrix
+crawl sessions, as the thread executor runs them): the tuple matrix
 is immutable, the engines' lazy indexes are built under a lock, limit
 admission is atomic, and :class:`~repro.server.stats.QueryStats`
 recording is atomic -- so concurrent ``run()`` calls return exactly what

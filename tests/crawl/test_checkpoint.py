@@ -13,9 +13,9 @@ from repro.crawl.checkpoint import (
     save_checkpoint,
     save_crawl_checkpoint,
 )
-from repro.crawl.executors import SequentialExecutor, ThreadExecutor
+from repro.crawl.executors import SequentialExecutor
 from repro.crawl.hybrid import Hybrid
-from repro.crawl.partition import partition_space
+from repro.crawl.partition import crawl_partitioned, partition_space
 from repro.crawl.verify import assert_complete
 from repro.datasets.synthetic import random_dataset
 from repro.dataspace.space import DataSpace
@@ -372,11 +372,14 @@ class TestRuntimeCheckpoint:
             checkpoint = load_crawl_checkpoint(snapshot_path, plan, 16)
             assert len(checkpoint.completed) == boundary
             sources = self._sources(dataset)
-            resumed = ThreadExecutor(max_workers=self.SESSIONS).run(
+            resumed = crawl_partitioned(
                 sources,
                 plan,
                 CrawlSpec(
-                    rebalance=True, completed=checkpoint.completed
+                    executor="thread",
+                    max_workers=self.SESSIONS,
+                    rebalance=True,
+                    completed=checkpoint.completed,
                 ),
             )
             self._assert_identical(resumed, reference)

@@ -24,7 +24,6 @@ from repro.crawl.executors import (
     SequentialExecutor,
     ThreadExecutor,
     default_workers,
-    make_executor,
 )
 from repro.crawl.hybrid import Hybrid
 from repro.crawl.partition import crawl_partitioned, partition_space
@@ -126,18 +125,22 @@ class TestParity:
     def test_backend_matches_sequential(
         self, name, rebalance, dataset, plan, reference
     ):
-        executor = make_executor(name, max_workers=SESSIONS)
-        result = executor.run(
-            make_sources(dataset), plan, CrawlSpec(rebalance=rebalance)
+        result = crawl_partitioned(
+            make_sources(dataset),
+            plan,
+            CrawlSpec(
+                executor=name, max_workers=SESSIONS, rebalance=rebalance
+            ),
         )
         assert_identical(result, reference)
         assert result.complete
         assert sorted(result.rows) == sorted(dataset.iter_rows())
 
     def test_fewer_workers_than_sessions(self, dataset, plan, reference):
-        executor = make_executor("thread", max_workers=2)
-        result = executor.run(
-            make_sources(dataset), plan, CrawlSpec(rebalance=True)
+        result = crawl_partitioned(
+            make_sources(dataset),
+            plan,
+            CrawlSpec(executor="thread", max_workers=2, rebalance=True),
         )
         assert_identical(result, reference)
 
@@ -150,8 +153,11 @@ class TestParity:
             ]
 
         reference = crawl_partitioned(wrapped(), plan)
-        result = ThreadExecutor(max_workers=SESSIONS).run(
-            wrapped(), plan, CrawlSpec(rebalance=True))
+        result = crawl_partitioned(
+            wrapped(),
+            plan,
+            CrawlSpec(executor="thread", max_workers=SESSIONS, rebalance=True),
+        )
         assert_identical(result, reference)
 
     def test_web_adapter_sources_on_threads(self, dataset):
@@ -170,8 +176,10 @@ class TestParity:
         # the plan must be built against the reconstructed schema.
         plan = partition_space(web_sources()[0].space, 2)
         reference = crawl_partitioned(web_sources(), plan)
-        result = ThreadExecutor(max_workers=2).run(
-            web_sources(), plan, CrawlSpec(rebalance=True)
+        result = crawl_partitioned(
+            web_sources(),
+            plan,
+            CrawlSpec(executor="thread", max_workers=2, rebalance=True),
         )
         assert_identical(result, reference)
         assert sorted(result.rows) == sorted(dataset.iter_rows())
@@ -179,9 +187,15 @@ class TestParity:
 
 class TestProcessBackend:
     def test_pickles_sources_once_and_matches(self, dataset, plan, reference):
-        result = ProcessExecutor(max_workers=2).run(
+        result = crawl_partitioned(
             make_sources(dataset),
-            plan, CrawlSpec(crawler_factory=functools.partial(Hybrid)))
+            plan,
+            CrawlSpec(
+                executor="process",
+                max_workers=2,
+                crawler_factory=functools.partial(Hybrid),
+            ),
+        )
         assert_identical(result, reference)
 
     def test_static_crawl_files_each_region_as_it_lands(
@@ -199,10 +213,12 @@ class TestProcessBackend:
                 marker.touch()
 
         reference = crawl_partitioned(make_sources(dataset)[:2], plan)
-        result = ProcessExecutor(max_workers=2).run(
+        result = crawl_partitioned(
             make_sources(dataset)[:2],
             plan,
             CrawlSpec(
+                executor="process",
+                max_workers=2,
                 crawler_factory=AwaitMarker(plan.bundles[0][1], marker),
                 on_region=on_region,
             ),
@@ -219,16 +235,23 @@ class TestProcessBackend:
             TopKServer(dataset, k=32),
         ]
         with pytest.raises(QueryBudgetExhausted):
-            ProcessExecutor(max_workers=2).run(
-                sources, plan, CrawlSpec(rebalance=True)
+            crawl_partitioned(
+                sources,
+                plan,
+                CrawlSpec(executor="process", max_workers=2, rebalance=True),
             )
 
     def test_unpicklable_factory_is_a_clear_error(self, dataset, plan):
-        executor = ProcessExecutor(max_workers=2)
         with pytest.raises(TypeError, match="picklable"):
-            executor.run(
+            crawl_partitioned(
                 make_sources(dataset),
-                plan, CrawlSpec(crawler_factory=lambda view: Hybrid(view)))
+                plan,
+                CrawlSpec(
+                    executor="process",
+                    max_workers=2,
+                    crawler_factory=lambda view: Hybrid(view),
+                ),
+            )
 
     def test_client_pickle_drops_listeners_keeps_cache(self, dataset):
         client = CachingClient(TopKServer(dataset, k=32))
@@ -247,7 +270,7 @@ class TestProcessBackend:
 class TestValidation:
     def test_unknown_backend_name(self):
         with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("fiber")
+            CrawlSpec(executor="fiber")
 
     def test_registry_names(self):
         assert set(EXECUTORS) == {"sequential", "thread", "process"}
@@ -255,7 +278,7 @@ class TestValidation:
     def test_nonpositive_workers(self):
         for name in ("thread", "process"):
             with pytest.raises(ValueError):
-                make_executor(name, max_workers=0)
+                CrawlSpec(executor=name, max_workers=0)
 
     def test_source_count_must_match_plan(self, dataset, plan):
         with pytest.raises(SchemaError):
@@ -263,37 +286,86 @@ class TestValidation:
 
     def test_mismatched_aggregator(self, dataset, plan):
         with pytest.raises(ValueError):
-            ThreadExecutor(max_workers=2).run(
+            crawl_partitioned(
                 make_sources(dataset),
-                plan, CrawlSpec(aggregator=ProgressAggregator(SESSIONS + 2)))
+                plan,
+                CrawlSpec(
+                    executor="thread",
+                    max_workers=2,
+                    aggregator=ProgressAggregator(SESSIONS + 2),
+                ),
+            )
 
     def test_default_workers_bounds(self):
         assert default_workers(1) == 1
         assert 1 <= default_workers(10_000) <= 10_000
 
-    def test_instance_executor_rejects_max_workers(self, dataset, plan):
-        """An instance carries its own worker count: a spec asking for
-        another one is rejected, never silently ignored."""
-        with pytest.raises(ValueError, match="max_workers"):
-            ThreadExecutor().run(
-                make_sources(dataset), plan, CrawlSpec(max_workers=2)
+    def test_executors_take_every_setting_from_the_spec(
+        self, dataset, plan
+    ):
+        """An instance carries no worker count and no crawl knobs: the
+        spec alone configures a run, and a spec naming another backend
+        is rejected, never silently ignored."""
+        with pytest.raises(TypeError):
+            ThreadExecutor(max_workers=2)
+        with pytest.raises(TypeError):
+            ProcessExecutor(max_workers=2)
+        with pytest.raises(TypeError):
+            crawl_partitioned(
+                make_sources(dataset), plan, crawler_factory=Hybrid
             )
-        # A spec that leaves max_workers unset (or agrees) is fine.
-        result = ThreadExecutor(2).run(make_sources(dataset), plan)
-        assert result.complete
-        result = ThreadExecutor(2).run(
+        with pytest.raises(ValueError, match="process"):
+            ThreadExecutor().run(
+                make_sources(dataset), plan, CrawlSpec(executor="process")
+            )
+        result = ThreadExecutor().run(
             make_sources(dataset), plan, CrawlSpec(max_workers=2)
         )
         assert result.complete
+
+    @pytest.mark.parametrize("name", [None, "sequential", "thread", "process"])
+    def test_crawl_partitioned_dispatches_on_the_spec(
+        self, name, dataset, plan, reference
+    ):
+        """``crawl_partitioned`` runs the backend ``spec.executor`` names,
+        the sequential reference when it is ``None``: all four merge to
+        the same bytes, and their failure contracts tell them apart."""
+        spec = CrawlSpec(executor=name, max_workers=SESSIONS)
+        merged = crawl_partitioned(make_sources(dataset), plan, spec)
+        assert merged.rows == reference.rows
+        # Sessions 0 and 2 run out of budget; session 1 does not.
+        budgets = [QueryBudget(1), None, QueryBudget(2)]
+        sources = [
+            TopKServer(dataset, k=32, limits=[b] if b else [])
+            for b in budgets
+        ]
+        with pytest.raises(QueryBudgetExhausted, match="budget of 1 "):
+            crawl_partitioned(sources, plan, spec)
+        drained = sources[1].stats.queries > 0
+        if name in (None, "sequential"):
+            # Stops at the first failing session: nothing after it ran.
+            assert not drained
+            assert budgets[2].used == 0
+        else:
+            # Drains every session, then raises the lowest failure.
+            assert drained
+            assert budgets[2].used == 2
 
 
 class TestTerminalStates:
     @pytest.mark.parametrize("rebalance", [False, True])
     def test_all_sessions_marked_done(self, dataset, plan, rebalance):
         aggregator = ProgressAggregator(SESSIONS)
-        merged = ThreadExecutor(max_workers=SESSIONS).run(
+        merged = crawl_partitioned(
             make_sources(dataset),
-            plan, CrawlSpec(aggregator=aggregator, rebalance=rebalance))
+            plan,
+            CrawlSpec(
+                executor="thread",
+                max_workers=SESSIONS,
+                aggregator=aggregator,
+                rebalance=rebalance,
+            ),
+        )
         assert aggregator.states() == (SessionState.DONE,) * SESSIONS
         assert aggregator.all_terminal()
         totals = aggregator.totals()
@@ -310,8 +382,15 @@ class TestTerminalStates:
         ]
         aggregator = ProgressAggregator(SESSIONS)
         with pytest.raises(QueryBudgetExhausted):
-            ThreadExecutor(max_workers=SESSIONS).run(
-                sources, plan, CrawlSpec(aggregator=aggregator))
+            crawl_partitioned(
+                sources,
+                plan,
+                CrawlSpec(
+                    executor="thread",
+                    max_workers=SESSIONS,
+                    aggregator=aggregator,
+                ),
+            )
         assert aggregator.state(0) is SessionState.FAILED
         assert aggregator.state(1) is SessionState.DONE
         assert aggregator.state(2) is SessionState.DONE
@@ -442,12 +521,14 @@ class TestPayloadSlimming:
     def test_process_executor_records_payload_bytes(
         self, dataset, plan, reference
     ):
-        executor = ProcessExecutor(max_workers=2)
+        executor = ProcessExecutor()
         assert executor.payload_bytes == 0
         result = executor.run(
             make_sources(dataset),
             plan,
-            CrawlSpec(crawler_factory=functools.partial(Hybrid)),
+            CrawlSpec(
+                max_workers=2, crawler_factory=functools.partial(Hybrid)
+            ),
         )
         assert_identical(result, reference)
         assert executor.payload_bytes > 0

@@ -14,8 +14,8 @@ hanging, on every backend.
 Three layers, mirroring where the machinery lives:
 
 * scheduler unit tests -- the ``requeue()`` contract on
-  :class:`~repro.crawl.rebalance.WorkStealingScheduler` and
-  :class:`~repro.crawl.rebalance.SubtreeScheduler`;
+  :class:`~repro.crawl.rebalance.WorkStealingScheduler`, for regions
+  and for subtree shards;
 * drive-loop tests -- :func:`~repro.crawl.runtime.drive_stealing`
   departing at every unit position and a second loop resuming to full
   parity;
@@ -31,14 +31,12 @@ import numpy as np
 import pytest
 
 from repro.crawl.spec import CrawlSpec
-from repro.crawl.executors import ProcessExecutor, ThreadExecutor
 from repro.crawl.base import ProgressAggregator
 from repro.crawl.hybrid import Hybrid
 from repro.crawl.partition import crawl_partitioned, partition_space
 from repro.crawl.rebalance import (
     RegionTask,
     ShardTask,
-    SubtreeScheduler,
     WorkStealingScheduler,
 )
 from repro.crawl.runtime import (
@@ -47,7 +45,6 @@ from repro.crawl.runtime import (
     LocalUnitRunner,
     UnitRunner,
     drive_stealing,
-    steal_setup,
 )
 from repro.dataspace.dataset import Dataset
 from repro.dataspace.space import DataSpace
@@ -305,7 +302,7 @@ class TestRequeue:
         assert scheduler.acquire(0) is None
 
     def test_subtree_shard_requeue_resumes_in_order(self):
-        scheduler = SubtreeScheduler([["r0"]])
+        scheduler = WorkStealingScheduler([["r0"]])
         region = scheduler.acquire(0)
         plan = FakeShardPlan((FakeShard(0), FakeShard(1)))
         assert scheduler.publish(region, plan) is None
@@ -324,7 +321,7 @@ class TestRequeue:
         assert scheduler.total_observed_cost() == 5
 
     def test_shard_requeue_after_sibling_failure_is_dropped(self):
-        scheduler = SubtreeScheduler([["r0"]])
+        scheduler = WorkStealingScheduler([["r0"]])
         region = scheduler.acquire(0)
         scheduler.publish(region, FakeShardPlan((FakeShard(0), FakeShard(1))))
         shard0 = scheduler.acquire(0)
@@ -352,7 +349,7 @@ class TestRequeue:
         assert scheduler.done()
 
     def test_shard_requeue_past_the_bound_fails_its_region(self):
-        scheduler = SubtreeScheduler([["r0"]])
+        scheduler = WorkStealingScheduler([["r0"]])
         region = scheduler.acquire(0)
         scheduler.publish(region, FakeShardPlan((FakeShard(0), FakeShard(1))))
         scheduler.departures = scheduler.max_departures
@@ -366,7 +363,7 @@ class TestRequeue:
         assert scheduler.done()
 
     def test_shard_never_in_flight_raises(self):
-        scheduler = SubtreeScheduler([["r0"]])
+        scheduler = WorkStealingScheduler([["r0"]])
         with pytest.raises(AlgorithmInvariantError, match="not in flight"):
             scheduler.requeue(ShardTask(0, 0, "r0", FakeShard(0)))
 
@@ -414,7 +411,7 @@ class TestDriveLoopDeparture:
                 LocalUnitRunner(make_sources(dataset), Hybrid, False),
                 die_at,
             )
-            scheduler, _ = steal_setup(plan, shards)
+            scheduler = WorkStealingScheduler(plan.bundles)
             sink = GridSink(plan, AggregatorFeed(None, plan))
             drained = drive_stealing(scheduler, 0, runner, sink, shards)
             if not drained:
@@ -439,9 +436,16 @@ class TestElasticThread:
     ):
         total = len(plan.regions)
         for nth in range(1, total + 2):
-            result = ThreadExecutor(max_workers=SESSIONS).run(
+            result = crawl_partitioned(
                 make_sources(dataset),
-                plan, CrawlSpec(rebalance=True, crawler_factory=DepartAt(nth)))
+                plan,
+                CrawlSpec(
+                    executor="thread",
+                    max_workers=SESSIONS,
+                    rebalance=True,
+                    crawler_factory=DepartAt(nth),
+                ),
+            )
             assert_identical(result, reference)
 
     def test_budget_charge_is_exact_after_a_departure(
@@ -454,10 +458,15 @@ class TestElasticThread:
             TopKServer(dataset, k=32, limits=[budgets[i]])
             for i in range(SESSIONS)
         ]
-        result = ThreadExecutor(max_workers=SESSIONS).run(
+        result = crawl_partitioned(
             sources,
             plan,
-            CrawlSpec(rebalance=True, crawler_factory=DepartAt(2)),
+            CrawlSpec(
+                executor="thread",
+                max_workers=SESSIONS,
+                rebalance=True,
+                crawler_factory=DepartAt(2),
+            ),
         )
         assert_identical(result, reference)
         assert [b.used for b in budgets] == baseline_queries
@@ -474,18 +483,27 @@ class TestElasticThread:
             DepartingSource(TopKServer(dataset, k=32), die_at={7})
             for _ in range(SESSIONS)
         ]
-        result = ThreadExecutor(max_workers=SESSIONS).run(
+        result = crawl_partitioned(
             sources,
-            plan, CrawlSpec(rebalance=True, shard_subtrees=3))
+            plan,
+            CrawlSpec(
+                executor="thread",
+                max_workers=SESSIONS,
+                rebalance=True,
+                shard_subtrees=3,
+            ),
+        )
         assert_identical(result, reference)
 
     def test_fleet_that_never_survives_fails_loudly(self, dataset, plan):
         aggregator = ProgressAggregator(SESSIONS)
         with pytest.raises(WorkerDeparted, match="giving up"):
-            ThreadExecutor(max_workers=SESSIONS).run(
+            crawl_partitioned(
                 make_sources(dataset),
                 plan,
                 CrawlSpec(
+                    executor="thread",
+                    max_workers=SESSIONS,
                     rebalance=True,
                     aggregator=aggregator,
                     crawler_factory=AlwaysDepart(),
@@ -503,11 +521,14 @@ class TestElasticProcess:
         its second region attempt) and a replacement drive loop runs
         the requeued unit."""
         marker = tmp_path / "departures"
-        result = ProcessExecutor(max_workers=2).run(
+        result = crawl_partitioned(
             make_sources(dataset),
             plan,
             CrawlSpec(
-                rebalance=True, crawler_factory=DepartAt(2, marker=marker)
+                executor="process",
+                max_workers=2,
+                rebalance=True,
+                crawler_factory=DepartAt(2, marker=marker),
             ),
         )
         assert_identical(result, reference)
@@ -527,11 +548,14 @@ class TestElasticProcess:
             for i in range(SESSIONS)
         ]
         marker = tmp_path / "departures"
-        result = ProcessExecutor(max_workers=2).run(
+        result = crawl_partitioned(
             sources,
             plan,
             CrawlSpec(
-                rebalance=True, crawler_factory=DepartAt(2, marker=marker)
+                executor="process",
+                max_workers=2,
+                rebalance=True,
+                crawler_factory=DepartAt(2, marker=marker),
             ),
         )
         assert_identical(result, reference)
@@ -552,10 +576,15 @@ class TestElasticProcess:
             for i in range(SESSIONS)
         ]
         marker = tmp_path / "exited"
-        result = ProcessExecutor(max_workers=1).run(
+        result = crawl_partitioned(
             sources,
             plan,
-            CrawlSpec(rebalance=True, crawler_factory=ExitOnce(marker)),
+            CrawlSpec(
+                executor="process",
+                max_workers=1,
+                rebalance=True,
+                crawler_factory=ExitOnce(marker),
+            ),
         )
         assert marker.exists(), "no pool worker ever exited"
         assert_identical(result, reference)
@@ -564,10 +593,12 @@ class TestElasticProcess:
     def test_fleet_that_never_survives_fails_loudly(self, dataset, plan):
         aggregator = ProgressAggregator(SESSIONS)
         with pytest.raises(WorkerDeparted, match="giving up"):
-            ProcessExecutor(max_workers=2).run(
+            crawl_partitioned(
                 make_sources(dataset),
                 plan,
                 CrawlSpec(
+                    executor="process",
+                    max_workers=2,
                     rebalance=True,
                     aggregator=aggregator,
                     crawler_factory=AlwaysDepart(),

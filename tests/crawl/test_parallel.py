@@ -1,7 +1,7 @@
 """Parallel executor tests: the determinism contract against sequential.
 
-``crawl_partitioned_parallel`` must produce *exactly* what
-``crawl_partitioned`` produces -- same merged rows in the same order,
+``crawl_partitioned`` on the thread backend must produce *exactly*
+what the sequential reference produces -- same merged rows in the same order,
 same total and per-session costs, same merged progress curve -- for any
 engine, any worker count, and through the ``allow_partial``
 budget-interruption path.  Wall-clock scheduling may differ between
@@ -18,7 +18,7 @@ from repro.crawl.base import (
 )
 from repro.crawl.base import ProgressPoint as P
 from repro.crawl.hybrid import Hybrid
-from repro.crawl.parallel import crawl_partitioned_parallel, default_workers
+from repro.crawl.executors import default_workers
 from repro.crawl.partition import crawl_partitioned, partition_space
 from repro.crawl.rank_shrink import RankShrink
 from repro.crawl.spec import CrawlSpec
@@ -31,6 +31,9 @@ from repro.server.limits import QueryBudget
 from repro.server.server import TopKServer
 
 SESSIONS = 4
+
+#: The backend under test: worker threads, one per session by default.
+THREAD = CrawlSpec(executor="thread")
 
 
 def mixed_dataset(seed=3, n=400):
@@ -76,8 +79,8 @@ class TestMatchesSequential:
             ]
 
         sequential = crawl_partitioned(sources(), plan)
-        parallel = crawl_partitioned_parallel(
-            sources(), plan, CrawlSpec(max_workers=workers)
+        parallel = crawl_partitioned(
+            sources(), plan, THREAD.replace(max_workers=workers)
         )
         assert_identical(parallel, sequential)
         assert parallel.complete
@@ -91,13 +94,12 @@ class TestMatchesSequential:
         def sources():
             return [TopKServer(dataset, k=64) for _ in range(SESSIONS)]
 
-        sequential = crawl_partitioned(
-            sources(), plan, crawler_factory=RankShrink
-        )
-        parallel = crawl_partitioned_parallel(
+        spec = CrawlSpec(crawler_factory=RankShrink)
+        sequential = crawl_partitioned(sources(), plan, spec)
+        parallel = crawl_partitioned(
             sources(),
             plan,
-            CrawlSpec(max_workers=SESSIONS, crawler_factory=RankShrink),
+            spec.replace(executor="thread", max_workers=SESSIONS),
         )
         assert_identical(parallel, sequential)
         assert sorted(parallel.rows) == sorted(dataset.iter_rows())
@@ -110,11 +112,12 @@ class TestMatchesSequential:
         def sources():
             return [TopKServer(dataset, k=64) for _ in range(SESSIONS)]
 
-        sequential = crawl_partitioned(sources(), plan, crawler_factory=Hybrid)
-        parallel = crawl_partitioned_parallel(
+        spec = CrawlSpec(crawler_factory=Hybrid)
+        sequential = crawl_partitioned(sources(), plan, spec)
+        parallel = crawl_partitioned(
             sources(),
             plan,
-            CrawlSpec(max_workers=SESSIONS, crawler_factory=Hybrid),
+            spec.replace(executor="thread", max_workers=SESSIONS),
         )
         assert_identical(parallel, sequential)
         assert sorted(parallel.rows) == sorted(dataset.iter_rows())
@@ -130,9 +133,10 @@ class TestMatchesSequential:
                 TopKServer(dataset, k=32),
             ]
 
-        sequential = crawl_partitioned(sources(), plan, allow_partial=True)
-        parallel = crawl_partitioned_parallel(
-            sources(), plan, CrawlSpec(max_workers=2, allow_partial=True)
+        spec = CrawlSpec(allow_partial=True)
+        sequential = crawl_partitioned(sources(), plan, spec)
+        parallel = crawl_partitioned(
+            sources(), plan, spec.replace(executor="thread", max_workers=2)
         )
         assert not parallel.complete
         assert 0 < len(parallel.rows) < dataset.n
@@ -146,7 +150,7 @@ class TestMatchesSequential:
             TopKServer(dataset, k=32),
         ]
         with pytest.raises(QueryBudgetExhausted):
-            crawl_partitioned_parallel(sources, plan, CrawlSpec(max_workers=2))
+            crawl_partitioned(sources, plan, THREAD.replace(max_workers=2))
 
 
 class TestValidation:
@@ -154,22 +158,22 @@ class TestValidation:
         dataset = mixed_dataset()
         plan = partition_space(dataset.space, 3)
         with pytest.raises(SchemaError):
-            crawl_partitioned_parallel([TopKServer(dataset, k=32)], plan)
+            crawl_partitioned([TopKServer(dataset, k=32)], plan, THREAD)
 
     def test_rejects_nonpositive_workers(self):
         dataset = mixed_dataset()
         plan = partition_space(dataset.space, 2)
         sources = [TopKServer(dataset, k=32) for _ in range(2)]
         with pytest.raises(ValueError):
-            crawl_partitioned_parallel(sources, plan, CrawlSpec(max_workers=0))
+            crawl_partitioned(sources, plan, THREAD.replace(max_workers=0))
 
     def test_rejects_mismatched_aggregator(self):
         dataset = mixed_dataset()
         plan = partition_space(dataset.space, 2)
         sources = [TopKServer(dataset, k=32) for _ in range(2)]
         with pytest.raises(ValueError):
-            crawl_partitioned_parallel(
-                sources, plan, CrawlSpec(aggregator=ProgressAggregator(5))
+            crawl_partitioned(
+                sources, plan, THREAD.replace(aggregator=ProgressAggregator(5))
             )
 
     def test_default_workers_bounds(self):
@@ -183,10 +187,10 @@ class TestProgress:
         plan = partition_space(dataset.space, SESSIONS)
         sources = [TopKServer(dataset, k=32) for _ in range(SESSIONS)]
         aggregator = ProgressAggregator(SESSIONS)
-        merged = crawl_partitioned_parallel(
+        merged = crawl_partitioned(
             sources,
             plan,
-            CrawlSpec(max_workers=SESSIONS, aggregator=aggregator),
+            THREAD.replace(max_workers=SESSIONS, aggregator=aggregator),
         )
         totals = aggregator.totals()
         assert totals.queries == merged.cost
@@ -203,7 +207,7 @@ class TestProgress:
         dataset = mixed_dataset()
         plan = partition_space(dataset.space, SESSIONS)
         sources = [TopKServer(dataset, k=32) for _ in range(SESSIONS)]
-        merged = crawl_partitioned_parallel(sources, plan)
+        merged = crawl_partitioned(sources, plan, THREAD)
         curve = merged.progress
         assert curve[-1] == P(merged.cost, merged.tuples_extracted)
         assert all(
@@ -220,7 +224,7 @@ class TestProgress:
         dataset = mixed_dataset()
         plan = partition_space(dataset.space, 2)
         sources = [TopKServer(dataset, k=32) for _ in range(2)]
-        merged = crawl_partitioned_parallel(sources, plan)
+        merged = crawl_partitioned(sources, plan, THREAD)
         flat = merged.as_crawl_result("partitioned-hybrid")
         assert flat.algorithm == "partitioned-hybrid"
         assert flat.rows == merged.rows

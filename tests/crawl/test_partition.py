@@ -10,6 +10,7 @@ from repro.crawl.partition import (
     partition_space,
 )
 from repro.crawl.rank_shrink import RankShrink
+from repro.crawl.spec import CrawlSpec
 from repro.dataspace.dataset import Dataset
 from repro.dataspace.space import DataSpace
 from repro.exceptions import (
@@ -209,7 +210,9 @@ class TestCrawlPartitioned:
         dataset = Dataset(space, rows)
         plan = partition_space(space, 4, attribute=0)
         sources = [TopKServer(dataset, k=16) for _ in range(4)]
-        merged = crawl_partitioned(sources, plan, crawler_factory=RankShrink)
+        merged = crawl_partitioned(
+            sources, plan, CrawlSpec(crawler_factory=RankShrink)
+        )
         assert merged.complete
         assert sorted(merged.rows) == sorted(dataset.iter_rows())
 
@@ -220,7 +223,9 @@ class TestCrawlPartitioned:
             TopKServer(dataset, k=32, limits=[QueryBudget(3)]),
             TopKServer(dataset, k=32),
         ]
-        merged = crawl_partitioned(sources, plan, allow_partial=True)
+        merged = crawl_partitioned(
+            sources, plan, CrawlSpec(allow_partial=True)
+        )
         assert not merged.complete
         assert 0 < len(merged.rows) < dataset.n
 

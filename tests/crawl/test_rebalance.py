@@ -184,9 +184,7 @@ class TestAbortHardening:
         assert scheduler.acquire(0) is None
 
     def test_subtree_abort_after_abort_is_a_noop(self):
-        from repro.crawl.rebalance import SubtreeScheduler
-
-        scheduler = SubtreeScheduler(bundles_of([2, 1]))
+        scheduler = WorkStealingScheduler(bundles_of([2, 1]))
         scheduler.acquire(0)  # leave one region presplitting
         scheduler.abort()
         snapshot = (scheduler.failed_keys(), scheduler.completed_costs())
@@ -205,13 +203,11 @@ class TestAbortHardening:
 
     def test_abort_wakes_a_blocked_acquire(self):
         """The abort-during-acquire race: a worker blocked in a
-        SubtreeScheduler.acquire must observe the abort and drain out
-        instead of waiting forever."""
+        blocking acquire must observe the abort and drain out instead
+        of waiting forever."""
         import threading
 
-        from repro.crawl.rebalance import SubtreeScheduler
-
-        scheduler = SubtreeScheduler(bundles_of([1]))
+        scheduler = WorkStealingScheduler(bundles_of([1]))
         assert scheduler.acquire(0) is not None  # region now in flight
         results = []
 
@@ -231,9 +227,7 @@ class TestAbortHardening:
         assert results == [None]
 
     def test_complete_region_after_abort_is_dropped(self):
-        from repro.crawl.rebalance import SubtreeScheduler
-
-        scheduler = SubtreeScheduler(bundles_of([1, 1]))
+        scheduler = WorkStealingScheduler(bundles_of([1, 1]))
         task = scheduler.acquire(0)
 
         class _Plan:
@@ -246,9 +240,29 @@ class TestAbortHardening:
         assert scheduler.completed_costs() == {}
         assert task.key in scheduler.failed_keys()
 
-    def test_block_flag_is_accepted_by_the_one_level_scheduler(self):
+    def test_block_waits_only_while_work_may_still_appear(self):
+        """Without ``block`` an acquire returns ``None`` as soon as
+        nothing is there to take; with it, the acquire waits while a
+        unit is in flight -- and takes the unit when its worker hands
+        it back -- and returns ``None`` at once on a drained scheduler."""
+        import threading
+
         scheduler = WorkStealingScheduler(bundles_of([1]))
-        task = scheduler.acquire(None, block=False)
-        assert task is not None
+        task = scheduler.acquire(None)
+        assert scheduler.acquire(None) is None  # non-blocking default
+        results = []
+        worker = threading.Thread(
+            target=lambda: results.append(scheduler.acquire(1, block=True))
+        )
+        worker.start()
+        deadline = 50
+        while deadline and not scheduler._cond._waiters:  # noqa: SLF001
+            deadline -= 1
+            threading.Event().wait(0.01)
+        assert results == []  # parked: the region is in flight
+        assert scheduler.requeue(task)  # its worker departed
+        worker.join(timeout=5.0)
+        assert not worker.is_alive(), "requeue did not wake the waiter"
+        assert results == [task]
         scheduler.complete(task, 1)
-        assert scheduler.acquire(None, block=False) is None
+        assert scheduler.acquire(None, block=True) is None  # drained

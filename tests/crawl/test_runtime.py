@@ -21,7 +21,6 @@ from repro.crawl.runtime import (
     UnitRunner,
     drive_session,
     drive_stealing,
-    steal_setup,
 )
 from repro.dataspace.dataset import Dataset
 from repro.dataspace.space import DataSpace
@@ -148,7 +147,7 @@ class TestDriveStealing:
         reference = crawl_partitioned(sources(), plan)
         feed = AggregatorFeed(None, plan)
         sink = GridSink(plan, feed)
-        scheduler, _ = steal_setup(plan, 4)
+        scheduler = WorkStealingScheduler(plan.bundles)
         runner = LocalUnitRunner(sources(), Hybrid, False, feed=feed)
         drive_stealing(scheduler, None, runner, sink, 4)
         merged_rows = [

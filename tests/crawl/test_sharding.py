@@ -13,8 +13,9 @@ Three layers of guarantees are pinned here:
   ``shard_subtrees`` enabled matches the unsharded sequential
   reference, field by field.
 
-Plus unit tests for the two-level :class:`SubtreeScheduler` and the
-shard-level :class:`CostEstimator` feedback.
+Plus unit tests for the subtree layer of the
+:class:`WorkStealingScheduler` and the shard-level
+:class:`CostEstimator` feedback.
 """
 
 import functools
@@ -31,7 +32,6 @@ from repro.crawl.spec import CrawlSpec
 from repro.crawl.base import ProgressAggregator, SessionState
 from repro.crawl.binary_shrink import BinaryShrink
 from repro.crawl.dfs import DepthFirstSearch
-from repro.crawl.executors import make_executor
 from repro.crawl.hybrid import Hybrid
 from repro.crawl.partition import (
     _crawl_region,
@@ -43,7 +43,7 @@ from repro.crawl.rebalance import (
     CostEstimator,
     RegionTask,
     ShardTask,
-    SubtreeScheduler,
+    WorkStealingScheduler,
 )
 from repro.crawl.sharding import (
     RegionShardPlan,
@@ -313,21 +313,31 @@ class TestExecutorParity:
     def test_sharded_backend_matches_unsharded_sequential(
         self, name, rebalance, dataset, plan, reference
     ):
-        executor = make_executor(name, max_workers=SESSIONS)
-        result = executor.run(
+        result = crawl_partitioned(
             self.sources(dataset),
-            plan, CrawlSpec(rebalance=rebalance, shard_subtrees=6))
+            plan,
+            CrawlSpec(
+                executor=name,
+                max_workers=SESSIONS,
+                rebalance=rebalance,
+                shard_subtrees=6,
+            ),
+        )
         self.assert_identical(result, reference)
         assert sorted(result.rows) == sorted(dataset.iter_rows())
 
     def test_sharding_with_aggregator(self, dataset, plan):
         reference = crawl_partitioned(self.sources(dataset), plan)
         aggregator = ProgressAggregator(SESSIONS)
-        result = make_executor("thread", max_workers=SESSIONS).run(
+        result = crawl_partitioned(
             self.sources(dataset),
             plan,
             CrawlSpec(
-                rebalance=True, shard_subtrees=6, aggregator=aggregator
+                executor="thread",
+                max_workers=SESSIONS,
+                rebalance=True,
+                shard_subtrees=6,
+                aggregator=aggregator,
             ),
         )
         self.assert_identical(result, reference)
@@ -338,8 +348,10 @@ class TestExecutorParity:
 
     def test_invalid_shard_count_rejected(self, dataset, plan):
         with pytest.raises(ValueError, match="shard_subtrees"):
-            make_executor("thread").run(
-                self.sources(dataset), plan, CrawlSpec(shard_subtrees=0)
+            crawl_partitioned(
+                self.sources(dataset),
+                plan,
+                CrawlSpec(executor="thread", shard_subtrees=0),
             )
 
     def test_failed_session_surfaces_with_sharding(self, dataset, plan):
@@ -350,10 +362,12 @@ class TestExecutorParity:
         ]
         aggregator = ProgressAggregator(SESSIONS)
         with pytest.raises(QueryBudgetExhausted):
-            make_executor("thread", max_workers=SESSIONS).run(
+            crawl_partitioned(
                 sources,
                 plan,
                 CrawlSpec(
+                    executor="thread",
+                    max_workers=SESSIONS,
                     rebalance=True,
                     shard_subtrees=4,
                     aggregator=aggregator,
@@ -399,12 +413,14 @@ class _FakeResult:
 
 
 class TestSubtreeScheduler:
+    """The scheduler's subtree layer: published shards, live regions."""
+
     def bundles(self):
         r = _toy_region
         return ((r(1), r(2)), (r(3),))
 
     def test_regions_first_then_shards(self):
-        scheduler = SubtreeScheduler(self.bundles())
+        scheduler = WorkStealingScheduler(self.bundles())
         first = scheduler.acquire(0)
         assert isinstance(first, RegionTask) and first.key == (0, 0)
         region = first.region
@@ -422,7 +438,7 @@ class TestSubtreeScheduler:
         assert ((0, 0), 1) in scheduler.steals()
 
     def test_last_shard_completion_hands_back_the_merge(self):
-        scheduler = SubtreeScheduler(((_toy_region(),),))
+        scheduler = WorkStealingScheduler(((_toy_region(),),))
         task = scheduler.acquire(0)
         region = task.region
         shards = [_toy_shard(i, i, i, region) for i in range(2)]
@@ -444,7 +460,7 @@ class TestSubtreeScheduler:
         assert scheduler.completed_costs() == {(0, 0): 20}
 
     def test_zero_shard_plan_completes_immediately(self):
-        scheduler = SubtreeScheduler(((_toy_region(),),))
+        scheduler = WorkStealingScheduler(((_toy_region(),),))
         task = scheduler.acquire(0)
         completion = scheduler.publish(task, _toy_plan(task.region, []))
         assert completion is not None and completion.results == ()
@@ -454,7 +470,7 @@ class TestSubtreeScheduler:
     def test_costliest_live_region_is_the_shard_victim(self):
         # Both live regions start level; once measured shard costs
         # exist they take over the victim choice.
-        scheduler = SubtreeScheduler(self.bundles())
+        scheduler = WorkStealingScheduler(self.bundles())
         t00 = scheduler.acquire(0)
         t10 = scheduler.acquire(1)
         t01 = scheduler.acquire(0)
@@ -478,12 +494,12 @@ class TestSubtreeScheduler:
         scheduler.fail(t01)
 
     def test_blocking_acquire_waits_for_published_shards(self):
-        scheduler = SubtreeScheduler(((_toy_region(),),))
+        scheduler = WorkStealingScheduler(((_toy_region(),),))
         task = scheduler.acquire(0)
         got = []
 
         def thief():
-            got.append(scheduler.acquire(1))
+            got.append(scheduler.acquire(1, block=True))
 
         thread = threading.Thread(target=thief)
         thread.start()
@@ -496,14 +512,14 @@ class TestSubtreeScheduler:
         assert isinstance(got[0], ShardTask)
 
     def test_nonblocking_poll_returns_none_while_in_flight(self):
-        scheduler = SubtreeScheduler(((_toy_region(),),))
+        scheduler = WorkStealingScheduler(((_toy_region(),),))
         task = scheduler.acquire(0, block=False)
         assert isinstance(task, RegionTask)
         assert scheduler.acquire(0, block=False) is None
         assert not scheduler.done()
 
     def test_shard_failure_fails_the_region(self):
-        scheduler = SubtreeScheduler(((_toy_region(),),))
+        scheduler = WorkStealingScheduler(((_toy_region(),),))
         task = scheduler.acquire(0)
         shards = [_toy_shard(i, i, i, task.region) for i in range(3)]
         scheduler.publish(task, _toy_plan(task.region, shards))
@@ -518,7 +534,7 @@ class TestSubtreeScheduler:
         assert scheduler.done()
 
     def test_double_completion_rejected(self):
-        scheduler = SubtreeScheduler(((_toy_region(),),))
+        scheduler = WorkStealingScheduler(((_toy_region(),),))
         task = scheduler.acquire(0)
         shards = [_toy_shard(0, 0, 0, task.region)]
         scheduler.publish(task, _toy_plan(task.region, shards))
@@ -528,7 +544,7 @@ class TestSubtreeScheduler:
             scheduler.complete_shard(shard_task, _FakeResult(1))
 
     def test_publish_requires_acquisition(self):
-        scheduler = SubtreeScheduler(((_toy_region(),),))
+        scheduler = WorkStealingScheduler(((_toy_region(),),))
         rogue = RegionTask(0, 0, _toy_region())
         with pytest.raises(AlgorithmInvariantError):
             scheduler.publish(rogue, _toy_plan(rogue.region, []))
@@ -570,7 +586,7 @@ class TestSchedulerInterleavingProperty:
     @settings(max_examples=30, deadline=None)
     def test_any_schedule_accounts_every_shard_once(self, data):
         region = _toy_region()
-        scheduler = SubtreeScheduler(((region,),))
+        scheduler = WorkStealingScheduler(((region,),))
         task = scheduler.acquire(0)
         n = data.draw(st.integers(1, 6), label="shards")
         shards = [_toy_shard(i, i, i, region) for i in range(n)]

@@ -38,11 +38,7 @@ from repro.crawl.coordinator import (
     clamp_lease_chunk,
     set_lease_chunk,
 )
-from repro.crawl.executors import (
-    ProcessExecutor,
-    ThreadExecutor,
-    make_executor,
-)
+from repro.crawl.executors import ProcessExecutor
 from repro.crawl.partition import crawl_partitioned, partition_space
 from repro.crawl.spec import CrawlSpec
 from repro.dataspace.dataset import Dataset
@@ -246,10 +242,10 @@ class TestProcessSharedParity:
     ):
         expected, expected_charge = reference
         budget = QueryBudget(100_000)
-        result = ProcessExecutor(max_workers=2).run(
+        result = crawl_partitioned(
             budgeted_sources(dataset, budget),
             plan,
-            CrawlSpec(**kwargs),
+            CrawlSpec(executor="process", max_workers=2, **kwargs),
         )
         assert_identical(result, expected)
         assert budget.used == expected_charge
@@ -272,8 +268,10 @@ class TestProcessSharedParity:
         seq_sources = sources()
         crawl_partitioned(seq_sources, plan)
         pool_sources = sources()
-        ProcessExecutor(max_workers=2).run(
-            pool_sources, plan, CrawlSpec(**kwargs)
+        crawl_partitioned(
+            pool_sources,
+            plan,
+            CrawlSpec(executor="process", max_workers=2, **kwargs),
         )
         for sequential, pooled in zip(seq_sources, pool_sources):
             assert pooled.stats.queries == sequential.stats.queries > 0
@@ -289,18 +287,20 @@ class TestProcessSharedParity:
         re-raises: after the refusal, every source's stats read what
         its budget charged, exactly as on the thread backend."""
 
-        def run(executor):
+        def run(name):
             budgets = [QueryBudget(7) for _ in range(SESSIONS)]
             sources = [
                 TopKServer(dataset, k=32, limits=[budget])
                 for budget in budgets
             ]
             with pytest.raises(QueryBudgetExhausted) as excinfo:
-                executor.run(sources, plan)
+                crawl_partitioned(
+                    sources, plan, CrawlSpec(executor=name, max_workers=2)
+                )
             return sources, budgets, excinfo.value
 
-        thread_sources, _, _ = run(ThreadExecutor(max_workers=2))
-        pool_sources, budgets, exc = run(ProcessExecutor(max_workers=2))
+        thread_sources, _, _ = run("thread")
+        pool_sources, budgets, exc = run("process")
         for threaded, pooled, budget in zip(
             thread_sources, pool_sources, budgets
         ):
@@ -314,12 +314,15 @@ class TestProcessSharedParity:
     ):
         expected, _ = reference
         costs = {}
-        result = ProcessExecutor(max_workers=2).run(
+        result = crawl_partitioned(
             budgeted_sources(dataset, QueryBudget(100_000)),
             plan,
             CrawlSpec(
+                executor="process",
+                max_workers=2,
                 rebalance=True,
-                on_region=lambda key, region: costs.update({key: region.cost}),
+                on_region=lambda key,
+                region: costs.update({key: region.cost}),
             ),
         )
         assert_identical(result, expected)
@@ -330,10 +333,15 @@ class TestProcessSharedParity:
     @pytest.mark.parametrize("kwargs", SHARED_MATRIX)
     def test_sessions_reach_terminal_states(self, kwargs, dataset, plan):
         aggregator = ProgressAggregator(SESSIONS)
-        merged = ProcessExecutor(max_workers=2).run(
+        merged = crawl_partitioned(
             budgeted_sources(dataset, QueryBudget(100_000)),
             plan,
-            CrawlSpec(aggregator=aggregator, **kwargs),
+            CrawlSpec(
+                executor="process",
+                max_workers=2,
+                aggregator=aggregator,
+                **kwargs,
+            ),
         )
         assert aggregator.states() == (SessionState.DONE,) * SESSIONS
         totals = aggregator.totals()
@@ -365,11 +373,9 @@ class TestLimitExhaustion:
         self, name, kwargs, dataset, plan
     ):
         budget = QueryBudget(self.CAP)
-        executor = make_executor(name, max_workers=SESSIONS)
+        spec = CrawlSpec(executor=name, max_workers=SESSIONS, **kwargs)
         with pytest.raises(QueryBudgetExhausted) as excinfo:
-            executor.run(
-                budgeted_sources(dataset, budget), plan, CrawlSpec(**kwargs)
-            )
+            crawl_partitioned(budgeted_sources(dataset, budget), plan, spec)
         assert excinfo.value.issued == self.CAP
         assert budget.used == self.CAP
         assert budget.remaining == 0
@@ -379,11 +385,15 @@ class TestLimitExhaustion:
         self, name, kwargs, dataset, plan
     ):
         budget = QueryBudget(self.CAP)
-        executor = make_executor(name, max_workers=SESSIONS)
-        result = executor.run(
+        result = crawl_partitioned(
             budgeted_sources(dataset, budget),
             plan,
-            CrawlSpec(allow_partial=True, **kwargs),
+            CrawlSpec(
+                executor=name,
+                max_workers=SESSIONS,
+                allow_partial=True,
+                **kwargs,
+            ),
         )
         assert not result.complete
         assert budget.used == self.CAP
@@ -394,10 +404,15 @@ class TestLimitExhaustion:
         through the control plane, so the pool as a whole never spends
         more than the one budget -- and the caller's object reads it."""
         budget = QueryBudget(self.CAP)
-        result = ProcessExecutor(max_workers=2).run(
+        result = crawl_partitioned(
             budgeted_sources(dataset, budget),
             plan,
-            CrawlSpec(allow_partial=True, rebalance=True),
+            CrawlSpec(
+                executor="process",
+                max_workers=2,
+                allow_partial=True,
+                rebalance=True,
+            ),
         )
         assert not result.complete
         assert budget.used == self.CAP
@@ -486,9 +501,9 @@ class TestAbortDrain:
         assert scheduler.completed_costs() == {}
 
     def test_publish_and_shard_completion_after_abort(self, plan):
-        from repro.crawl.rebalance import SubtreeScheduler
+        from repro.crawl.rebalance import WorkStealingScheduler
 
-        scheduler = SubtreeScheduler(plan.bundles)
+        scheduler = WorkStealingScheduler(plan.bundles)
         task = scheduler.acquire(0)
         scheduler.abort()
         assert scheduler.publish(task, _FakePlan()) is None
@@ -550,14 +565,16 @@ class TestCarriesLimits:
         monkeypatch.setattr(executors, "LimitCoordinator", Spy)
         expected, expected_charge = reference
         plain = [TopKServer(dataset, k=32) for _ in range(SESSIONS)]
-        result = ProcessExecutor(max_workers=2).run(
-            plain, plan, CrawlSpec(**kwargs)
+        result = crawl_partitioned(
+            plain, plan, CrawlSpec(executor="process", max_workers=2, **kwargs)
         )
         assert_identical(result, expected)
         assert started == []
         budget = QueryBudget(100_000)
-        result = ProcessExecutor(max_workers=2).run(
-            budgeted_sources(dataset, budget), plan, CrawlSpec(**kwargs)
+        result = crawl_partitioned(
+            budgeted_sources(dataset, budget),
+            plan,
+            CrawlSpec(executor="process", max_workers=2, **kwargs),
         )
         assert_identical(result, expected)
         assert len(started) == 1
@@ -577,8 +594,10 @@ class TestCarriesLimits:
         sequential_budget = QueryBudget(100_000)
         expected = crawl_partitioned(sources(sequential_budget), plan)
         budget = QueryBudget(100_000)
-        result = ProcessExecutor(max_workers=2).run(
-            sources(budget), plan, CrawlSpec(rebalance=True)
+        result = crawl_partitioned(
+            sources(budget),
+            plan,
+            CrawlSpec(executor="process", max_workers=2, rebalance=True),
         )
         assert_identical(result, expected)
         assert budget.used == sequential_budget.used > 0
@@ -875,8 +894,8 @@ class TestRoundTripReduction:
     def crawl(self, dataset, plan, lease_chunk):
         budget = QueryBudget(100_000)
         sources = budgeted_sources(dataset, budget)
-        executor = ProcessExecutor(max_workers=2, lease_chunk=lease_chunk)
-        result = executor.run(sources, plan)
+        executor = ProcessExecutor(lease_chunk=lease_chunk)
+        result = executor.run(sources, plan, CrawlSpec(max_workers=2))
         return result, budget.used, sources[0].stats.round_trips
 
     def test_leased_crawl_is_identical_with_far_fewer_round_trips(
@@ -898,8 +917,10 @@ class TestRoundTripReduction:
         budget = QueryBudget(100_000)
         sources = budgeted_sources(dataset, budget)
         assert sources[0].stats.round_trips == 0
-        ProcessExecutor(max_workers=2).run(
-            sources, plan, CrawlSpec(rebalance=True)
+        crawl_partitioned(
+            sources,
+            plan,
+            CrawlSpec(executor="process", max_workers=2, rebalance=True),
         )
         # Fleet-wide plane chatter written back into every stats object.
         totals = {source.stats.round_trips for source in sources}
@@ -959,7 +980,7 @@ class TestCheckpointedCharge:
             TopKServer(data, 32, limits=[budget])
             for _ in range(plan.sessions)
         ]
-        make_executor(spec=spec).run(sources, plan, spec)
+        crawl_partitioned(sources, plan, spec)
         assert len(stored) == len(plan.regions)
         assert stored[0] > 0
         assert stored == sorted(stored)

@@ -14,14 +14,8 @@ import numpy as np
 import pytest
 
 from repro.crawl.dfs import DepthFirstSearch
-from repro.crawl.executors import (
-    EXECUTORS,
-    ProcessExecutor,
-    ThreadExecutor,
-    make_executor,
-)
+from repro.crawl.executors import EXECUTORS, ThreadExecutor
 from repro.crawl.hybrid import Hybrid
-from repro.crawl.parallel import crawl_partitioned_parallel
 from repro.crawl.partition import crawl_partitioned, partition_space
 from repro.crawl.rank_shrink import RankShrink
 from repro.crawl.spec import ALGORITHMS, CrawlSpec, spec_from_args
@@ -115,9 +109,7 @@ class TestParity:
     def test_spec_matches_sequential_reference(self, dataset, plan):
         reference = crawl_partitioned(make_sources(dataset), plan)
         spec = CrawlSpec(executor="thread", max_workers=SESSIONS)
-        result = make_executor(spec=spec).run(
-            make_sources(dataset), plan, spec
-        )
+        result = crawl_partitioned(make_sources(dataset), plan, spec)
         assert_identical(result, reference)
 
     def test_factory_rides_the_spec(self):
@@ -131,17 +123,17 @@ class TestParity:
             return [TopKServer(numeric, k=32) for _ in range(SESSIONS)]
 
         spec = CrawlSpec(crawler_factory=RankShrink)
-        result = ThreadExecutor(max_workers=SESSIONS).run(
-            sources(), numeric_plan, spec
+        result = crawl_partitioned(
+            sources(),
+            numeric_plan,
+            spec.replace(executor="thread", max_workers=SESSIONS),
         )
-        reference = crawl_partitioned(
-            sources(), numeric_plan, crawler_factory=RankShrink
-        )
+        reference = crawl_partitioned(sources(), numeric_plan, spec)
         assert_identical(result, reference)
 
     def test_parallel_front_door_takes_spec(self, dataset, plan):
         reference = crawl_partitioned(make_sources(dataset), plan)
-        result = crawl_partitioned_parallel(
+        result = crawl_partitioned(
             make_sources(dataset),
             plan,
             spec=CrawlSpec(executor="thread", rebalance=True),
@@ -150,7 +142,7 @@ class TestParity:
 
     def test_parallel_rejects_spec_plus_kwargs(self, dataset, plan):
         with pytest.raises(TypeError, match="unexpected keyword"):
-            crawl_partitioned_parallel(
+            crawl_partitioned(
                 make_sources(dataset),
                 plan,
                 spec=CrawlSpec(),
@@ -162,7 +154,7 @@ class TestDeprecationShim:
     """Keyword configuration is rejected: the spec is the only input."""
 
     def test_spec_plus_legacy_is_an_error(self, dataset, plan):
-        executor = ThreadExecutor(max_workers=SESSIONS)
+        executor = ThreadExecutor()
         with pytest.raises(TypeError, match="unexpected keyword"):
             executor.run(
                 make_sources(dataset),
@@ -172,40 +164,18 @@ class TestDeprecationShim:
             )
 
     def test_unknown_kwarg_is_an_error(self, dataset, plan):
-        executor = ThreadExecutor(max_workers=SESSIONS)
+        executor = ThreadExecutor()
         with pytest.raises(TypeError, match="unexpected keyword"):
             executor.run(make_sources(dataset), plan, rebalanec=True)
 
     def test_spec_executor_must_match_backend(self, dataset, plan):
-        executor = ThreadExecutor(max_workers=SESSIONS)
+        executor = ThreadExecutor()
         with pytest.raises(ValueError, match="process"):
             executor.run(
                 make_sources(dataset),
                 plan,
                 CrawlSpec(executor="process"),
             )
-
-
-class TestMakeExecutor:
-    def test_spec_picks_backend_and_workers(self):
-        spec = CrawlSpec(executor="process", max_workers=3)
-        executor = make_executor(spec=spec)
-        assert isinstance(executor, ProcessExecutor)
-        assert executor._max_workers == 3
-
-    def test_spec_defaults_to_thread(self):
-        assert isinstance(
-            make_executor(spec=CrawlSpec()), ThreadExecutor
-        )
-
-    def test_name_overrides_spec_backend(self):
-        spec = CrawlSpec(executor="process")
-        executor = make_executor("thread", spec=spec)
-        assert isinstance(executor, ThreadExecutor)
-
-    def test_neither_name_nor_spec(self):
-        with pytest.raises(TypeError):
-            make_executor()
 
 
 class TestSpecFromArgs:

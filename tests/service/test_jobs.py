@@ -197,7 +197,7 @@ class TestLifecycle:
         on both pooled backends and the job service's fleet crawl every
         region whole, while the rebalanced loop presplits each region
         it takes exactly once.  Every leg keeps the reference bytes."""
-        from repro.crawl.executors import PoolUnitRunner, make_executor
+        from repro.crawl.executors import PoolUnitRunner
         from repro.crawl.runtime import LocalUnitRunner
         from repro.datasets.adult import adult
 
@@ -231,7 +231,7 @@ class TestLifecycle:
                 rebalance=bool(rebalance),
                 shard_subtrees=4,
             )
-            result = make_executor(spec=spec).run(sources(), plan, spec)
+            result = crawl_partitioned(sources(), plan, spec)
             assert result.rows == expected.rows
             assert result.cost == expected.cost
         if leg == "thread+rebalance":

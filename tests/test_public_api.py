@@ -37,18 +37,16 @@ class TestDocstrings:
         )
 
     def test_named_apis_carry_usage_examples(self):
-        """The five load-bearing entry points show example usage."""
+        """The four load-bearing entry points show example usage."""
         from repro.crawl import (
             CrawlExecutor,
             PartitionPlan,
             WorkStealingScheduler,
             crawl_partitioned,
-            crawl_partitioned_parallel,
         )
 
         for obj in (
             crawl_partitioned,
-            crawl_partitioned_parallel,
             PartitionPlan,
             CrawlExecutor,
             WorkStealingScheduler,
@@ -244,6 +242,28 @@ class TestExecutionSurface:
         for module in (repro, repro.crawl, repro.crawl.runtime):
             assert not hasattr(module, "ShardPolicy")
 
+    def test_one_front_door_and_one_scheduler(self):
+        """``crawl_partitioned(sources, plan, spec)`` is the one way to
+        run a plan and ``WorkStealingScheduler`` the one scheduler: the
+        second front door, the executor factory, the two-level
+        scheduler subclass and its chooser are gone."""
+        import importlib.util
+
+        import repro
+        import repro.crawl
+        import repro.crawl.runtime
+
+        gone = (
+            "crawl_partitioned_parallel",
+            "make_executor",
+            "SubtreeScheduler",
+            "steal_setup",
+        )
+        for module in (repro, repro.crawl, repro.crawl.runtime):
+            for name in gone:
+                assert not hasattr(module, name), (module.__name__, name)
+        assert importlib.util.find_spec("repro.crawl.parallel") is None
+
     def test_run_takes_a_spec_not_keywords(self):
         from repro.crawl import ThreadExecutor
         from repro.crawl.partition import partition_space
@@ -256,7 +276,7 @@ class TestExecutionSurface:
         plan = partition_space(dataset.space, 2)
         sources = [TopKServer(dataset, k=32) for _ in plan.bundles]
         with pytest.raises(TypeError):
-            ThreadExecutor(2).run(sources, plan, rebalance=True)
+            ThreadExecutor().run(sources, plan, rebalance=True)
 
     @pytest.mark.parametrize(
         "flags", [["--executor", "async"], ["--shared-limits"]]
