@@ -30,7 +30,6 @@ Quickstart::
 
 from repro.crawl import (
     BinaryShrink,
-    CostEstimator,
     Crawler,
     CrawlExecutor,
     CrawlResult,
@@ -88,7 +87,6 @@ __all__ = [
     "BinaryShrink",
     "Crawler",
     "CrawlResult",
-    "CostEstimator",
     "CrawlExecutor",
     "CrawlSpec",
     "DependencyFilteringClient",

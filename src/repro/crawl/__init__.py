@@ -66,7 +66,6 @@ from repro.crawl.partition import (
 )
 from repro.crawl.rank_shrink import RankShrink, explore_numeric, solve_numeric
 from repro.crawl.rebalance import (
-    CostEstimator,
     RegionCompletion,
     RegionTask,
     ShardTask,
@@ -122,7 +121,6 @@ __all__ = [
     "SharedBudget",
     "SharedClock",
     "TenantLimitRegistry",
-    "CostEstimator",
     "RegionTask",
     "ShardTask",
     "RegionCompletion",

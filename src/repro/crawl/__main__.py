@@ -391,21 +391,9 @@ def _main(args: argparse.Namespace) -> int:
                 )
                 completed = checkpoint.completed
                 if checkpoint.budget is not None and budget is not None:
-                    stored = checkpoint.budget
-                    # Same limit, not yet refused: the kill happened
-                    # mid-window, so the stored charge still counts
-                    # against this run's quota.  A different --budget
-                    # or an exhausted window is the paper's quota
-                    # *reset*: the user's limit stands untouched --
-                    # restoring the old counters here would resurrect
-                    # the exhausted window and refuse every query.
-                    same_window = (
-                        int(stored.get("max_queries", -1)) == args.budget
-                        and not stored.get("refused", False)
-                    )
-                    if same_window:
-                        budget.restore_state(stored)
-                    else:
+                    # A different --budget or an exhausted window is
+                    # the paper's quota reset: the user's limit stands.
+                    if not budget.restore_window(checkpoint.budget):
                         print(
                             f"budget window reset: {args.budget} fresh "
                             "queries (the checkpointed charge belonged "

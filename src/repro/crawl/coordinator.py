@@ -338,25 +338,19 @@ class TenantLimitRegistry:
         """Restore a tenant's persisted charge (same-window semantics).
 
         A stored budget charge counts only while it belongs to the
-        *same admission window*: the stored ``max_queries`` still
-        matches the registered quota and the window was not already
-        refused.  A changed quota or an exhausted window is the quota
-        *reset* -- the fresh limits stand untouched, exactly the CLI's
-        ``--resume`` contract.  Returns whether anything was restored.
+        *same admission window* -- the CLI's ``--resume`` contract,
+        :meth:`~repro.server.limits.QueryBudget.restore_window` against
+        the registered quota; a stored daily charge only while its
+        ``per_day`` matches.  Returns whether anything was restored.
         """
         with self._lock:
             self._known(tenant)
-            quota_budget, quota_daily = self._quotas[tenant]
+            quota_daily = self._quotas[tenant][1]
             restored = False
             stored = charge.get("budget")
             budget = self._budgets.get(tenant)
             if stored is not None and budget is not None:
-                same_window = int(
-                    stored.get("max_queries", -1)
-                ) == quota_budget and not stored.get("refused", False)
-                if same_window:
-                    budget.restore_state(stored)
-                    restored = True
+                restored = budget.restore_window(stored)
             stored = charge.get("daily")
             daily = self._dailies.get(tenant)
             if stored is not None and daily is not None:

@@ -51,9 +51,9 @@ Adaptive rebalancing
 --------------------
 ``rebalance=True`` replaces static session dispatch with the
 :class:`~repro.crawl.rebalance.WorkStealingScheduler`: an idle worker
-steals the tail region of the session with the largest estimated
-remaining cost (estimates start flat and are updated with the exact
-observed cost of every finished region).  A stolen region is
+steals the tail region of the session with the most regions still
+queued (a region's cost is known only once it has been crawled, so
+queued regions are told apart by count alone).  A stolen region is
 still crawled against *its own session's* source -- its identity keeps
 paying the queries -- and its result is filed under its original plan
 position, so rebalancing changes wall-clock behaviour only, never the
@@ -308,8 +308,8 @@ class CrawlExecutor(abc.ABC):
         and ranks its failure after every real region failure.
         """
         if spec.rebalance:
-            # A checkpoint's costs seed the estimator with truth, and
-            # its regions never enter the queues.
+            # A checkpoint's regions enter the books as done with their
+            # exact costs and never enter the queues.
             scheduler = WorkStealingScheduler(
                 plan.bundles,
                 {key: result.cost for key, result in completed.items()},

@@ -1,18 +1,16 @@
-"""Adaptive rebalancing: work stealing over a partition plan's regions.
+"""Work stealing over a partition plan's regions, then their subtrees.
 
 A static :class:`~repro.crawl.partition.PartitionPlan` fixes which
 session crawls which regions before anything about the data is known,
-so the slowest session dominates the wall clock.  This module provides
-the scheduling layer that fixes that without touching the result:
+so the slowest session dominates the wall clock.
+:class:`WorkStealingScheduler` fixes that without touching the result:
+it keeps a thread-safe work queue per session, and an idle worker first
+drains its own session's queue in plan order, then *steals* the tail
+region of the longest queue, and last a subtree shard of a live region.
 
-* :class:`CostEstimator` -- per-region query-cost estimates, updated
-  from the observed cost of every finished region (each region's cost
-  is the exact :class:`~repro.server.stats.QueryStats`-backed query
-  count of its crawl);
-* :class:`WorkStealingScheduler` -- a thread-safe work queue per
-  session; an idle worker first drains its own session's queue in plan
-  order, then *steals* the tail region of the session with the largest
-  estimated remaining cost, and last a subtree shard of a live region.
+The longest queue is the whole region-level signal: a region's query
+cost is known only once its crawl has finished, so queued regions all
+look alike, and the session with the most of them has the most left.
 
 Stealing never changes what is crawled, only *when* and *by which
 worker*: a stolen region is still crawled against its own session's
@@ -29,15 +27,13 @@ Under subtree sharding (:mod:`repro.crawl.sharding`) the same scheduler
 works one level down: a region taken is presplit and *published*, and
 when no whole region is left to take, an idle worker steals a
 *subquery* of a live region -- the next pending subtree shard of the
-region with the largest estimated remaining cost.  Shard results carry
-their exact per-shard cost back to the :class:`CostEstimator`
-(:meth:`CostEstimator.record_shard`), so the "costliest live region"
-signal sharpens as the region progresses.  The same invariants hold one
-level down: each shard is handed out at most once, filed at its
-canonical position, and merged deterministically.  Only a sharded crawl
-waits in :meth:`WorkStealingScheduler.acquire` (``block=True``): a
-presplit in flight can still publish shards, while an unsharded queue
-that ran dry stays dry.
+live region with the most estimated shard cost left, scored by the
+exact costs of its finished shards.  The same invariants hold one level
+down: each shard is handed out at most once, filed at its canonical
+position, and merged deterministically.  Only a sharded crawl waits in
+:meth:`WorkStealingScheduler.acquire` (``block=True``): a presplit in
+flight can still publish shards, while an unsharded queue that ran dry
+stays dry.
 
 The scheduler is *elastic*: a worker that leaves a running crawl
 (:class:`~repro.exceptions.WorkerDeparted`) hands its acquired region
@@ -65,7 +61,6 @@ __all__ = [
     "RegionTask",
     "ShardTask",
     "RegionCompletion",
-    "CostEstimator",
     "WorkStealingScheduler",
 ]
 
@@ -120,94 +115,6 @@ class ShardTask:
         return ("shard", self.index, self.shard.order)
 
 
-class CostEstimator:
-    """Per-region query-cost estimates for scheduling decisions.
-
-    The estimate for a region is its *observed* cost once its crawl
-    finished, else the running mean of all observed costs so far, else
-    a flat 1.0.  Each scheduler owns one and feeds it the exact costs
-    of finished regions and shards (and of a resumed crawl's completed
-    regions).  All methods are thread-safe.
-    """
-
-    def __init__(self):
-        self._observed: dict[RegionKey, int] = {}
-        # Running sum of observed costs, so the fallback mean is O(1);
-        # plans can have tens of thousands of regions (one per value of
-        # a large categorical domain) and estimates sit on hot paths.
-        self._observed_sum = 0
-        # Exact per-shard feedback for *live* regions: (cost sum, shard
-        # count) per region, fed by the subtree-sharding executors.
-        self._shard_observed: dict[RegionKey, tuple[int, int]] = {}
-        self._lock = threading.Lock()
-
-    def record(self, key: RegionKey, cost: int) -> None:
-        """Record the exact observed cost of a finished region.
-
-        Supersedes any partial per-shard view of the region
-        (:meth:`record_shard`): the shard tally is dropped, so a
-        stale shard mean never outlives its region.
-        """
-        with self._lock:
-            previous = self._observed.get(key)
-            if previous is not None:
-                self._observed_sum -= previous
-            self._observed[key] = int(cost)
-            self._observed_sum += int(cost)
-            self._shard_observed.pop(key, None)
-
-    def estimate(self, key: RegionKey) -> float:
-        """The current cost estimate for the region at ``key``."""
-        with self._lock:
-            if key in self._observed:
-                return float(self._observed[key])
-            if self._observed:
-                return self._observed_sum / len(self._observed)
-            return 1.0
-
-    def record_shard(self, key: RegionKey, cost: int) -> None:
-        """Fold one subtree shard's exact cost into a live region.
-
-        Called by the subtree-sharding executors as each shard of the
-        region at ``key`` finishes, so stealing decisions about the
-        *rest* of that region's shards rest on measured shard costs
-        (see :meth:`shard_mean`) instead of a whole-region estimate.
-        Once the region completes, :meth:`record` supersedes this
-        partial view with the exact merged total.
-        """
-        with self._lock:
-            total, count = self._shard_observed.get(key, (0, 0))
-            self._shard_observed[key] = (total + int(cost), count + 1)
-
-    def shard_mean(self, key: RegionKey) -> float | None:
-        """Mean observed shard cost of a live region, if any finished."""
-        with self._lock:
-            total, count = self._shard_observed.get(key, (0, 0))
-            if count == 0:
-                return None
-            return total / count
-
-    def shard_observed(self, key: RegionKey) -> tuple[int, int]:
-        """(cost sum, shard count) recorded so far for a live region."""
-        with self._lock:
-            return self._shard_observed.get(key, (0, 0))
-
-    def observed(self) -> dict[RegionKey, int]:
-        """A copy of the observed per-region costs."""
-        with self._lock:
-            return dict(self._observed)
-
-    def total_observed(self) -> int:
-        """Sum of all observed region costs."""
-        with self._lock:
-            return self._observed_sum
-
-    def __repr__(self) -> str:
-        with self._lock:
-            observed = len(self._observed)
-        return f"CostEstimator({observed} regions observed)"
-
-
 class _LiveRegion:
     """A region whose shard plan is published but not yet merged."""
 
@@ -244,9 +151,9 @@ class WorkStealingScheduler:
     One FIFO queue per session holds the session's regions in plan
     order.  :meth:`acquire` serves a worker from its home session's
     queue first; when that queue is empty the worker steals the *tail*
-    region of the victim with the largest estimated remaining queued
-    cost -- splitting remaining work off the (estimated) slowest
-    session, with ties broken by the lowest session index.
+    region of the queue holding the most regions -- splitting remaining
+    work off the session with the most left, with ties broken by the
+    lowest session index.
 
     A region is either crawled whole and reported with
     :meth:`complete`, or, under subtree sharding, *presplit*
@@ -254,12 +161,12 @@ class WorkStealingScheduler:
     back via :meth:`publish`, which turns the region *live* and exposes
     its subtree shards.  Only when no whole region is left to take does
     a worker fall through to the subtree layer and take the next shard
-    of the **costliest live region** -- the region with the largest
-    estimated remaining shard cost, measured from the exact costs of
-    its already-finished shards (:meth:`CostEstimator.record_shard`)
-    and falling back to the region-level estimate divided by its shard
-    count.  A crawl that never publishes never has a live region, so
-    its scheduling is the region layer's alone.
+    of the **costliest live region** -- the region whose pending shards
+    times its mean finished-shard cost is largest (before any of its
+    shards finishes: the mean completed-region cost, or 1.0 before the
+    first, divided by its shard count), ties broken by the lowest
+    region key.  A crawl that never publishes never has a live region,
+    so its scheduling is the region layer's alone.
 
     Accounting invariants, enforced and exposed for tests:
 
@@ -283,32 +190,21 @@ class WorkStealingScheduler:
         assert scheduler.done()
     """
 
-    #: Exact per-queue estimate refreshes are skipped above this many
-    #: queued regions: a plan can hold tens of thousands of regions
-    #: (one per value of a large categorical domain), and an O(queued)
-    #: walk per completion would dominate the crawl.  Beyond the limit
-    #: the cached enqueue-time estimates stand in, which for a flat
-    #: prior makes the victim simply the session with the most queued
-    #: regions -- still the right coarse signal.
-    _REFRESH_LIMIT = 512
-
     def __init__(
         self,
         bundles,
         completed: Mapping[RegionKey, int] | None = None,
     ):
-        #: The scheduler's own estimator, fed every observed cost.
-        self.estimator = CostEstimator()
         # Resume support: regions already crawled (e.g. restored from a
         # CrawlCheckpoint) are never enqueued -- they enter the books as
-        # completed with their exact recorded costs, and the estimator
-        # learns them up front so the first stealing decisions of the
-        # resumed crawl start from measured reality.
+        # completed with their exact recorded costs, so the shard layer's
+        # mean completed-region cost starts from them.
         self._completed: dict[RegionKey, int] = {
             key: int(cost) for key, cost in dict(completed or {}).items()
         }
-        for key, cost in self._completed.items():
-            self.estimator.record(key, cost)
+        # Running sum of self._completed's values, so the shard layer's
+        # fallback mean is O(1) per live region.
+        self._completed_sum = sum(self._completed.values())
         self._queues: list[deque[RegionTask]] = [
             deque(
                 RegionTask(session, index, region)
@@ -334,17 +230,6 @@ class WorkStealingScheduler:
         self._aborted = False
         self._steals: list[tuple[RegionKey, int | None]] = []
         self._cond = threading.Condition(threading.Lock())
-        # Per-session sums of the queued tasks' cached estimates, kept
-        # incrementally so picking a victim is O(sessions) per acquire.
-        self._cached_estimate: dict[RegionKey, float] = {}
-        self._queued_cost: list[float] = []
-        for queue in self._queues:
-            total = 0.0
-            for task in queue:
-                value = self.estimator.estimate(task.key)
-                self._cached_estimate[task.key] = value
-                total += value
-            self._queued_cost.append(total)
 
     @property
     def sessions(self) -> int:
@@ -368,7 +253,7 @@ class WorkStealingScheduler:
         drained in plan order), then a stolen whole region, then a
         shard of the costliest live region.  ``worker_session=None``
         means the caller has no home queue (the job service's fleet,
-        which serves many jobs) and always picks by estimate.
+        which serves many jobs) and always steals.
 
         With ``block=False`` the call returns ``None`` as soon as there
         is nothing to take.  With ``block=True`` it waits while the
@@ -406,17 +291,16 @@ class WorkStealingScheduler:
             own = self._queues[worker_session]
             if own:
                 task = own.popleft()
-                self._dequeued(task)
                 self._in_flight[task.key] = worker_session
                 return task
-        victim = self._pick_victim()
-        if victim is None:
+        # A steal (the home queue, if any, is empty): the tail of the
+        # longest queue, the lowest session on ties (max keeps the first).
+        victim = max(self._queues, key=len, default=None)
+        if not victim:
             return None
-        task = self._queues[victim].pop()
-        self._dequeued(task)
+        task = victim.pop()
         self._in_flight[task.key] = worker_session
-        if worker_session is None or victim != worker_session:
-            self._steals.append((task.key, worker_session))
+        self._steals.append((task.key, worker_session))
         return task
 
     def _acquire_shard_locked(
@@ -426,14 +310,20 @@ class WorkStealingScheduler:
         # shard cost; ties broken by the lowest region key.
         best_key: RegionKey | None = None
         best_score = -1.0
+        region_mean = (
+            self._completed_sum / len(self._completed)
+            if self._completed
+            else 1.0
+        )
         for key, live in self._live.items():
             if live.failed or not live.pending:
                 continue
-            mean = self.estimator.shard_mean(key)
-            if mean is None:
-                mean = self.estimator.estimate(key) / max(
-                    1, len(live.plan.shards)
-                )
+            if live.results:
+                costs = [result.cost for result in live.results.values()]
+                mean = sum(costs) / len(costs)
+            else:
+                # A live region has at least one shard (see publish).
+                mean = region_mean / len(live.plan.shards)
             score = mean * len(live.pending)
             if (
                 best_key is None
@@ -456,34 +346,6 @@ class WorkStealingScheduler:
             return False
         return not (self._in_flight or self._live or self._merging)
 
-    def _dequeued(self, task: RegionTask) -> None:
-        # Caller holds self._cond.
-        value = self._cached_estimate.pop(task.key, 0.0)
-        session_cost = self._queued_cost[task.session] - value
-        self._queued_cost[task.session] = max(0.0, session_cost)
-
-    def _pick_victim(self) -> int | None:
-        # Caller holds self._cond.
-        best: int | None = None
-        best_cost = -1.0
-        for session, queue in enumerate(self._queues):
-            if queue and self._queued_cost[session] > best_cost:
-                best, best_cost = session, self._queued_cost[session]
-        return best
-
-    def _refresh_estimates(self) -> None:
-        # Caller holds self._cond.  Exact refresh of the cached sums;
-        # skipped on huge queues (see _REFRESH_LIMIT).
-        if len(self._cached_estimate) > self._REFRESH_LIMIT:
-            return
-        for session, queue in enumerate(self._queues):
-            total = 0.0
-            for task in queue:
-                value = self.estimator.estimate(task.key)
-                self._cached_estimate[task.key] = value
-                total += value
-            self._queued_cost[session] = total
-
     # ------------------------------------------------------------------
     # Region lifecycle
     # ------------------------------------------------------------------
@@ -498,9 +360,8 @@ class WorkStealingScheduler:
             if not self._check_in_flight(task):
                 return
             del self._in_flight[task.key]
-            self._completed[task.key] = int(cost)
+            self._record_locked(task.key, cost)
             self._cond.notify_all()
-        self._learn(task.key, cost)
 
     def publish(self, task: RegionTask, plan) -> RegionCompletion | None:
         """File a presplit region's shard plan and expose its shards.
@@ -532,12 +393,11 @@ class WorkStealingScheduler:
     def complete_shard(
         self, task: ShardTask, result
     ) -> RegionCompletion | None:
-        """File one shard's result; exact cost feeds the estimator.
+        """File one shard's result; its exact cost scores the region.
 
         Returns the region's :class:`RegionCompletion` when this was
         its last outstanding shard (and the region did not fail).
         """
-        self.estimator.record_shard(task.key, result.cost)
         with self._cond:
             live = self._live.get(task.key)
             if live is None or task.shard.order in live.results:
@@ -579,14 +439,13 @@ class WorkStealingScheduler:
             if self._aborted:
                 return
             self._merging.discard(key)
-            self._completed[key] = int(cost)
-        self._learn(key, cost)
+            self._record_locked(key, cost)
 
-    def _learn(self, key: RegionKey, cost: int) -> None:
-        """Feed a finished region's cost to the estimator and re-rank."""
-        self.estimator.record(key, int(cost))
-        with self._cond:
-            self._refresh_estimates()
+    def _record_locked(self, key: RegionKey, cost: int) -> None:
+        # Caller holds self._cond.
+        cost = int(cost)
+        self._completed_sum += cost - self._completed.get(key, 0)
+        self._completed[key] = cost
 
     # ------------------------------------------------------------------
     # Failure and departure
@@ -677,9 +536,6 @@ class WorkStealingScheduler:
                 self._failed.add(task.key)
                 return False
             self._queues[task.session].appendleft(task)
-            value = self.estimator.estimate(task.key)
-            self._cached_estimate[task.key] = value
-            self._queued_cost[task.session] += value
             return True
 
     def _departed_locked(self) -> bool:
@@ -768,8 +624,6 @@ class WorkStealingScheduler:
             for written_off in (self._in_flight, self._live, self._merging):
                 self._failed.update(written_off)
                 written_off.clear()
-            self._cached_estimate.clear()
-            self._queued_cost = [0.0] * len(self._queues)
 
     # ------------------------------------------------------------------
     # Accounting
@@ -802,7 +656,7 @@ class WorkStealingScheduler:
     def total_observed_cost(self) -> int:
         """Sum of the completed regions' costs -- exact, by construction."""
         with self._cond:
-            return sum(self._completed.values())
+            return self._completed_sum
 
     def steals(self) -> list[tuple[RegionKey, int | None]]:
         """Every steal that happened: (region key, thief's session)."""

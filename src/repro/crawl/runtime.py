@@ -8,8 +8,8 @@ them lives here, once.  It
 owns the **session lifecycle state machine** over
 :class:`~repro.crawl.rebalance.RegionTask` /
 :class:`~repro.crawl.rebalance.ShardTask` units -- acquire, run,
-complete / publish / merge, fail, abort-drain -- plus the aggregator and
-estimator feedback, parameterised by one small protocol and one sink:
+complete / publish / merge, fail, abort-drain -- plus the aggregator
+feed, parameterised by one small protocol and one sink:
 
 :class:`UnitRunner`
     *How one unit of work executes* on a substrate: crawl a region,

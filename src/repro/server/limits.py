@@ -253,6 +253,31 @@ class QueryBudget(LocklessPickle, QueryLimit):
             self._used = int(state["used"])
             self._refused = bool(state.get("refused", False))
 
+    def restore_window(self, state: dict) -> bool:
+        """Restore a :meth:`state` snapshot of the same window only.
+
+        Same window: the snapshot has this budget's limit and was not
+        refused, so its charge still counts.  A different limit or an
+        exhausted window is the quota *reset*: the budget stands, since
+        the old counters would refuse every query.  Returns whether the
+        snapshot was restored.
+
+        >>> budget = QueryBudget(10)
+        >>> budget.restore_window({"max_queries": 10, "used": 4})
+        True
+        >>> budget.used
+        4
+        >>> budget.restore_window({"max_queries": 20, "used": 7})
+        False
+        """
+        with self._lock:
+            limit = int(state.get("max_queries", -1))
+            if limit != self._max or state.get("refused", False):
+                return False
+            self._used = int(state["used"])
+            self._refused = False
+            return True
+
 
 class SimulatedClock(LocklessPickle):
     """A trivially simple discrete clock counting whole days."""

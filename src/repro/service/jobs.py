@@ -3,7 +3,7 @@
 A :class:`JobManager` runs a fixed fleet of worker threads over every
 active job at once.  Each job keeps its own
 :class:`~repro.crawl.rebalance.WorkStealingScheduler` (regions in plan
-order, estimate-guided stealing *within* the job) and its own
+order, longest-queue stealing *within* the job) and its own
 :class:`~repro.crawl.runtime.GridSink`; the manager's dispatch loop
 round-robins **across tenants** on top of them: every time a worker
 asks for work, the next tenant in rotation that has an acquirable

@@ -1,22 +1,19 @@
-"""Scheduler and estimator tests, including the accounting property.
+"""Scheduler tests, including the accounting property.
 
 The work-stealing scheduler may hand regions to workers in any order,
 but its books must stay exact: every region is handed out exactly once,
 completions are accepted exactly once, and the observed total cost is
 the precise sum of the per-region costs regardless of the schedule.  A
-hypothesis property test drives arbitrary acquire/complete/fail
-interleavings through the scheduler to pin that down.
+thief always takes the tail of the longest queue, the lowest session on
+ties.  A hypothesis property test drives arbitrary acquire/complete/fail
+interleavings through the scheduler to pin both down.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crawl.rebalance import (
-    CostEstimator,
-    RegionTask,
-    WorkStealingScheduler,
-)
+from repro.crawl.rebalance import RegionTask, WorkStealingScheduler
 from repro.exceptions import AlgorithmInvariantError
 
 # The scheduler only reads plan.bundles, and only iterates the regions;
@@ -30,18 +27,6 @@ def bundles_of(sizes):
     )
 
 
-class TestCostEstimator:
-    def test_estimate_prefers_observed_then_mean_then_flat(self):
-        estimator = CostEstimator()
-        assert estimator.estimate((0, 0)) == 1.0  # nothing observed
-        estimator.record((1, 0), 10)
-        estimator.record((1, 1), 20)
-        assert estimator.estimate((1, 0)) == 10.0  # observed wins
-        assert estimator.estimate((0, 0)) == 15.0  # running mean
-        assert estimator.total_observed() == 30
-        assert estimator.observed() == {(1, 0): 10, (1, 1): 20}
-
-
 class TestScheduler:
     def test_own_queue_drains_in_plan_order(self):
         scheduler = WorkStealingScheduler(bundles_of([3]))
@@ -51,9 +36,8 @@ class TestScheduler:
         assert scheduler.steals() == []
 
     def test_steals_tail_of_costliest_victim(self):
-        # Session 2 queues the most regions, so with flat estimates it
-        # is the costliest victim: an idle session-0 worker must steal
-        # from it -- and from the tail.
+        # Session 2 queues the most regions, so it is the victim: an
+        # idle session-0 worker must steal from it -- and from the tail.
         scheduler = WorkStealingScheduler(bundles_of([1, 2, 3]))
         first = scheduler.acquire(0)
         assert first.key == (0, 0)  # own queue first
@@ -63,17 +47,28 @@ class TestScheduler:
         assert scheduler.steals() == [((2, 2), 0)]
 
     def test_adaptive_victim_choice_follows_observed_costs(self):
-        # Prior says both sessions look equal; observing a huge cost on
-        # a session-1 region drags the running mean up, so the thief
-        # targets the session with more remaining estimated work.
+        # An observed cost, however large, says nothing about the
+        # regions still queued: a session-2 worker (empty queue) steals
+        # from the session with more queued regions, session 0 (2
+        # queued) over session 1 (1).
         scheduler = WorkStealingScheduler(bundles_of([2, 2, 0]))
         own = scheduler.acquire(1)
-        scheduler.complete(own, 1000)  # every estimate is now ~1000
-        # A session-2 worker (empty queue) must steal.  Per-region
-        # estimates are equal, so the victim is the session with more
-        # queued regions: session 0 (2 queued) over session 1 (1).
+        scheduler.complete(own, 1000)
         stolen = scheduler.acquire(2)
         assert stolen.session == 0
+
+    def test_queue_length_ties_go_to_the_lowest_session(self):
+        # Session 1 completes three regions at costs 2, 3 and 3, which
+        # leaves it three queued regions against session 0's two.  The
+        # first steal takes session 1's tail; the second sees two
+        # queued regions each side, and the tie goes to session 0.
+        bundles = (("a0", "a1"), tuple(f"b{i}" for i in range(6)))
+        scheduler = WorkStealingScheduler(bundles)
+        for cost in (2, 3, 3):
+            scheduler.complete(scheduler.acquire(1), cost)
+        assert scheduler.acquire(None).key == (1, 5)
+        assert scheduler.acquire(None).key == (0, 1)
+        assert scheduler.steals() == [((1, 5), None), ((0, 1), None)]
 
     def test_completion_accounting_is_guarded(self):
         scheduler = WorkStealingScheduler(bundles_of([1]))
@@ -108,6 +103,9 @@ def test_any_schedule_keeps_cost_accounting_exact(data):
     not) or an in-flight region completes/fails.  Whatever happens:
 
     * each region is handed out exactly once;
+    * a worker with queued home regions takes the head of its queue,
+      and every other acquire steals the tail of a longest queue, the
+      lowest session on ties;
     * the scheduler drains fully, and afterwards ``acquire`` is dry;
     * the observed total equals the sum of the true costs of exactly
       the completed regions.
@@ -147,8 +145,18 @@ def test_any_schedule_keeps_cost_accounting_exact(data):
                 completed.add(victim.key)
         else:
             home = data.draw(st.integers(-1, sessions), label="home session")
+            queued = [
+                [i for i in range(size) if (s, i) not in handed_out]
+                for s, size in enumerate(sizes)
+            ]
             task = scheduler.acquire(None if home < 0 else home)
             assert task is not None
+            if 0 <= home < sessions and queued[home]:
+                assert task.key == (home, queued[home][0])
+            else:
+                lengths = [len(q) for q in queued]
+                victim = lengths.index(max(lengths))
+                assert task.key == (victim, queued[victim][-1])
             in_flight.append(task)
             handed_out.append(task.key)
 

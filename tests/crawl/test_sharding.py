@@ -14,8 +14,8 @@ Three layers of guarantees are pinned here:
   reference, field by field.
 
 Plus unit tests for the subtree layer of the
-:class:`WorkStealingScheduler` and the shard-level
-:class:`CostEstimator` feedback.
+:class:`WorkStealingScheduler`, whose shard victim is scored by the
+exact costs of a live region's finished shards.
 """
 
 import functools
@@ -40,7 +40,6 @@ from repro.crawl.partition import (
 )
 from repro.crawl.rank_shrink import RankShrink
 from repro.crawl.rebalance import (
-    CostEstimator,
     RegionTask,
     ShardTask,
     WorkStealingScheduler,
@@ -450,10 +449,9 @@ class TestSubtreeScheduler:
         completion = scheduler.complete_shard(b, _FakeResult(7))
         assert completion is not None
         assert completion.task.key == (0, 0)
-        assert len(completion.results) == 2
-        # Exact shard costs reached the estimator on the way through.
-        assert scheduler.estimator.shard_observed((0, 0)) == (12, 2)
-        assert scheduler.estimator.shard_mean((0, 0)) == 6.0
+        # Both exact shard results reach the merge, in shard order.
+        costs = {a.shard.order: 5, b.shard.order: 7}
+        assert [r.cost for r in completion.results] == [costs[0], costs[1]]
         scheduler.complete_region((0, 0), 20)
         assert scheduler.done()
         assert scheduler.acquire(0) is None
@@ -492,6 +490,31 @@ class TestSubtreeScheduler:
         # Subtree steals by a foreign worker were recorded.
         assert ((1, 0), 0) in scheduler.steals()
         scheduler.fail(t01)
+
+    def test_measured_shard_mean_scores_a_live_region(self):
+        # A resumed region of cost 12 sets the fallback mean.  Region
+        # (0, 1) finishes shards at 5 and 7 with one pending (6 x 1);
+        # region (0, 2) has finished none, so its one pending shard
+        # scores 12 / 2 shards = 6 too, and the tie goes to (0, 1).
+        r = _toy_region
+        scheduler = WorkStealingScheduler(
+            ((r(1), r(2), r(3)),), completed={(0, 0): 12}
+        )
+        first, second = scheduler.acquire(0), scheduler.acquire(0)
+        scheduler.publish(
+            first,
+            _toy_plan(first.region, [_toy_shard(i, i, i) for i in range(3)]),
+        )
+        scheduler.publish(
+            second,
+            _toy_plan(second.region, [_toy_shard(i, i, i) for i in range(2)]),
+        )
+        taken = [scheduler.acquire(0) for _ in range(3)]
+        assert [t.key for t in taken] == [(0, 1), (0, 2), (0, 1)]
+        scheduler.complete_shard(taken[0], _FakeResult(5))
+        scheduler.complete_shard(taken[2], _FakeResult(7))
+        assert scheduler.acquire(0).key == (0, 1)
+        assert scheduler.acquire(0).key == (0, 2)
 
     def test_blocking_acquire_waits_for_published_shards(self):
         scheduler = WorkStealingScheduler(((_toy_region(),),))
@@ -550,35 +573,6 @@ class TestSubtreeScheduler:
             scheduler.publish(rogue, _toy_plan(rogue.region, []))
 
 
-class TestCostEstimatorShards:
-    def test_record_shard_accumulates_exactly(self):
-        estimator = CostEstimator()
-        assert estimator.shard_mean((0, 0)) is None
-        estimator.record_shard((0, 0), 10)
-        estimator.record_shard((0, 0), 20)
-        assert estimator.shard_observed((0, 0)) == (30, 2)
-        assert estimator.shard_mean((0, 0)) == 15.0
-        # Region-level observations stay independent.
-        assert estimator.estimate((0, 0)) == 1.0
-        estimator.record((0, 0), 35)
-        assert estimator.estimate((0, 0)) == 35.0
-        # The exact merged total supersedes the partial shard view, so
-        # a reused estimator cannot leak stale shard means forward.
-        assert estimator.shard_mean((0, 0)) is None
-        assert estimator.shard_observed((0, 0)) == (0, 0)
-
-    @given(costs=st.lists(st.integers(0, 1000), min_size=1, max_size=30))
-    @settings(max_examples=50, deadline=None)
-    def test_shard_accounting_is_exact_under_any_schedule(self, costs):
-        estimator = CostEstimator()
-        for cost in costs:
-            estimator.record_shard((1, 2), cost)
-        total, count = estimator.shard_observed((1, 2))
-        assert total == sum(costs)
-        assert count == len(costs)
-        assert estimator.shard_mean((1, 2)) == sum(costs) / len(costs)
-
-
 class TestSchedulerInterleavingProperty:
     """Hypothesis: arbitrary acquire/complete schedules keep exact books."""
 
@@ -593,7 +587,7 @@ class TestSchedulerInterleavingProperty:
         scheduler.publish(task, _toy_plan(region, shards))
         acquired = deque()
         completion = None
-        costs = []
+        costs = {}
         while completion is None:
             can_acquire = scheduler.remaining() > 0 and not scheduler.done()
             take = data.draw(st.booleans(), label="take") if acquired else True
@@ -606,13 +600,13 @@ class TestSchedulerInterleavingProperty:
             acquired.rotate(-which)
             shard_task = acquired.popleft()
             cost = data.draw(st.integers(0, 50), label="cost")
-            costs.append(cost)
+            costs[shard_task.shard.order] = cost
             completion = scheduler.complete_shard(
                 shard_task, _FakeResult(cost)
             )
         assert not acquired or completion is None
-        assert len(completion.results) == n
-        total, count = scheduler.estimator.shard_observed(task.key)
-        assert count == n
-        assert total == sum(costs)
+        # Every shard landed once, its exact cost at its own position.
+        assert [r.cost for r in completion.results] == [
+            costs[order] for order in range(n)
+        ]
 
