@@ -7,15 +7,15 @@ algorithm:
 1. **Slice table.**  Eager mode runs every slice query up front and
    remembers each response (a resolved slice's full result, or just an
    overflow bit).  Lazy mode -- the paper's practical winner -- issues a
-   slice query the first time its answer is needed.  Both share the
-   response cache of :class:`~repro.server.client.CachingClient`, which
-   *is* the lookup table.
+   slice query the first time its answer is needed.  The traversal's
+   lookup table holds one entry per value, filled from the response
+   cache of :class:`~repro.server.client.CachingClient` when it can be.
 2. **Extended DFS.**  Walk the data space tree, but before descending
    into a child ``v`` (which refines its parent with ``A(l+1) = c``),
    consult the slice ``A(l+1) = c``: if that slice *resolved*, the
-   child's entire subtree is answered locally by filtering the slice's
-   rows -- no query issued, no descent.  Only children whose slice
-   overflowed are visited, and Lemma 4 bounds their number by
+   child's entire subtree is answered locally by the slice's rows with
+   ``v``'s prefix -- no query issued, no descent.  Only children whose
+   slice overflowed are visited, and Lemma 4 bounds their number by
    ``(n/k) * min(Ui, n/k)`` per level.
 
 Total cost (Lemma 4): ``U1`` when ``d = 1``; otherwise at most
@@ -34,7 +34,7 @@ from repro.crawl.base import Crawler
 from repro.dataspace.space import SpaceKind
 from repro.exceptions import InfeasibleCrawlError, SchemaError
 from repro.query.query import Query, slice_query
-from repro.server.response import QueryResponse
+from repro.server.response import QueryResponse, Row
 
 __all__ = ["SliceCover", "LazySliceCover"]
 
@@ -65,27 +65,6 @@ def preprocess_slice_table(crawler: Crawler) -> None:
         crawler.client.end_phase()
 
 
-def slice_response(
-    crawler: Crawler, index: int, value: int, *, lazy: bool
-) -> QueryResponse:
-    """The slice table entry for ``A_index = value``.
-
-    Eager mode requires the entry to exist (preprocessing ran); lazy
-    mode issues the slice query on first use -- "there is no harm to run
-    the query at the first time such a need arises".
-    """
-    query = slice_query(crawler.space, index, value)
-    response = crawler.client.peek(query)
-    if response is None:
-        if not lazy:
-            raise SchemaError(
-                "slice table consulted before preprocessing; "
-                "run preprocess_slice_table first"
-            )
-        response = crawler._run_query(query)
-    return response
-
-
 def categorical_point_handler(crawler: Crawler) -> LeafHandler:
     """Leaf handler for purely categorical spaces: issue the point query.
 
@@ -105,6 +84,34 @@ def categorical_point_handler(crawler: Crawler) -> LeafHandler:
     return handle
 
 
+def _slice_level(
+    crawler: Crawler, level: int, lazy: bool
+) -> list[QueryResponse]:
+    """The slice-table entries ``A_level = 1 .. U``, at ``value - 1``.
+
+    Filled once per level by the traversal that owns the table: cached
+    entries (eager preprocessing, a seeded or resumed cache) are peeked.
+    Every child's slice gets consulted, so lazy mode issues the rest up
+    front as one battery in value order -- the queries first use would
+    issue -- and eager mode refuses to.
+    """
+    full = Query.full(crawler.space)
+    size = crawler.space[level].domain_size
+    assert size is not None
+    queries = [full.with_value(level, v) for v in range(1, size + 1)]
+    entries = [crawler.client.peek(query) for query in queries]
+    missing = [i for i, entry in enumerate(entries) if entry is None]
+    if missing and not lazy:
+        raise SchemaError(
+            "slice table consulted before preprocessing; "
+            "run preprocess_slice_table first"
+        )
+    issued = crawler._run_battery([queries[i] for i in missing])
+    for i, response in zip(missing, issued):
+        entries[i] = response
+    return entries
+
+
 def extended_dfs(
     crawler: Crawler,
     node_query: Query,
@@ -118,48 +125,44 @@ def extended_dfs(
     ``level`` is the node's depth: attributes ``A1 .. A_level`` are
     pinned on ``node_query``.  For each child (refining ``A(level+1)``):
 
-    * slice resolved  -> answer locally by filtering the slice's rows;
+    * slice resolved  -> confirm the slice's rows under the node's
+      pinned prefix, grouped by prefix once per slice;
     * slice overflowed -> visit the child: hand categorical leaves to
       ``leaf_handler``, issue inner nodes' queries and recurse on
       overflow.
     """
-    cat = crawler.space.cat
-    attr = crawler.space[level]
-    assert attr.domain_size is not None
-    if lazy:
-        # Lazy mode consults the slice of *every* child below, so
-        # prefetching the uncached ones as one sibling battery issues
-        # exactly the queries the loop would -- grouped up front,
-        # sharing one engine context, instead of interleaved with the
-        # descents.
-        uncached = []
-        for value in range(1, attr.domain_size + 1):
-            slice_q = slice_query(crawler.space, level, value)
-            if crawler.client.peek(slice_q) is None:
-                uncached.append(slice_q)
-        crawler._run_battery(uncached)
-    for value in range(1, attr.domain_size + 1):
-        child_query = node_query.with_value(level, value)
-        table_entry = slice_response(crawler, level, value, lazy=lazy)
-        if table_entry.resolved:
-            crawler._confirm(
-                row for row in table_entry.rows if child_query.matches(row)
-            )
-            continue
-        if level + 1 == cat:
-            leaf_handler(child_query)
-            continue
-        child_response = crawler._run_query(child_query)
-        if child_response.resolved:
-            crawler._confirm(child_response.rows)
-        else:
-            extended_dfs(
-                crawler,
-                child_query,
-                level + 1,
-                lazy=lazy,
-                leaf_handler=leaf_handler,
-            )
+    table: dict[int, list[QueryResponse]] = {}
+    groups: dict[tuple[int, int], dict[Row, list[Row]]] = {}
+    last = crawler.space.cat - 1
+
+    def visit(node_query: Query, prefix: Row) -> None:
+        level = len(prefix)
+        if level not in table:
+            table[level] = _slice_level(crawler, level, lazy)
+        for value, entry in enumerate(table[level], start=1):
+            if entry.resolved:
+                rows = entry.rows  # at the root, every row is the child's
+                if level:
+                    by_prefix = groups.get((level, value))
+                    if by_prefix is None:
+                        by_prefix = groups[level, value] = {}
+                        for row in rows:
+                            by_prefix.setdefault(row[:level], []).append(row)
+                    rows = by_prefix.get(prefix, ())
+                if rows:
+                    crawler._confirm(rows)
+                continue
+            child_query = node_query.with_value(level, value)
+            if level == last:
+                leaf_handler(child_query)
+                continue
+            child_response = crawler._run_query(child_query)
+            if child_response.resolved:
+                crawler._confirm(child_response.rows)
+            else:
+                visit(child_query, prefix + (value,))
+
+    visit(node_query, tuple(p.value for p in node_query.predicates[:level]))
 
 
 class SliceCover(Crawler):

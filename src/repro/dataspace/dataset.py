@@ -118,10 +118,7 @@ class Dataset:
     # ------------------------------------------------------------------
     def multiset(self) -> Counter[Row]:
         """The bag as a :class:`collections.Counter` keyed by tuple."""
-        counter: Counter[Row] = Counter()
-        for row in self.iter_rows():
-            counter[row] += 1
-        return counter
+        return Counter(zip(*self._rows.T.tolist()))
 
     def max_multiplicity(self) -> int:
         """The largest number of identical tuples at any point.

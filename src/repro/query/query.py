@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.dataspace.attribute import Attribute
 from repro.dataspace.space import DataSpace
 from repro.exceptions import SchemaError
 from repro.query.predicates import EqualityPredicate, Predicate, RangePredicate
@@ -34,7 +35,8 @@ class Query:
     Equality and hashing consider only the predicate vector, so queries
     built independently by different algorithms (or by re-runs of the
     same algorithm) coincide in the response cache.  The ``space`` field
-    is carried for validation and pretty-printing.
+    is carried for validation and pretty-printing.  The constructor
+    checks every predicate; derived queries check only what they change.
     """
 
     predicates: tuple[Predicate, ...]
@@ -58,14 +60,8 @@ class Query:
                     f"attribute {attr.name!r} is numeric; it only supports "
                     "range predicates"
                 )
-            if (
-                isinstance(pred, EqualityPredicate)
-                and pred.value is not None
-                and not attr.contains(pred.value)
-            ):
-                raise SchemaError(
-                    f"value {pred.value} outside the domain of {attr.name!r}"
-                )
+            if isinstance(pred, EqualityPredicate):
+                _check_domain(attr, pred.value)
         # Queries are hashed on every cache probe of the hot path; the
         # predicate-vector hash is immutable, so pay for it once here.
         object.__setattr__(self, "_hash", hash(self.predicates))
@@ -85,16 +81,23 @@ class Query:
                 preds.append(EqualityPredicate(None))
             else:
                 preds.append(RangePredicate(None, None))
-        return cls(tuple(preds), space)
+        return _trusted(tuple(preds), space)
 
     def with_value(self, index: int, value: int | None) -> "Query":
-        """Refine a categorical attribute to ``value`` (``None`` = wildcard)."""
+        """Refine a categorical attribute to ``value`` (``None`` = wildcard).
+
+        >>> Query.full(DataSpace.categorical([3, 4])).with_value(1, 5)
+        Traceback (most recent call last):
+        ...
+        repro.exceptions.SchemaError: value 5 outside the domain of 'A2'
+        """
         attr = self.space[index]
         if not attr.is_categorical:
             raise SchemaError(f"{attr.name!r} is numeric; use with_range")
+        _check_domain(attr, value)
         preds = list(self.predicates)
         preds[index] = EqualityPredicate(value)
-        return Query(tuple(preds), self.space)
+        return _trusted(tuple(preds), self.space)
 
     def with_range(
         self, index: int, lo: int | None, hi: int | None
@@ -105,7 +108,7 @@ class Query:
             raise SchemaError(f"{attr.name!r} is categorical; use with_value")
         preds = list(self.predicates)
         preds[index] = RangePredicate(lo, hi)
-        return Query(tuple(preds), self.space)
+        return _trusted(tuple(preds), self.space)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -217,7 +220,7 @@ class Query:
                 if lo is not None and hi is not None and lo > hi:
                     return None
                 merged.append(RangePredicate(lo, hi))
-        return Query(tuple(merged), self.space)
+        return _trusted(tuple(merged), self.space)
 
     # ------------------------------------------------------------------
     # Splits (paper Section 2.1, Figure 2)
@@ -278,6 +281,20 @@ class Query:
             elif not pred.is_unconstrained:
                 parts.append(f"{attr.name} in {pred}")
         return "Query(" + (", ".join(parts) if parts else "*") + ")"
+
+
+def _check_domain(attr: Attribute, value: int | None) -> None:
+    if value is not None and not attr.contains(value):
+        raise SchemaError(f"value {value} outside the domain of {attr.name!r}")
+
+
+def _trusted(predicates: tuple[Predicate, ...], space: DataSpace) -> Query:
+    """A query derived from a valid one, whose changes the caller checked."""
+    query = object.__new__(Query)
+    object.__setattr__(query, "predicates", predicates)
+    object.__setattr__(query, "space", space)
+    object.__setattr__(query, "_hash", hash(predicates))
+    return query
 
 
 def full_query(space: DataSpace) -> Query:

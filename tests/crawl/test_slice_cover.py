@@ -7,7 +7,7 @@ from repro.crawl.verify import assert_complete
 from repro.datasets.paper_examples import figure5_dataset, figure5_server
 from repro.dataspace.space import DataSpace
 from repro.exceptions import SchemaError
-from repro.query.query import slice_query
+from repro.query.query import Query, slice_query
 from repro.server.client import CachingClient
 from repro.server.server import TopKServer
 from repro.theory.bounds import slice_cover_upper_bound
@@ -132,12 +132,22 @@ class TestValidation:
 
     def test_slice_table_guard(self):
         """Consulting the eager table before preprocessing is a bug."""
-        from repro.crawl.slice_cover import slice_response
+        from repro.crawl.slice_cover import (
+            categorical_point_handler,
+            extended_dfs,
+        )
 
         dataset = make_dataset(DataSpace.categorical([2, 2]), [[1, 1]])
         crawler = SliceCover(TopKServer(dataset, k=1))
-        with pytest.raises(SchemaError):
-            slice_response(crawler, 0, 1, lazy=False)
+        with pytest.raises(SchemaError, match="before preprocessing"):
+            extended_dfs(
+                crawler,
+                Query.full(dataset.space),
+                0,
+                lazy=False,
+                leaf_handler=categorical_point_handler(crawler),
+            )
+        assert crawler.client.cost == 0
 
 
 class TestSharedClientAccounting:

@@ -93,6 +93,10 @@ class TestAlgebra:
 
         a, b = random_query("a"), random_query("b")
         merged = a.intersect(b)
+        if merged is not None:
+            # Built without re-validation, yet exactly what the public
+            # constructor accepts.
+            assert Query(merged.predicates, space) == merged
         # Sample the lattice of small points.
         points = []
         for i, attr in enumerate(space):

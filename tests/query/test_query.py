@@ -22,12 +22,39 @@ class TestConstruction:
             q.with_value(2, 1)  # attribute 2 is numeric
 
     def test_out_of_domain_value_rejected(self, mixed_space):
-        with pytest.raises(SchemaError):
-            Query.full(mixed_space).with_value(0, 4)  # domain size 3
+        for value in (0, 4):  # domain size 3
+            with pytest.raises(SchemaError, match="outside the domain"):
+                Query.full(mixed_space).with_value(0, value)
 
     def test_wrong_arity_rejected(self, mixed_space):
         with pytest.raises(SchemaError):
             Query(Query.full(mixed_space).predicates[:-1], mixed_space)
+
+
+class TestTrustBoundary:
+    """Derived queries check only the predicate they change."""
+
+    def test_with_range_checks_its_own_extent(self, mixed_space):
+        with pytest.raises(SchemaError, match="empty range"):
+            Query.full(mixed_space).with_range(2, 5, 4)
+
+    def test_a_crawl_validates_o1_queries(self, monkeypatch):
+        """Full validation runs at the public constructor only."""
+        from repro.crawl.hybrid import Hybrid
+        from repro.datasets.nsf import nsf
+        from repro.server.server import TopKServer
+
+        validate = Query.__post_init__
+        calls = []
+
+        def counting(self):
+            calls.append(1)
+            validate(self)
+
+        monkeypatch.setattr(Query, "__post_init__", counting)
+        result = Hybrid(TopKServer(nsf(n=3000), k=64)).crawl()
+        assert result.complete and result.cost > 100
+        assert len(calls) <= 2
 
 
 class TestRefinement:
