@@ -16,9 +16,9 @@ speedups to ``BENCH_executors.json`` (path overridable via
 hosts -- on a single core the process backend cannot beat anything,
 and the JSON records that honestly (``cpu_count`` rides along).
 
-A second measurement times static vs work-stealing dispatch on a
-skewed plan against latency-simulating servers; the stolen regions'
-schedule changes, the result does not.
+A second measurement times the sequential reference against work
+stealing on a skewed plan with latency-simulating servers; the stolen
+regions' schedule changes, the result does not.
 """
 
 import json
@@ -93,10 +93,11 @@ def write_report(report: dict) -> str:
 def measure_coordinator_round_trips() -> int:
     """Control-plane chatter of a fixed budgeted process crawl.
 
-    Deliberately scale-independent and statically dispatched: the same
-    small limit-bearing plan leases, flushes and records identically on
-    every run, so the recorded count is a property of the admission
-    protocol, not of the benchmark host -- which is what lets
+    Deliberately scale-independent: each region unit of the same small
+    limit-bearing plan leases, flushes and records identically on every
+    run, whichever worker steals it, so the recorded count is a
+    property of the admission protocol, not of the benchmark host --
+    which is what lets
     ``tools/compare_bench.py`` gate regressions on it (a jump here
     means per-query chatter crept back into the control plane).
     """
@@ -144,9 +145,7 @@ def test_backend_speedups_cpu_bound(benchmark):
 
     def run_all():
         for name in ("thread", "process"):
-            spec = CrawlSpec(
-                executor=name, max_workers=SESSIONS, rebalance=True
-            )
+            spec = CrawlSpec(executor=name, max_workers=SESSIONS)
             results[name], seconds[name] = timed(
                 lambda spec=spec: crawl_partitioned(sources(), plan, spec)
             )
@@ -194,8 +193,9 @@ def test_backend_speedups_cpu_bound(benchmark):
         )
 
 
-def test_rebalancing_on_a_skewed_plan(benchmark):
-    """Work stealing vs static dispatch when one session dominates."""
+def test_stealing_on_a_skewed_plan(benchmark):
+    """Work stealing vs the sequential reference when one session
+    dominates."""
     n = max(2000, int(12000 * bench_scale()))
     dataset = skewed_dataset(n)
     plan = partition_space(dataset.space, SESSIONS)
@@ -207,33 +207,34 @@ def test_rebalancing_on_a_skewed_plan(benchmark):
             for _ in range(SESSIONS)
         ]
 
-    spec = CrawlSpec(executor="thread", max_workers=SESSIONS)
-    static, static_seconds = timed(
-        lambda: crawl_partitioned(sources(), plan, spec)
+    sequential, sequential_seconds = timed(
+        lambda: crawl_partitioned(sources(), plan)
     )
 
-    def rebalanced():
+    def stealing():
         return crawl_partitioned(
-            sources(), plan, spec.replace(rebalance=True)
+            sources(),
+            plan,
+            CrawlSpec(executor="thread", max_workers=SESSIONS),
         )
 
-    # Timed by timed(), like the static leg, so an untimed run
+    # Timed by timed(), like the sequential leg, so an untimed run
     # (--benchmark-disable) measures the same thing.
     stolen, stolen_seconds = benchmark.pedantic(
-        timed, args=(rebalanced,), rounds=1, iterations=1
+        timed, args=(stealing,), rounds=1, iterations=1
     )
 
-    assert stolen.rows == static.rows
-    assert stolen.cost == static.cost
-    assert stolen.progress == static.progress
+    assert stolen.rows == sequential.rows
+    assert stolen.cost == sequential.cost
+    assert stolen.progress == sequential.progress
 
-    session_costs = static.session_costs()
+    session_costs = sequential.session_costs()
     benchmark.extra_info["session_queries"] = session_costs
     benchmark.extra_info["skew"] = round(
         max(session_costs) / max(1, min(session_costs)), 2
     )
-    benchmark.extra_info["static_seconds"] = round(static_seconds, 3)
-    benchmark.extra_info["rebalanced_seconds"] = round(stolen_seconds, 3)
-    benchmark.extra_info["rebalance_speedup"] = round(
-        static_seconds / max(stolen_seconds, 1e-9), 2
+    benchmark.extra_info["sequential_seconds"] = round(sequential_seconds, 3)
+    benchmark.extra_info["stealing_seconds"] = round(stolen_seconds, 3)
+    benchmark.extra_info["stealing_speedup"] = round(
+        sequential_seconds / max(stolen_seconds, 1e-9), 2
     )

@@ -26,8 +26,9 @@ This benchmark crawls one limit-bearing plan on the process backend
   overridable via ``REPRO_BENCH_LEASE_OUT``) so CI can gate the
   reduction ratio per PR (``tools/compare_bench.py``).
 
-Static dispatch keeps the round-trip counts deterministic: each session
-is one pool task, so every run leases and flushes identically.
+The round-trip counts are deterministic: each region is one pool task
+that starts without a lease and flushes at its end, so every run leases
+and flushes identically, whichever worker steals which region.
 """
 
 import json

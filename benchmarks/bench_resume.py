@@ -118,7 +118,7 @@ def test_resume_reissues_zero_queries(benchmark, tmp_path):
             lambda: crawl_partitioned(
                 sources(),
                 plan,
-                THREADS.replace(rebalance=True, on_region=on_region),
+                THREADS.replace(on_region=on_region),
             )
         )
         measurements["interrupted"] = (result, seconds)
@@ -136,7 +136,7 @@ def test_resume_reissues_zero_queries(benchmark, tmp_path):
         lambda: crawl_partitioned(
             full_sources,
             plan,
-            THREADS.replace(rebalance=True, completed=checkpoint.completed),
+            THREADS.replace(completed=checkpoint.completed),
         )
     )
     assert_identical(resumed, reference, "full resume")
@@ -155,7 +155,7 @@ def test_resume_reissues_zero_queries(benchmark, tmp_path):
         lambda: crawl_partitioned(
             mid_sources,
             plan,
-            THREADS.replace(rebalance=True, completed=snapshot.completed),
+            THREADS.replace(completed=snapshot.completed),
         )
     )
     assert_identical(mid_resumed, reference, "midpoint resume")

@@ -1,6 +1,6 @@
 """Subtree sharding vs whole-region stealing on a one-heavy-region plan.
 
-Whole-region work stealing (PR 2) rebalances a skewed plan only down to
+Whole-region work stealing rebalances a skewed plan only down to
 the granularity of a region: when essentially *all* of the cost sits in
 one region, the worker that picks it up crawls it alone while every
 other worker goes idle -- the wall clock degenerates to the sequential
@@ -13,9 +13,9 @@ round trips overlap across all workers.  This benchmark builds such a
 workload (one categorical value carrying ~92% of the tuples, sessions
 crawling through latency-simulating sources), times
 
-* static dispatch,
-* whole-region stealing (``rebalance=True``), and
-* two-level stealing (``rebalance=True, shard_subtrees=N``),
+* the sequential reference,
+* whole-region stealing (the thread backend), and
+* two-level stealing (the thread backend with ``shard_subtrees=N``),
 
 asserts all three produce byte-identical results, requires the sharded
 crawl to be **>= 1.5x** faster than whole-region stealing, and writes
@@ -90,20 +90,16 @@ def test_subtree_sharding_beats_whole_region_stealing(benchmark):
         ]
 
     spec = CrawlSpec(executor="thread", max_workers=SESSIONS)
-    static, static_seconds = timed(
-        lambda: crawl_partitioned(sources(), plan, spec)
+    sequential, sequential_seconds = timed(
+        lambda: crawl_partitioned(sources(), plan)
     )
     region_stolen, region_seconds = timed(
-        lambda: crawl_partitioned(
-            sources(), plan, spec.replace(rebalance=True)
-        )
+        lambda: crawl_partitioned(sources(), plan, spec)
     )
 
     def sharded():
         return crawl_partitioned(
-            sources(),
-            plan,
-            spec.replace(rebalance=True, shard_subtrees=SHARDS),
+            sources(), plan, spec.replace(shard_subtrees=SHARDS)
         )
 
     # Timed by timed(), like the other two legs, so an untimed run
@@ -115,12 +111,12 @@ def test_subtree_sharding_beats_whole_region_stealing(benchmark):
     # Determinism contract: sharding and stealing change the schedule,
     # never the bytes.
     for other in (region_stolen, shard_result):
-        assert other.rows == static.rows
-        assert other.cost == static.cost
-        assert other.progress == static.progress
-        assert other.session_costs() == static.session_costs()
+        assert other.rows == sequential.rows
+        assert other.cost == sequential.cost
+        assert other.progress == sequential.progress
+        assert other.session_costs() == sequential.session_costs()
 
-    session_costs = static.session_costs()
+    session_costs = sequential.session_costs()
     heavy_share = max(session_costs) / max(1, sum(session_costs))
     speedup = region_seconds / max(shard_seconds, 1e-9)
     report = {
@@ -131,11 +127,11 @@ def test_subtree_sharding_beats_whole_region_stealing(benchmark):
         "sessions": SESSIONS,
         "shards_per_region": SHARDS,
         "rtt_seconds": RTT,
-        "total_queries": static.cost,
+        "total_queries": sequential.cost,
         "session_queries": session_costs,
         "heavy_session_share": round(heavy_share, 3),
         "seconds": {
-            "static": round(static_seconds, 3),
+            "sequential": round(sequential_seconds, 3),
             "region_stealing": round(region_seconds, 3),
             "subtree_sharding": round(shard_seconds, 3),
         },

@@ -37,24 +37,20 @@ about where the time goes:
     The reference: one region after another in the calling thread --
     also what ``crawl_partitioned`` runs when the spec names no
     executor.
-``--rebalance``
-    Any backend: work stealing moves whole regions off the slowest
-    session, using the observed cost of every finished region to pick
-    the victim.  The merged result is unchanged, byte for byte.
+The thread and process backends always steal work: an idle worker
+takes whole regions off the session with the most regions still
+queued.  The merged result is unchanged, byte for byte.
 
 The same switches exist programmatically::
 
     from repro import CrawlSpec, crawl_partitioned
-    merged = crawl_partitioned(
-        sources, plan, CrawlSpec(executor="process", rebalance=True)
-    )
+    merged = crawl_partitioned(sources, plan, CrawlSpec(executor="process"))
 
 and on the CLI::
 
-    python -m repro.crawl data.csv --k 256 --workers 4 \
-        --executor process --rebalance
+    python -m repro.crawl data.csv --k 256 --workers 4 --executor process
 
-The last section below demonstrates exactly that combination.
+The last section below demonstrates exactly that backend.
 
 Run::
 
@@ -198,11 +194,11 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # The same plan on the process backend with adaptive rebalancing:
-    # `--executor process --rebalance` on the CLI.  Worker processes
-    # escape the GIL (the win that matters on CPU-bound simulated
-    # engines), the work-stealing scheduler drains the slowest session
-    # first, and the merged result is still byte-identical.
+    # The same plan on the process backend: `--executor process` on
+    # the CLI.  Worker processes escape the GIL (the win that matters
+    # on CPU-bound simulated engines), the work-stealing scheduler
+    # drains the slowest session first, and the merged result is still
+    # byte-identical.
     # ------------------------------------------------------------------
     def plain_sources():
         return [TopKServer(dataset, k) for _ in range(sessions)]
@@ -211,7 +207,7 @@ def main() -> None:
     stolen = crawl_partitioned(
         plain_sources(),
         plan,
-        CrawlSpec(executor="process", max_workers=sessions, rebalance=True),
+        CrawlSpec(executor="process", max_workers=sessions),
     )
     proc_seconds = time.perf_counter() - start
     reference = crawl_partitioned(plain_sources(), plan)

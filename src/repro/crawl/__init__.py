@@ -76,9 +76,7 @@ from repro.crawl.runtime import (
     GridSink,
     LocalUnitRunner,
     UnitRunner,
-    drive_session,
     drive_stealing,
-    run_region,
 )
 from repro.crawl.sampling import RandomProber
 from repro.crawl.sharding import (
@@ -129,8 +127,6 @@ __all__ = [
     "UnitRunner",
     "LocalUnitRunner",
     "GridSink",
-    "run_region",
-    "drive_session",
     "drive_stealing",
     "DEFAULT_MAX_SHARDS",
     "SubtreeShard",

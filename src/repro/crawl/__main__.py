@@ -9,10 +9,8 @@ out::
     python -m repro.crawl data.csv --k 64 --algorithm lazy-slice-cover \
         --output extracted.csv --progress
     python -m repro.crawl data.csv --k 256 --workers 4
-    python -m repro.crawl data.csv --k 256 --workers 4 \
-        --executor process --rebalance
-    python -m repro.crawl data.csv --k 256 --workers 4 \
-        --rebalance --shard-subtrees 8
+    python -m repro.crawl data.csv --k 256 --workers 4 --executor process
+    python -m repro.crawl data.csv --k 256 --workers 4 --shard-subtrees 8
     python -m repro.crawl data.csv --k 256 --workers 4 \
         --executor process --budget 5000
     python -m repro.crawl data.csv --k 256 --workers 4 --progress-live
@@ -29,14 +27,13 @@ total cost are deterministic and match a sequential partitioned crawl
 exactly (see :mod:`repro.crawl.executors`).  ``--executor`` picks the
 backend (``thread``, the default, overlaps simulated round trips,
 ``process`` escapes the GIL on CPU-bound engines, ``sequential`` is
-the reference) and
-``--rebalance`` turns on work stealing, which moves regions off the
-slowest session without changing the result.  ``--shard-subtrees``
-with ``--rebalance`` additionally splits each region's crawl frontier
-into subtree shards (:mod:`repro.crawl.sharding`) so idle workers can
-steal *subqueries of a live region* -- the lever that helps when one
-heavy region dominates the plan.  Without ``--rebalance`` no worker
-could take another's shards, so regions crawl whole.  ``--max-regions``
+the reference).  The thread and process backends always steal work:
+an idle worker takes regions off the slowest session without changing
+the result.  ``--shard-subtrees`` additionally splits each region's
+crawl frontier into subtree shards (:mod:`repro.crawl.sharding`) so
+idle workers can steal *subqueries of a live region* -- the lever that
+helps when one heavy region dominates the plan; the sequential
+reference crawls regions whole.  ``--max-regions``
 caps how many regions the default partition planner may produce (see
 :func:`~repro.crawl.partition.partition_space`).
 
@@ -151,11 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(any --budget still admits exactly once across the pool), "
         "sequential is the reference (default: thread)",
     )
+    # Accepted so older command lines still run: the thread and
+    # process backends always steal, so nothing reads the flag.
     parser.add_argument(
-        "--rebalance",
-        action="store_true",
-        help="steal regions from the slowest session instead of "
-        "following the static partition (results are unchanged)",
+        "--rebalance", action="store_true", help=argparse.SUPPRESS
     )
     parser.add_argument(
         "--shard-subtrees",
@@ -164,8 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
         const=DEFAULT_MAX_SHARDS,
         default=None,
         metavar="N",
-        help="with --rebalance, split each region's crawl frontier into "
-        "subtree shards that idle workers can steal, targeting a "
+        help="on the thread and process backends, split each region's "
+        "crawl frontier into subtree shards that idle workers can "
+        "steal, targeting a "
         f"positive N per region (default N: {DEFAULT_MAX_SHARDS}; a "
         "frontier naturally wider than N is kept whole; results are "
         "unchanged); helps on skewed data",
@@ -313,20 +310,13 @@ def _main(args: argparse.Namespace) -> int:
     checkpoint_path = args.checkpoint or args.resume
     if args.workers == 1 and (
         args.executor != "thread"
-        or args.rebalance
         or args.shard_subtrees is not None
         or args.progress_live
     ):
         print(
-            "note: --executor/--rebalance/--shard-subtrees/"
-            "--progress-live only take effect with --workers > 1; "
-            "running a single unpartitioned crawl",
-            file=sys.stderr,
-        )
-    elif args.shard_subtrees is not None and not args.rebalance:
-        print(
-            "note: --shard-subtrees only takes effect with --rebalance; "
-            "crawling each region whole",
+            "note: --executor/--shard-subtrees/--progress-live only "
+            "take effect with --workers > 1; running a single "
+            "unpartitioned crawl",
             file=sys.stderr,
         )
     try:
@@ -444,13 +434,9 @@ def _main(args: argparse.Namespace) -> int:
                 if monitor is not None:
                     stop.set()
                     monitor.join()
-            mode = args.executor + (" + rebalance" if args.rebalance else "")
-            if args.shard_subtrees is not None:
-                mode += (
-                    f" + {args.shard_subtrees}-way subtree shards"
-                    if args.rebalance
-                    else " (no subtree shards without rebalance)"
-                )
+            mode = args.executor
+            if args.shard_subtrees is not None and mode != "sequential":
+                mode += f" + {args.shard_subtrees}-way subtree shards"
             print(
                 f"plan: {len(plan.regions)} regions on "
                 f"{dataset.space[plan.attribute].name!r}, "

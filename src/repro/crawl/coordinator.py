@@ -318,21 +318,16 @@ class TenantLimitRegistry:
         admission state across a server death.
         """
         with self._lock:
-            return {
-                tenant: {
-                    "budget": (
-                        self._budgets[tenant].state()
-                        if tenant in self._budgets
-                        else None
-                    ),
-                    "daily": (
-                        self._dailies[tenant].state()
-                        if tenant in self._dailies
-                        else None
-                    ),
-                }
-                for tenant in self._quotas
-            }
+            return {tenant: self._charge(tenant) for tenant in self._quotas}
+
+    def _charge(self, tenant: str) -> dict:
+        # Caller holds self._lock.
+        budget = self._budgets.get(tenant)
+        daily = self._dailies.get(tenant)
+        return {
+            "budget": budget.state() if budget is not None else None,
+            "daily": daily.state() if daily is not None else None,
+        }
 
     def restore(self, tenant: str, charge: dict) -> bool:
         """Restore a tenant's persisted charge (same-window semantics).
@@ -370,50 +365,36 @@ class TenantLimitRegistry:
         """
         return [coordinator.share(limit) for limit in self.limits(tenant)]
 
-    def pull_shared(self, tenant: str, stubs: list) -> dict:
-        """Land a shared tenant's authoritative charge in the registry.
+    def pull_shared(
+        self, tenant: str, stubs: list, coordinator: "LimitCoordinator"
+    ) -> dict:
+        """Land a shared tenant's charge so far in the registry.
 
-        The per-commit counterpart of ``coordinator.writeback()``: each
-        stub in ``stubs`` (from :meth:`share`, same order as
-        :meth:`limits`) is flushed -- returning any parked lease
-        headroom -- and its authoritative state is restored into the
-        registry's local objects, so in-process reads
-        (:meth:`charges`, :meth:`budget`) stay exact while the fleet
-        runs on another process.  Returns the tenant's
-        :meth:`charges`-shaped snapshot ``{"budget": ..., "daily":
-        ...}``, which is what the job service persists at each region
-        commit.
+        The per-commit counterpart of ``coordinator.writeback()``.
+        ``stubs`` (from :meth:`share`, same order as :meth:`limits`)
+        are the parent's own: the admissions they granted here are
+        credited to the budget, while each pool unit's were credited
+        as it landed (:meth:`LimitCoordinator.credit`), so the budget
+        reads exactly the queries admitted so far and only rises.  The
+        budget is never read back from the plane, whose counter also
+        holds the units pool workers have leased but not spent.  The
+        stubs are then flushed and the daily quota restored from the
+        plane, so in-process reads (:meth:`charges`, :meth:`budget`)
+        track the fleet running on other processes.  Returns the
+        tenant's :meth:`charges`-shaped snapshot ``{"budget": ...,
+        "daily": ...}``, which is what the job service persists at each
+        region commit.
         """
-        states = []
+        coordinator.credit([stub.take_admitted() for stub in stubs], stubs)
         for stub in stubs:
             stub.flush()
-            states.append(stub.state())
         with self._lock:
             self._known(tenant)
-            index = 0
-            if tenant in self._budgets:
-                self._budgets[tenant].restore_state(states[index])
-                index += 1
-            if tenant in self._dailies:
-                self._dailies[tenant].restore_state(states[index])
-                index += 1
-            if index != len(states):
-                raise ValueError(
-                    f"tenant {tenant!r} has {index} registered limits "
-                    f"but {len(states)} shared stubs"
-                )
-            return {
-                "budget": (
-                    self._budgets[tenant].state()
-                    if tenant in self._budgets
-                    else None
-                ),
-                "daily": (
-                    self._dailies[tenant].state()
-                    if tenant in self._dailies
-                    else None
-                ),
-            }
+            daily = self._dailies.get(tenant)
+            if daily is not None:
+                # limits() lists the daily quota last.
+                daily.restore_state(stubs[-1].state())
+            return self._charge(tenant)
 
 
 class _ControlPlane:
@@ -608,6 +589,17 @@ class SharedLimitClient(QueryLimit):
             raise QueryBudgetExhausted(message, issued=issued)
         self._lease = LimitLease(granted)
         return self._lease
+
+    def take_admitted(self) -> int:
+        """The admissions counted since the last take, zeroing the count.
+
+        For a stub that admits in the parent (a job-service thread job
+        of a tenant whose limits the coordinator hosts): its
+        admissions are credited in batches, each counted once.
+        """
+        with self._lock:
+            count, self.admitted = self.admitted, 0
+            return count
 
     def flush(self) -> None:
         """Return the local lease's unused units to the coordinator.
@@ -849,22 +841,26 @@ class LimitCoordinator:
             if isinstance(stub, SharedLimitClient)
         ]
 
-    def credit(self, admitted: Sequence[int]) -> None:
+    def credit(
+        self, admitted: Sequence[int], stubs: Sequence | None = None
+    ) -> None:
         """Add one pool unit's budget admissions to the originals.
 
-        ``admitted`` holds the admissions each of :meth:`shared_stubs`
-        granted during the unit, in that order (a pool worker counts
-        them on its copies of the stubs).  The process backend calls
-        this as each unit lands in the parent, so a caller's
-        :class:`~repro.server.limits.QueryBudget` reads the queries of
-        every unit landed so far -- what a checkpoint written for that
-        unit must store -- and only rises.  The plane's own counter
-        would not do: it also holds the units other workers have leased
-        but not yet spent.  Other limits, and a refusal, settle at
-        :meth:`writeback`.
+        ``admitted`` holds the admissions each stub granted during the
+        unit, in the order of ``stubs`` -- the stubs the unit's payload
+        carried, by default every one of :meth:`shared_stubs` (a pool
+        worker counts them on its copies of the stubs).  The process
+        backend and the job service call this as each unit lands in the
+        parent, so a caller's :class:`~repro.server.limits.QueryBudget`
+        reads the queries of every unit landed so far -- what a
+        checkpoint or a store commit written for that unit must hold --
+        and only rises.  The plane's own counter would not do: it also
+        holds the units other workers have leased but not yet spent.
+        Other limits, and a refusal, settle at :meth:`writeback`.
         """
         originals = {handle: obj for obj, handle in self._writeback}
-        stubs = self.shared_stubs()
+        if stubs is None:
+            stubs = self.shared_stubs()
         with self._credit_lock:
             for stub, count in zip(stubs, admitted, strict=True):
                 budget = originals[stub._handle]

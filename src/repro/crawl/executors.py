@@ -16,14 +16,13 @@ may run the grid in any order, on any substrate, and the merged
 plan position, costs summed, progress canonically interleaved -- is
 byte-identical to the sequential executor's.
 
-The dispatch logic itself lives in :mod:`repro.crawl.runtime`: two
-transport-agnostic pull loops (static sessions and work stealing) over
-the :class:`~repro.crawl.runtime.UnitRunner` protocol, filing into a
-:class:`~repro.crawl.runtime.GridSink`.  Both pooled
-backends run those loops on parent threads through one
-:meth:`CrawlExecutor._execute`; a backend supplies only the runner its
-loops call -- how a unit's code reaches a worker, and whether sources
-are shared or copied:
+The dispatch logic itself lives in :mod:`repro.crawl.runtime`: one
+transport-agnostic work-stealing pull loop over the
+:class:`~repro.crawl.runtime.UnitRunner` protocol, filing into a
+:class:`~repro.crawl.runtime.GridSink`.  Both pooled backends run that
+loop on parent threads through one :meth:`CrawlExecutor._execute`; a
+backend supplies only the runner the loop calls -- how a unit's code
+reaches a worker, and whether sources are shared or copied:
 
 :class:`SequentialExecutor`
     One region after another, in plan order, in the calling thread.
@@ -47,16 +46,17 @@ are shared or copied:
     the multi-core backend, decided by the sources themselves rather
     than a flag.
 
-Adaptive rebalancing
---------------------
-``rebalance=True`` replaces static session dispatch with the
-:class:`~repro.crawl.rebalance.WorkStealingScheduler`: an idle worker
+Work stealing
+-------------
+The pooled backends always dispatch through the
+:class:`~repro.crawl.rebalance.WorkStealingScheduler`: each worker
+drains its home session's regions in plan order, and an idle worker
 steals the tail region of the session with the most regions still
 queued (a region's cost is known only once it has been crawled, so
 queued regions are told apart by count alone).  A stolen region is
 still crawled against *its own session's* source -- its identity keeps
 paying the queries -- and its result is filed under its original plan
-position, so rebalancing changes wall-clock behaviour only, never the
+position, so stealing changes wall-clock behaviour only, never the
 result.  The one caveat: a source-side *limit* (budget, daily quota)
 fires by cumulative query order, which stealing reorders -- parity with
 the sequential executor is guaranteed for crawls that complete within
@@ -64,8 +64,8 @@ their limits.
 
 Subtree sharding
 ----------------
-``shard_subtrees=N`` together with ``rebalance=True`` drops the unit of
-scheduling below the region: each region a worker takes is *presplit*
+``shard_subtrees=N`` drops the pooled backends' unit of scheduling
+below the region: each region a worker takes is *presplit*
 (:func:`~repro.crawl.sharding.presplit_region`) into a trunk plus at
 most ``N`` independently crawlable subtree shards, and the same
 :class:`~repro.crawl.rebalance.WorkStealingScheduler` lets idle workers
@@ -75,14 +75,15 @@ dominates the plan.  Whichever worker completes a region's last shard
 splices the results back in canonical order
 (:func:`~repro.crawl.sharding.merge_region_shards`), so the merged
 result remains byte-identical to the unsharded sequential executor's.
-Without ``rebalance`` no worker could take another's shards, so static
-dispatch (and the sequential reference) crawl every region whole and
-ignore ``shard_subtrees``.
+With a single worker no one could take the shards, so the sequential
+reference crawls every region whole and ignores ``shard_subtrees``.
 
-Failure semantics (all backends): every region is drained before a
-failure propagates, and the exception of the lowest (session, region)
-plan position is raised -- except the sequential executor, which stops
-at the first failure exactly as it always did.  With
+Failure rule (every backend and the job service): a run raises the
+exception of the lowest failing (session, region) plan position.  The
+pooled backends drain the rest of the plan first -- a worker cannot
+know that no failure at a lower position is still to come -- and file
+every other region that lands.  The sequential reference visits
+positions in order, so it stops at that same position.  With
 ``allow_partial=True`` a budget-interrupted region yields a partial
 result instead and the merge is marked incomplete.
 """
@@ -132,7 +133,7 @@ from repro.crawl.runtime import (
     GridSink,
     LocalUnitRunner,
     UnitRunner,
-    drive_session,
+    crawl_region_unit,
     drive_stealing,
 )
 from repro.crawl.spec import CrawlSpec
@@ -166,11 +167,11 @@ class CrawlExecutor(abc.ABC):
     """Runs a partition plan's region grid and merges deterministically.
 
     :meth:`run` owns validation, the deterministic merge, and the
-    drain-then-raise failure contract;
-    :meth:`_execute` points parent threads at the runtime's pull loops
-    (:mod:`repro.crawl.runtime`), which own all scheduling semantics.
-    A backend supplies only :meth:`_runner` -- the *transport* those
-    loops hand each unit to.
+    lowest-position failure rule;
+    :meth:`_execute` points parent threads at the runtime's stealing
+    loop (:mod:`repro.crawl.runtime`), which owns all scheduling
+    semantics.  A backend supplies only :meth:`_runner` -- the
+    *transport* that loop hands each unit to.
 
     Examples
     --------
@@ -183,8 +184,7 @@ class CrawlExecutor(abc.ABC):
         plan = partition_space(dataset.space, 4)
         sources = [TopKServer(dataset, k=64) for _ in range(4)]
         spec = CrawlSpec(
-            executor="process", max_workers=4,
-            rebalance=True, shard_subtrees=8,
+            executor="process", max_workers=4, shard_subtrees=8
         )
         merged = crawl_partitioned(sources, plan, spec)
         assert merged.complete
@@ -223,8 +223,8 @@ class CrawlExecutor(abc.ABC):
             :func:`~repro.crawl.partition.crawl_partitioned`.
         plan:
             The partition plan; the unit of scheduling is one region
-            (or, with ``spec.rebalance`` and ``spec.shard_subtrees``,
-            one subtree shard of one).
+            (or, on a pooled backend with ``spec.shard_subtrees``, one
+            subtree shard of one).
         spec:
             The crawl configuration, a
             :class:`~repro.crawl.spec.CrawlSpec` (default: a default
@@ -275,7 +275,7 @@ class CrawlExecutor(abc.ABC):
 
     @contextlib.contextmanager
     def _runner(self, sources, plan, spec, workers, feed):
-        """The unit runner the drive loops call, live for one crawl.
+        """The unit runner the stealing loop calls, live for one crawl.
 
         In-process by default: one :class:`~repro.crawl.runtime.
         LocalUnitRunner` over the caller's sources, shared by reference
@@ -290,14 +290,12 @@ class CrawlExecutor(abc.ABC):
     def _execute(self, sources, plan, sink, spec, completed):
         """Run the grid on parent threads pulling units through a runner.
 
-        Without ``rebalance`` one thread per session runs
-        :func:`~repro.crawl.runtime.drive_session`, whole regions only;
-        with it, the worker threads run the shared
+        The worker threads run the shared
         :func:`~repro.crawl.runtime.drive_stealing` loop (worker ``j``
         calls session ``j % sessions`` home), presplitting regions into
         stealable shards under ``shard_subtrees``.
 
-        The rebalanced fleet is *elastic*: a worker whose loop departs
+        The fleet is *elastic*: a worker whose loop departs
         (:class:`~repro.exceptions.WorkerDeparted`) has already
         re-queued its in-flight unit, and a replacement worker takes
         its place -- the scheduler's departure bound fails units once a
@@ -307,40 +305,18 @@ class CrawlExecutor(abc.ABC):
         instead of blocking forever on a shard that will never land)
         and ranks its failure after every real region failure.
         """
-        if spec.rebalance:
-            # A checkpoint's regions enter the books as done with their
-            # exact costs and never enter the queues.
-            scheduler = WorkStealingScheduler(
-                plan.bundles,
-                {key: result.cost for key, result in completed.items()},
-            )
-            # Shards expose more parallelism than whole regions alone.
-            upper = max(1, scheduler.total_tasks, spec.shard_subtrees or 1)
-        else:
-            upper = plan.sessions
+        # A checkpoint's regions enter the books as done with their
+        # exact costs and never enter the queues.
+        scheduler = WorkStealingScheduler(
+            plan.bundles,
+            {key: result.cost for key, result in completed.items()},
+        )
+        # Shards expose more parallelism than whole regions alone.
+        upper = max(1, scheduler.total_tasks, spec.shard_subtrees or 1)
         workers = self._workers(upper, spec)
+        aborted = False
+        spawned = itertools.count()
         with self._runner(sources, plan, spec, workers, sink.feed) as runner:
-            if not spec.rebalance:
-                skip = frozenset(completed)
-                with ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="crawl-session"
-                ) as pool:
-                    tasks = [
-                        pool.submit(
-                            drive_session,
-                            session,
-                            plan.bundles[session],
-                            runner,
-                            sink,
-                            skip,
-                        )
-                        for session in range(plan.sessions)
-                    ]
-                    for task in tasks:
-                        task.result()
-                return
-            aborted = False
-            spawned = itertools.count()
             with ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="crawl-steal"
             ) as pool:
@@ -381,41 +357,44 @@ class CrawlExecutor(abc.ABC):
 class SequentialExecutor(CrawlExecutor):
     """The reference backend: plan order, in the calling thread.
 
-    ``rebalance`` and ``shard_subtrees`` are accepted and ignored --
-    with a single worker there is nothing to steal, and every region
-    crawls whole.  Stops at the first failure, like the original
-    sequential :func:`~repro.crawl.partition.crawl_partitioned`.
+    Crawls every region whole through
+    :func:`~repro.crawl.runtime.crawl_region_unit`, session by session,
+    and ignores ``shard_subtrees`` -- with a single worker there is
+    nothing to steal.  Visiting positions in order, it stops at the
+    first failure, which is the lowest failing plan position the
+    pooled backends raise too; the sessions after it are marked
+    cancelled.
     """
 
     name = "sequential"
 
     def _execute(self, sources, plan, sink, spec, completed):
-        skip = frozenset(completed)
         with self._runner(sources, plan, spec, 1, sink.feed) as runner:
-            for session in range(plan.sessions):
-                ok = drive_session(
-                    session, plan.bundles[session], runner, sink, skip
-                )
-                if not ok:
-                    # Stopping at the first failure abandons the
-                    # remaining sessions; mark them cancelled so
-                    # aggregator snapshots never show a never-started
-                    # session as running.
-                    for later in range(session + 1, plan.sessions):
-                        sink.feed.cancelled(later)
-                    return
+            for session, bundle in enumerate(plan.bundles):
+                for index, region in enumerate(bundle):
+                    if (session, index) in completed:
+                        continue
+                    task = RegionTask(session, index, region)
+                    try:
+                        result = crawl_region_unit(task, runner)
+                    except Exception as exc:  # noqa: BLE001 - see run()
+                        sink.region_failed(task.key, session, exc)
+                        # Never started: aggregator snapshots must not
+                        # show the later sessions as running.
+                        for later in range(session + 1, plan.sessions):
+                            sink.feed.cancelled(later)
+                        return
+                    sink.region_done(task.key, result)
 
 
 class ThreadExecutor(CrawlExecutor):
     """Worker threads over the caller's sources, shared by reference.
 
     Runs :meth:`CrawlExecutor._execute` with the default in-process
-    runner: one :func:`~repro.crawl.runtime.drive_session` thread per
-    session, or ``spec.max_workers`` elastic
-    :func:`~repro.crawl.runtime.drive_stealing` threads with
-    ``rebalance``.  Wins on latency-bound sessions: the threads overlap
-    the per-query round trips, and limits and stats are exact without
-    any coordination.
+    runner: ``spec.max_workers`` elastic
+    :func:`~repro.crawl.runtime.drive_stealing` threads.  Wins on
+    latency-bound sessions: the threads overlap the per-query round
+    trips, and limits and stats are exact without any coordination.
     """
 
     name = "thread"
@@ -649,7 +628,7 @@ class PoolUnitRunner(UnitRunner):
     """Run units on a :class:`WorkerPool`, one pool task per unit.
 
     The blocking :meth:`region` / :meth:`presplit` / :meth:`shard` ship
-    a unit and wait for its outcome, so the drive loops and
+    a unit and wait for its outcome, so the stealing loop and
     :func:`~repro.crawl.runtime.crawl_region_unit` run a unit through
     the pool as they would in-process.  In the worker, a
     :class:`~repro.crawl.runtime.LocalUnitRunner` crawls the unit and
@@ -757,14 +736,14 @@ class ProcessExecutor(CrawlExecutor):
     start no coordinator.
 
     Dispatch is the thread backend's: :meth:`CrawlExecutor._execute`
-    runs the same pull loops on parent threads, one per pool worker,
+    runs the same stealing loop on parent threads, one per pool worker,
     and only the runner differs -- a :class:`PoolUnitRunner`, whose
     blocking calls each wait on one pool task.  Every region is filed
     (``on_region``, progress, failure ranking) as it lands.  A pool
     worker that dies breaks the pool: the runner replaces it and
-    raises :class:`~repro.exceptions.WorkerDeparted`, so a rebalanced
-    crawl requeues the unit onto the fresh pool and a static crawl
-    fails that region, exactly as a departed thread worker would.
+    raises :class:`~repro.exceptions.WorkerDeparted`, so the loop
+    requeues the unit onto the fresh pool, exactly as for a departed
+    thread worker.
 
     Progress reporting is completion-grained: the aggregator sees a
     session advance when a region finishes, not per query.
@@ -797,7 +776,7 @@ class ProcessExecutor(CrawlExecutor):
         """A :class:`PoolUnitRunner` over a started pool of ``workers``.
 
         The pool, and the limit coordinator when the sources carry
-        limits, live until the drive loops have drained; ``feed`` is
+        limits, live until the stealing loop has drained; ``feed`` is
         unused, because progress advances as results reach the parent.
         """
         with contextlib.ExitStack() as stack:

@@ -441,7 +441,7 @@ def crawl_partitioned(
     session, merges to the same bytes:
 
     >>> from repro import CrawlSpec
-    >>> spec = CrawlSpec(executor="thread", max_workers=2, rebalance=True)
+    >>> spec = CrawlSpec(executor="thread", max_workers=2)
     >>> sources = [TopKServer(dataset, k=16) for _ in range(2)]
     >>> crawl_partitioned(sources, plan, spec).rows == merged.rows
     True

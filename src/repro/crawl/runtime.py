@@ -2,9 +2,8 @@
 
 The paper's optimality argument is about *which queries* a crawl issues,
 never about *where* they run.  The execution layer has three backends
-(sequential, thread, process), each with or without rebalancing (and,
-when stealing, subtree sharding), and the dispatch logic for all of
-them lives here, once.  It
+(sequential, thread, process); the pooled two, and the job service,
+dispatch through the work-stealing loop that lives here, once.  It
 owns the **session lifecycle state machine** over
 :class:`~repro.crawl.rebalance.RegionTask` /
 :class:`~repro.crawl.rebalance.ShardTask` units -- acquire, run,
@@ -23,24 +22,22 @@ feed, parameterised by one small protocol and one sink:
     *Where outcomes go*: the parent files each one straight into the
     result grid as it lands.
 
-Two pull loops cover every backend x feature combination; in each, a
-parent thread asks for its own next unit and waits on the runner:
-
-* :func:`drive_session` -- static dispatch: one session's bundle in
-  plan order (every backend without rebalancing);
-* :func:`drive_stealing` -- the work-stealing loop over one
-  :class:`~repro.crawl.rebalance.WorkStealingScheduler`, run by the
-  pooled backends' workers.
+:func:`drive_stealing` is the one pull loop: a parent thread asks one
+:class:`~repro.crawl.rebalance.WorkStealingScheduler` for its next
+unit (own session first, then a stolen region, then a subtree shard)
+and waits on the runner.  The sequential reference walks the plan in
+order through :func:`crawl_region_unit`; the job service's fleet
+threads call that too, one region at a time.
 
 Subtree sharding lives in the stealing loop alone: under
 ``shard_subtrees=N`` :func:`drive_stealing` presplits every region it
 takes into at most ``N`` shards, so idle workers can take the shards of
 a heavy region, and it waits on the scheduler while a presplit may
-still publish some.  Static dispatch crawls each region whole -- its
-shards would run one after another on the thread that took the region,
-which buys nothing.  Because sharding is result-invariant (an exact
-prefix decomposition; see :mod:`repro.crawl.sharding`), either way
-yields the same merged bytes.
+still publish some.  The sequential reference and the job service
+crawl each region whole -- their shards would run one after another
+on the thread that took the region, which buys nothing.  Because
+sharding is result-invariant (an exact prefix decomposition; see
+:mod:`repro.crawl.sharding`), either way yields the same merged bytes.
 
 Determinism contract: nothing in this module may influence *what* a
 region crawl computes -- only when and where it runs.  Every unit files
@@ -85,8 +82,6 @@ __all__ = [
     "GridSink",
     "crawl_region_unit",
     "requeue_departed",
-    "run_region",
-    "drive_session",
     "drive_stealing",
 ]
 
@@ -209,8 +204,8 @@ class AggregatorFeed:
 class UnitRunner(abc.ABC):
     """How one unit of work executes on a backend's substrate.
 
-    The drive loops never touch sources, crawlers or caches directly;
-    they hand each acquired unit to a runner.  A runner must be safe to
+    The runtime never touches sources, crawlers or caches directly;
+    it hands each acquired unit to a runner.  A runner must be safe to
     call from several workers at once (the in-process backends share
     one across their worker threads).
 
@@ -363,7 +358,7 @@ class GridSink:
     ::
 
         sink = GridSink(plan, feed)
-        drive_session(0, plan.bundles[0], runner, sink)
+        drive_stealing(WorkStealingScheduler(plan.bundles), 0, runner, sink)
         sink.grid[0][0]      # the region's CrawlResult
         sink.failures        # [] on success
 
@@ -410,19 +405,19 @@ class GridSink:
 
 
 # ----------------------------------------------------------------------
-# The drive loops: the one session lifecycle state machine
+# Running units: the one session lifecycle state machine
 # ----------------------------------------------------------------------
 def crawl_region_unit(task: RegionTask, runner: UnitRunner):
     """Crawl one whole region unit and *raise* on failure.
 
-    The raising core of :func:`run_region`: crawl ``task``'s region
-    through ``runner`` and return the
+    Crawl ``task``'s region through ``runner`` and return the
     :class:`~repro.crawl.base.CrawlResult`.  The runner's region
     boundary is always flushed, success or failure, so leased budget
-    headroom never outlives the attempt.  Callers that must distinguish
-    failure *kinds* (the job service treats :class:`WorkerDeparted` as
-    retriable, everything else as a region failure) use this directly;
-    drive loops that only need pass/fail wrap it via :func:`run_region`.
+    headroom never outlives the attempt.  The sequential reference
+    runs every region through this, in plan order; the job service's
+    fleet threads call it too and tell failure *kinds* apart
+    (:class:`WorkerDeparted` is retriable, anything else is a region
+    failure).
 
     When the profiling seam (:mod:`repro.crawl.profiling`) is active,
     ``runtime.region_unit`` times the whole attempt and
@@ -441,34 +436,10 @@ def crawl_region_unit(task: RegionTask, runner: UnitRunner):
             prof.record("runtime.region_unit", profiling.clock() - start)
 
 
-def run_region(task: RegionTask, runner: UnitRunner, sink: GridSink) -> bool:
-    """Run one whole region end to end and file its outcome.
-
-    The smallest complete unit of work the runtime knows: crawl
-    ``task``'s region through ``runner``, file the outcome into
-    ``sink``, and flush the runner's region boundary.  Returns whether
-    the region succeeded; the failure is filed, never raised.  Static
-    dispatch (:func:`drive_session`) bottoms out here.
-
-    Examples
-    --------
-    ::
-
-        ok = run_region(RegionTask(0, 0, region), runner, sink)
-    """
-    try:
-        result = crawl_region_unit(task, runner)
-    except Exception as exc:  # noqa: BLE001 - filed, never raised
-        sink.region_failed(task.key, task.session, exc)
-        return False
-    sink.region_done(task.key, result)
-    return True
-
-
 def requeue_departed(scheduler, task, sink: GridSink, exc) -> bool:
     """Hand a departed worker's unit back, or file it as given up.
 
-    Every drive shape (and the job service's fleet) treats
+    The stealing loop and the job service's fleet treat
     :class:`~repro.exceptions.WorkerDeparted` the same way: the worker
     is gone, not the unit, so the unit goes back to the scheduler.  The
     scheduler bounds the departures it takes back; past the bound it
@@ -484,41 +455,6 @@ def requeue_departed(scheduler, task, sink: GridSink, exc) -> bool:
         )
         sink.region_failed(task.key, task.session, gave_up)
     return False
-
-
-def drive_session(
-    session: int,
-    bundle: Sequence,
-    runner: UnitRunner,
-    sink: GridSink,
-    skip: frozenset[RegionKey] = frozenset(),
-) -> bool:
-    """Static dispatch: crawl one session's regions in plan order.
-
-    Stops at the session's first failure (later regions of a failed
-    session are never crawled -- exactly the sequential semantics) and
-    reports whether the whole bundle succeeded.  Each region crawls
-    whole.  ``skip`` holds plan positions a resumed crawl already
-    completed (pre-filed into the sink by the executor); they are never
-    re-crawled.
-
-    Examples
-    --------
-    One thread per session is the whole static dispatch of both pooled
-    backends::
-
-        for session in range(plan.sessions):
-            pool.submit(
-                drive_session, session, plan.bundles[session],
-                runner, sink,
-            )
-    """
-    for index, region in enumerate(bundle):
-        if (session, index) in skip:
-            continue
-        if not run_region(RegionTask(session, index, region), runner, sink):
-            return False
-    return True
 
 
 def _finish_completion(

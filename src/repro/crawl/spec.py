@@ -10,8 +10,8 @@ nothing else:
   is the sequential reference in ``crawl_partitioned`` and the
   manager's own backend in the job service;
 * the **run half** (``crawler_factory``, ``allow_partial``,
-  ``aggregator``, ``rebalance``, ``shard_subtrees``, ``completed``,
-  ``on_region``) configures the run itself.
+  ``aggregator``, ``shard_subtrees``, ``completed``, ``on_region``)
+  configures the run itself.
 
 Each setting lives here only: an executor instance keeps no copy.
 
@@ -74,8 +74,7 @@ class CrawlSpec:
         from repro import CrawlSpec, crawl_partitioned
 
         spec = CrawlSpec(
-            executor="process", max_workers=4,
-            rebalance=True, shard_subtrees=8,
+            executor="process", max_workers=4, shard_subtrees=8
         )
         merged = crawl_partitioned(sources, plan, spec)
 
@@ -101,11 +100,9 @@ class CrawlSpec:
     allow_partial: bool = False
     #: Optional live progress sink.
     aggregator: ProgressAggregator | None = None
-    #: Enable work stealing.
-    rebalance: bool = False
-    #: With ``rebalance``, presplit each region taken into at most this
-    #: many subtree shards that idle workers can steal; ``None`` crawls
-    #: regions whole.  Static dispatch always crawls regions whole.
+    #: On a pooled backend, presplit each region taken into at most
+    #: this many subtree shards that idle workers can steal; ``None``
+    #: crawls regions whole, as the sequential reference always does.
     shard_subtrees: int | None = None
     #: Already-crawled results keyed by plan position (resume).
     completed: Mapping[RegionKey, CrawlResult] | None = None
@@ -163,8 +160,7 @@ def spec_from_args(args: Any) -> CrawlSpec:
     mapping; both CLIs call it, so a flag cannot mean two things.
 
     Recognised attributes: ``algorithm``, ``max_queries``,
-    ``executor``, ``workers``, ``rebalance``, ``shard_subtrees``,
-    ``allow_partial``.
+    ``executor``, ``workers``, ``shard_subtrees``, ``allow_partial``.
 
     Examples
     --------
@@ -199,6 +195,5 @@ def spec_from_args(args: Any) -> CrawlSpec:
         max_workers=int(workers) if workers is not None else None,
         crawler_factory=factory,
         allow_partial=bool(getattr(args, "allow_partial", False)),
-        rebalance=bool(getattr(args, "rebalance", False)),
         shard_subtrees=getattr(args, "shard_subtrees", None),
     )

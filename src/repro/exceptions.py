@@ -108,9 +108,10 @@ class WorkerDeparted(ReproError, RuntimeError):
     Raised *through* a worker's unit of work -- e.g. by a query source
     whose identity was revoked, or injected by a fault-tolerance
     harness -- to signal that the worker is gone, not that the unit is
-    bad.  The drive loops react by re-queueing the in-flight unit on
-    the scheduler (:meth:`~repro.crawl.rebalance.WorkStealingScheduler.
-    requeue`) and flushing the worker's unreturned lease headroom, so a
+    bad.  The stealing loop and the job service's fleet react by
+    re-queueing the in-flight unit on the scheduler
+    (:meth:`~repro.crawl.rebalance.WorkStealingScheduler.requeue`) and
+    flushing the worker's unreturned lease headroom, so a
     departure costs wall-clock time only -- the crawl still completes
     with full sequential parity and exact budget accounting.
     """

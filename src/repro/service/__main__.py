@@ -13,7 +13,7 @@ with their quotas, plus one entry per crawl job::
     }
 
 Each job entry carries exactly the batch CLI's crawl flags as keys
-(``algorithm``, ``workers``, ``rebalance``, ``shard_subtrees``, ...):
+(``algorithm``, ``workers``, ``max_queries``, ``allow_partial``, ...):
 both front ends build their :class:`~repro.crawl.spec.CrawlSpec`
 through the one :func:`~repro.crawl.spec.spec_from_args` mapping, so a
 flag cannot mean two things.  Two service-only keys ride along:

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import threading
 from dataclasses import dataclass
 
@@ -349,11 +350,14 @@ class JobManager:
             feed = AggregatorFeed(spec.aggregator, plan)
 
             if stubs:
-                # Commit-time charge reads pull the authoritative counters
-                # out of the coordinator (flushing parked leases) and land
-                # them in the registry's local objects on the way.
+                coordinator = self._coordinator
+
+                # Commit-time charge reads land the tenant's admissions
+                # so far in the registry's local objects on the way.
                 def charge() -> dict:
-                    return self._registry.pull_shared(tenant, stubs)
+                    return self._registry.pull_shared(
+                        tenant, stubs, coordinator
+                    )
             else:
 
                 def charge() -> dict:
@@ -392,8 +396,16 @@ class JobManager:
                 # Operator-side introspection: bytes shipped per dispatched
                 # process job (benchmarks gate this; lower is better).
                 self.last_payload_bytes = len(payload)
+                # Each landed unit's admissions reach the tenant's
+                # budget as it lands, so every commit stores them.
                 runner = PoolUnitRunner(
-                    self._pool, sources, spec.allow_partial, payload=payload
+                    self._pool,
+                    sources,
+                    spec.allow_partial,
+                    payload=payload,
+                    credit=functools.partial(
+                        self._coordinator.credit, stubs=stubs
+                    ),
                 )
             else:
                 runner = LocalUnitRunner(
@@ -558,14 +570,12 @@ class JobManager:
         with self._backend_lock:
             coordinator = self._coordinator
             self._coordinator = None
-            shared = dict(self._shared_stubs)
             self._shared_stubs.clear()
         if coordinator is not None:
             # Land the exact authoritative charges in the registry's
             # local objects before the coordinator process goes away;
             # the store already holds them from the last region commit.
-            for tenant, stubs in shared.items():
-                self._registry.pull_shared(tenant, stubs)
+            coordinator.writeback()
             coordinator.shutdown()
 
     def __enter__(self) -> "JobManager":

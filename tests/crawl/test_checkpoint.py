@@ -378,7 +378,6 @@ class TestRuntimeCheckpoint:
                 CrawlSpec(
                     executor="thread",
                     max_workers=self.SESSIONS,
-                    rebalance=True,
                     completed=checkpoint.completed,
                 ),
             )

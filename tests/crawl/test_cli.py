@@ -33,15 +33,13 @@ class TestParser:
         assert args.algorithm == "hybrid"
         assert args.seed == 0
         assert args.executor == "thread"
-        assert args.rebalance is False
 
     def test_executor_choices(self, mixed_csv):
         path, _ = mixed_csv
         args = build_parser().parse_args(
-            [path, "--k", "8", "--executor", "process", "--rebalance"]
+            [path, "--k", "8", "--executor", "process"]
         )
         assert args.executor == "process"
-        assert args.rebalance is True
         for bad in ("x", "async"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(
@@ -135,16 +133,13 @@ class TestMain:
 
 
 class TestExecutors:
-    """The --executor / --rebalance surface of the partitioned path."""
+    """The --executor / --shard-subtrees surface of the partitioned path."""
 
     @pytest.mark.parametrize(
         "flags",
         [
             ["--executor", "thread"],
-            ["--executor", "thread", "--rebalance"],
             ["--executor", "process"],
-            ["--executor", "process", "--rebalance"],
-            ["--executor", "sequential", "--rebalance"],
             ["--executor", "sequential"],
         ],
     )
@@ -158,32 +153,31 @@ class TestExecutors:
         assert "complete" in out
         assert flags[1] in out  # the backend name is reported
 
-    def test_rebalance_reported(self, mixed_csv, capsys):
+    def test_rebalance_is_a_hidden_no_op(self, mixed_csv, tmp_path, capsys):
+        """Old command lines still run: the process backend always
+        steals, so ``--rebalance`` changes neither the report nor the
+        extracted bag, and ``--help`` no longer lists it."""
+        import hashlib
+
         path, _ = mixed_csv
-        assert (
-            main(
-                [
-                    path,
-                    "--k",
-                    "8",
-                    "--workers",
-                    "2",
-                    "--executor",
-                    "thread",
-                    "--rebalance",
-                ]
-            )
-            == 0
-        )
-        assert "thread + rebalance" in capsys.readouterr().out
+        argv = [path, "--k", "8", "--workers", "2", "--executor", "process"]
+        reports = []
+        for index, extra in enumerate(([], ["--rebalance"])):
+            output = tmp_path / f"out{index}.csv"
+            assert main([*argv, *extra, "--output", str(output)]) == 0
+            crawl = re.search(r"^crawl: .*$", capsys.readouterr().out, re.M)
+            rows = sorted(output.read_text().splitlines())
+            digest = hashlib.md5("\n".join(rows).encode()).hexdigest()
+            reports.append((crawl.group(0), digest))
+        assert reports[0] == reports[1]
+        assert "--rebalance" not in build_parser().format_help()
 
     @pytest.mark.parametrize(
         "flags",
         [
             ["--shard-subtrees"],
-            ["--rebalance", "--shard-subtrees", "4"],
+            ["--executor", "thread", "--shard-subtrees", "4"],
             ["--executor", "process", "--shard-subtrees", "4"],
-            ["--executor", "sequential", "--shard-subtrees", "4"],
         ],
     )
     def test_shard_subtrees_verifies_complete(self, mixed_csv, capsys, flags):
@@ -193,15 +187,14 @@ class TestExecutors:
         assert "subtree shards" in out
         assert "complete" in out
 
-    def test_shard_subtrees_without_rebalance_crawls_regions_whole(
-        self, mixed_csv, capsys
-    ):
+    def test_sequential_crawls_regions_whole(self, mixed_csv, capsys):
         path, _ = mixed_csv
         argv = [path, "--k", "8", "--workers", "2", "--shard-subtrees", "4"]
-        assert main(argv) == 0
-        captured = capsys.readouterr()
-        assert "only takes effect with --rebalance" in captured.err
-        assert "no subtree shards without rebalance" in captured.out
+        assert main([*argv, "--executor", "sequential"]) == 0
+        out = capsys.readouterr().out
+        assert "via sequential (" in out
+        assert "subtree shards" not in out
+        assert "complete" in out
 
     def test_shard_subtrees_must_be_positive(self, mixed_csv, capsys):
         path, _ = mixed_csv
@@ -295,7 +288,6 @@ class TestSharedLimitsAndLiveProgress:
                     "2",
                     "--executor",
                     "process",
-                    "--rebalance",
                     "--budget",
                     "100000",
                 ]
@@ -303,7 +295,7 @@ class TestSharedLimitsAndLiveProgress:
             == 0
         )
         out = capsys.readouterr().out
-        assert "via process + rebalance" in out
+        assert "via process (" in out
         assert "complete" in out
 
     def test_process_shared_limits_exhaustion_exits_4(self, mixed_csv, capsys):
@@ -328,9 +320,8 @@ class TestSharedLimitsAndLiveProgress:
         assert "budget exhausted" in err
         assert "(5 queries charged)" in err
 
-    @pytest.mark.parametrize("rebalance", [[], ["--rebalance"]])
     def test_process_budget_is_enforced_once_across_the_pool(
-        self, mixed_csv, capsys, rebalance
+        self, mixed_csv, capsys
     ):
         """A plain --budget on the process backend, no other flag: the
         pool admits it exactly once.  One query short of the crawl's
@@ -350,7 +341,7 @@ class TestSharedLimitsAndLiveProgress:
         )
         budget = exact.used - 1
         argv = [path, "--k", "8", "--workers", "2", "--executor", "process"]
-        assert main([*argv, *rebalance, "--budget", str(budget)]) == 4
+        assert main([*argv, "--budget", str(budget)]) == 4
         err = capsys.readouterr().err
         assert "budget exhausted" in err
         assert f"({budget} queries charged)" in err
@@ -368,7 +359,7 @@ class TestSharedLimitsAndLiveProgress:
 
     def test_single_worker_notes_inert_flags(self, mixed_csv, capsys):
         path, _ = mixed_csv
-        assert main([path, "--k", "8", "--rebalance"]) == 0
+        assert main([path, "--k", "8", "--executor", "process"]) == 0
         assert "--workers > 1" in capsys.readouterr().err
 
 

@@ -4,8 +4,9 @@ The executor abstraction promises that the
 :class:`~repro.crawl.partition.PartitionedResult` is a pure function of
 (sources, plan, crawler factory) -- never of the backend, the worker
 count, or the stealing schedule.  These tests pin that contract:
-sequential, thread and process backends, with and without
-rebalancing, against the sequential reference, field by field.
+sequential, thread and process backends against the sequential
+reference, field by field, and one failure rule for all of them and
+the job service: the lowest failing plan position is raised.
 """
 
 import functools
@@ -39,12 +40,8 @@ from repro.web.site import HiddenWebSite
 
 SESSIONS = 3
 
-#: Every backend x rebalance combination the parity contract covers.
-MATRIX = [
-    (name, rebalance)
-    for name in ("sequential", "thread", "process")
-    for rebalance in (False, True)
-]
+#: Every backend the parity contract covers.
+BACKENDS = ("sequential", "thread", "process")
 
 
 def mixed_dataset(seed=3, n=300):
@@ -105,6 +102,24 @@ class AwaitMarker:
         return Hybrid(view)
 
 
+class FailOn:
+    """Crawler factory: crawling a region of ``failing`` raises.
+
+    ``failing`` maps plan positions to their regions; the error names
+    the position, so a test can tell which failure a run raised.
+    Picklable for the process backend.
+    """
+
+    def __init__(self, failing):
+        self.failing = list(failing.items())
+
+    def __call__(self, view):
+        for key, region in self.failing:
+            if view.region == region:
+                raise RuntimeError(f"region {key} failed")
+        return Hybrid(view)
+
+
 def assert_identical(result, reference):
     """The full determinism contract, field by field."""
     assert result.rows == reference.rows  # byte-identical order
@@ -121,16 +136,12 @@ def assert_identical(result, reference):
 
 
 class TestParity:
-    @pytest.mark.parametrize("name,rebalance", MATRIX)
-    def test_backend_matches_sequential(
-        self, name, rebalance, dataset, plan, reference
-    ):
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_backend_matches_sequential(self, name, dataset, plan, reference):
         result = crawl_partitioned(
             make_sources(dataset),
             plan,
-            CrawlSpec(
-                executor=name, max_workers=SESSIONS, rebalance=rebalance
-            ),
+            CrawlSpec(executor=name, max_workers=SESSIONS),
         )
         assert_identical(result, reference)
         assert result.complete
@@ -140,7 +151,7 @@ class TestParity:
         result = crawl_partitioned(
             make_sources(dataset),
             plan,
-            CrawlSpec(executor="thread", max_workers=2, rebalance=True),
+            CrawlSpec(executor="thread", max_workers=2),
         )
         assert_identical(result, reference)
 
@@ -156,7 +167,7 @@ class TestParity:
         result = crawl_partitioned(
             wrapped(),
             plan,
-            CrawlSpec(executor="thread", max_workers=SESSIONS, rebalance=True),
+            CrawlSpec(executor="thread", max_workers=SESSIONS),
         )
         assert_identical(result, reference)
 
@@ -179,7 +190,7 @@ class TestParity:
         result = crawl_partitioned(
             web_sources(),
             plan,
-            CrawlSpec(executor="thread", max_workers=2, rebalance=True),
+            CrawlSpec(executor="thread", max_workers=2),
         )
         assert_identical(result, reference)
         assert sorted(result.rows) == sorted(dataset.iter_rows())
@@ -198,7 +209,7 @@ class TestProcessBackend:
         )
         assert_identical(result, reference)
 
-    def test_static_crawl_files_each_region_as_it_lands(
+    def test_process_crawl_files_each_region_as_it_lands(
         self, dataset, tmp_path
     ):
         """Session 0's second region waits, in its pool worker, for the
@@ -224,22 +235,6 @@ class TestProcessBackend:
             ),
         )
         assert_identical(result, reference)
-
-    def test_rebalanced_failure_drains_and_raises(self, dataset, plan):
-        """A region raising in a pool worker is filed at its plan
-        position, the rest of the plan drains, and run() raises the
-        lowest failure."""
-        sources = [
-            TopKServer(dataset, k=32, limits=[QueryBudget(1)]),
-            TopKServer(dataset, k=32),
-            TopKServer(dataset, k=32),
-        ]
-        with pytest.raises(QueryBudgetExhausted):
-            crawl_partitioned(
-                sources,
-                plan,
-                CrawlSpec(executor="process", max_workers=2, rebalance=True),
-            )
 
     def test_unpicklable_factory_is_a_clear_error(self, dataset, plan):
         with pytest.raises(TypeError, match="picklable"):
@@ -323,47 +318,76 @@ class TestValidation:
         )
         assert result.complete
 
-    @pytest.mark.parametrize("name", [None, "sequential", "thread", "process"])
-    def test_crawl_partitioned_dispatches_on_the_spec(
-        self, name, dataset, plan, reference
+
+class TestFailureRule:
+    @pytest.mark.parametrize("leg", [None, *BACKENDS, "service"])
+    def test_lowest_plan_position_is_raised(
+        self, leg, dataset, plan, tmp_path
     ):
-        """``crawl_partitioned`` runs the backend ``spec.executor`` names,
-        the sequential reference when it is ``None``: all four merge to
-        the same bytes, and their failure contracts tell them apart."""
-        spec = CrawlSpec(executor=name, max_workers=SESSIONS)
-        merged = crawl_partitioned(make_sources(dataset), plan, spec)
-        assert merged.rows == reference.rows
-        # Sessions 0 and 2 run out of budget; session 1 does not.
-        budgets = [QueryBudget(1), None, QueryBudget(2)]
-        sources = [
-            TopKServer(dataset, k=32, limits=[b] if b else [])
-            for b in budgets
-        ]
-        with pytest.raises(QueryBudgetExhausted, match="budget of 1 "):
-            crawl_partitioned(sources, plan, spec)
-        drained = sources[1].stats.queries > 0
-        if name in (None, "sequential"):
-            # Stops at the first failing session: nothing after it ran.
-            assert not drained
-            assert budgets[2].used == 0
+        """Two regions of different sessions raise.  Every backend and
+        the job service report the lower position's failure -- not the
+        first to happen: a pooled worker reaches session 1's first
+        region before session 0's last.  The pooled runs land every
+        other region first; the sequential reference, which
+        ``crawl_partitioned`` runs for ``executor=None`` too, stops
+        where the lower failure is."""
+        low = (0, len(plan.bundles[0]) - 1)
+        high = (1, 0)
+        factory = FailOn(
+            {key: plan.bundles[key[0]][key[1]] for key in (low, high)}
+        )
+        landed = []
+        spec = CrawlSpec(
+            max_workers=2,
+            crawler_factory=factory,
+            on_region=lambda key, result: landed.append(key),
+        )
+        if leg == "service":
+            from repro.service.api import CrawlService
+            from repro.service.jobs import JobState
+
+            with CrawlService(tmp_path / "crawl.db", workers=2) as service:
+                service.register_tenant("acme")
+                job = service.submit(
+                    "acme",
+                    dataset,
+                    32,
+                    name="f",
+                    spec=spec,
+                    sessions=SESSIONS,
+                )
+                status = service.wait(job, timeout=60)
+            assert status.state is JobState.FAILED
+            assert status.error == f"region {low} failed"
         else:
-            # Drains every session, then raises the lowest failure.
-            assert drained
-            assert budgets[2].used == 2
+            with pytest.raises(RuntimeError) as raised:
+                crawl_partitioned(
+                    make_sources(dataset), plan, spec.replace(executor=leg)
+                )
+            assert str(raised.value) == f"region {low} failed"
+        others = [
+            (session, index)
+            for session, bundle in enumerate(plan.bundles)
+            for index in range(len(bundle))
+            if (session, index) not in (low, high)
+        ]
+        if leg in (None, "sequential"):
+            assert landed == [key for key in others if key < low]
+        else:
+            assert sorted(landed) == others
 
 
 class TestTerminalStates:
-    @pytest.mark.parametrize("rebalance", [False, True])
-    def test_all_sessions_marked_done(self, dataset, plan, rebalance):
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_all_sessions_marked_done(self, name, dataset, plan):
         aggregator = ProgressAggregator(SESSIONS)
         merged = crawl_partitioned(
             make_sources(dataset),
             plan,
             CrawlSpec(
-                executor="thread",
+                executor=name,
                 max_workers=SESSIONS,
                 aggregator=aggregator,
-                rebalance=rebalance,
             ),
         )
         assert aggregator.states() == (SessionState.DONE,) * SESSIONS

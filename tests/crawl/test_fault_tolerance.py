@@ -442,7 +442,6 @@ class TestElasticThread:
                 CrawlSpec(
                     executor="thread",
                     max_workers=SESSIONS,
-                    rebalance=True,
                     crawler_factory=DepartAt(nth),
                 ),
             )
@@ -464,7 +463,6 @@ class TestElasticThread:
             CrawlSpec(
                 executor="thread",
                 max_workers=SESSIONS,
-                rebalance=True,
                 crawler_factory=DepartAt(2),
             ),
         )
@@ -489,7 +487,6 @@ class TestElasticThread:
             CrawlSpec(
                 executor="thread",
                 max_workers=SESSIONS,
-                rebalance=True,
                 shard_subtrees=3,
             ),
         )
@@ -504,7 +501,6 @@ class TestElasticThread:
                 CrawlSpec(
                     executor="thread",
                     max_workers=SESSIONS,
-                    rebalance=True,
                     aggregator=aggregator,
                     crawler_factory=AlwaysDepart(),
                 ),
@@ -517,7 +513,7 @@ class TestElasticProcess:
     def test_futures_dispatch_redispatches_departed_units(
         self, dataset, plan, reference, tmp_path
     ):
-        """Limit-free rebalanced mode: each pool worker departs once (at
+        """Limit-free process crawl: each pool worker departs once (at
         its second region attempt) and a replacement drive loop runs
         the requeued unit."""
         marker = tmp_path / "departures"
@@ -527,7 +523,6 @@ class TestElasticProcess:
             CrawlSpec(
                 executor="process",
                 max_workers=2,
-                rebalance=True,
                 crawler_factory=DepartAt(2, marker=marker),
             ),
         )
@@ -554,7 +549,6 @@ class TestElasticProcess:
             CrawlSpec(
                 executor="process",
                 max_workers=2,
-                rebalance=True,
                 crawler_factory=DepartAt(2, marker=marker),
             ),
         )
@@ -582,7 +576,6 @@ class TestElasticProcess:
             CrawlSpec(
                 executor="process",
                 max_workers=1,
-                rebalance=True,
                 crawler_factory=ExitOnce(marker),
             ),
         )
@@ -599,7 +592,6 @@ class TestElasticProcess:
                 CrawlSpec(
                     executor="process",
                     max_workers=2,
-                    rebalance=True,
                     aggregator=aggregator,
                     crawler_factory=AlwaysDepart(),
                 ),

@@ -1,17 +1,20 @@
 """Runtime-core tests: the one drive loop behind every backend.
 
-The tentpole refactor moved all dispatch semantics into
-:mod:`repro.crawl.runtime`; the executor parity suites already prove
-every backend produces byte-identical results *through* the runtime, so
-these tests pin the runtime's own contracts directly: the sink
-protocols, and the drive loops' failure and flush behaviour against
-fake runners.
+All dispatch semantics live in :mod:`repro.crawl.runtime`; the
+executor parity suites already prove every backend produces
+byte-identical results *through* the runtime, so these tests pin the
+runtime's own contracts directly: the sink protocols, and the failure
+and flush behaviour of the stealing loop and of the sequential
+reference's plan-order walk against fake runners.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
 
 from repro.crawl.base import ProgressAggregator, SessionState
+from repro.crawl.executors import SequentialExecutor
 from repro.crawl.partition import partition_space
 from repro.crawl.rebalance import RegionTask, WorkStealingScheduler
 from repro.crawl.runtime import (
@@ -19,9 +22,9 @@ from repro.crawl.runtime import (
     GridSink,
     LocalUnitRunner,
     UnitRunner,
-    drive_session,
     drive_stealing,
 )
+from repro.crawl.spec import CrawlSpec
 from repro.dataspace.dataset import Dataset
 from repro.dataspace.space import DataSpace
 
@@ -79,36 +82,29 @@ class _ScriptedRunner(UnitRunner):
         self.boundaries += 1
 
 
-class TestDriveSession:
-    def test_stops_at_the_sessions_first_failure(self, plan):
-        feed = AggregatorFeed(None, plan)
-        sink = GridSink(plan, feed)
-        runner = _ScriptedRunner(failing={(0, 0)})
-        ok = drive_session(0, plan.bundles[0], runner, sink)
-        assert not ok
-        assert sink.failures and sink.failures[0][0] == (0, 0)
-        # Later regions of the failed session were never attempted.
-        assert runner.ran == [(0, 0)]
+class _ScriptedSequential(SequentialExecutor):
+    """The sequential reference's plan-order walk over a fake runner."""
 
+    def __init__(self, runner):
+        self._scripted = runner
+
+    @contextlib.contextmanager
+    def _runner(self, sources, plan, spec, workers, feed):
+        yield self._scripted
+
+
+class TestSequentialReference:
     def test_flushes_at_every_region_boundary(self, plan):
-        feed = AggregatorFeed(None, plan)
-        sink = GridSink(plan, feed)
         runner = _ScriptedRunner()
-        assert drive_session(0, plan.bundles[0], runner, sink)
-        assert runner.boundaries == len(plan.bundles[0])
-
-    def test_marks_sessions_done_through_the_feed(self, plan):
-        aggregator = ProgressAggregator(plan.sessions)
-        feed = AggregatorFeed(aggregator, plan)
-        sink = GridSink(plan, feed)
-        runner = _ScriptedRunner()
-        assert drive_session(0, plan.bundles[0], runner, sink)
-        assert aggregator.state(0) is SessionState.DONE
+        sink = GridSink(plan, AggregatorFeed(None, plan))
+        _ScriptedSequential(runner)._execute(None, plan, sink, CrawlSpec(), {})
+        assert runner.boundaries == len(plan.regions)
 
 
 class TestDriveStealing:
     def test_drains_the_whole_plan_and_records_costs(self, plan):
-        feed = AggregatorFeed(None, plan)
+        aggregator = ProgressAggregator(plan.sessions)
+        feed = AggregatorFeed(aggregator, plan)
         sink = GridSink(plan, feed)
         scheduler = WorkStealingScheduler(plan.bundles)
         runner = _ScriptedRunner()
@@ -123,6 +119,7 @@ class TestDriveStealing:
         )
         # Final drain fires one extra boundary flush.
         assert runner.boundaries == total + 1
+        assert aggregator.states() == (SessionState.DONE,) * plan.sessions
 
     def test_failures_drain_without_stopping_other_regions(self, plan):
         feed = AggregatorFeed(None, plan)
@@ -133,6 +130,8 @@ class TestDriveStealing:
         assert scheduler.done()
         assert [key for key, _ in sink.failures] == [(1, 0)]
         assert scheduler.failed_keys() == {(1, 0)}
+        # Every region ran, the failing one included.
+        assert len(runner.ran) == len(plan.regions)
 
     def test_real_crawl_through_the_loop_matches_reference(
         self, dataset, plan

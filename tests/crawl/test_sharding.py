@@ -9,9 +9,8 @@ Three layers of guarantees are pinned here:
 * **interleaving independence** -- a hypothesis property test crawls the
   shards in arbitrary completion orders and shows the merge still
   reproduces the sequential result exactly;
-* **executor parity** -- every backend x rebalance combination with
-  ``shard_subtrees`` enabled matches the unsharded sequential
-  reference, field by field.
+* **executor parity** -- every backend with ``shard_subtrees`` enabled
+  matches the unsharded sequential reference, field by field.
 
 Plus unit tests for the subtree layer of the
 :class:`WorkStealingScheduler`, whose shard victim is scored by the
@@ -272,13 +271,7 @@ class TestShardInterleaving:
 
 
 class TestExecutorParity:
-    """Every backend x rebalance, sharded, vs the unsharded reference."""
-
-    MATRIX = [
-        (name, rebalance)
-        for name in ("sequential", "thread", "process")
-        for rebalance in (False, True)
-    ]
+    """Every backend, sharded, vs the unsharded reference."""
 
     @pytest.fixture(scope="class")
     def dataset(self):
@@ -308,19 +301,14 @@ class TestExecutorParity:
                 assert a.cost == b.cost
                 assert a.progress == b.progress
 
-    @pytest.mark.parametrize("name,rebalance", MATRIX)
+    @pytest.mark.parametrize("name", ["sequential", "thread", "process"])
     def test_sharded_backend_matches_unsharded_sequential(
-        self, name, rebalance, dataset, plan, reference
+        self, name, dataset, plan, reference
     ):
         result = crawl_partitioned(
             self.sources(dataset),
             plan,
-            CrawlSpec(
-                executor=name,
-                max_workers=SESSIONS,
-                rebalance=rebalance,
-                shard_subtrees=6,
-            ),
+            CrawlSpec(executor=name, max_workers=SESSIONS, shard_subtrees=6),
         )
         self.assert_identical(result, reference)
         assert sorted(result.rows) == sorted(dataset.iter_rows())
@@ -334,7 +322,6 @@ class TestExecutorParity:
             CrawlSpec(
                 executor="thread",
                 max_workers=SESSIONS,
-                rebalance=True,
                 shard_subtrees=6,
                 aggregator=aggregator,
             ),
@@ -367,8 +354,7 @@ class TestExecutorParity:
                 CrawlSpec(
                     executor="thread",
                     max_workers=SESSIONS,
-                    rebalance=True,
-                    shard_subtrees=4,
+                        shard_subtrees=4,
                     aggregator=aggregator,
                 ),
             )

@@ -9,9 +9,9 @@ sequential executor on limit-bearing plans, and every caller-side
 
 * the coordinator primitives (exactly-once admission, identity-memoised
   sharing, write-back, source rewiring, limit detection);
-* byte-parity of the process backend on budgeted sources across
-  static / rebalanced / subtree-sharded dispatch, with the charged cost
-  equal to the sequential count exactly;
+* byte-parity of the process backend on budgeted sources, with whole
+  regions or subtree shards, with the charged cost equal to the
+  sequential count exactly;
 * limit-exhaustion behaviour: a budget that runs out mid-crawl raises
   (or, with ``allow_partial``, truncates) identically across
   sequential, thread and process execution, never over-admitting by
@@ -53,11 +53,8 @@ SESSIONS = 3
 
 #: Process dispatch shapes the budgeted parity contract covers.
 SHARED_MATRIX = [
-    pytest.param({}, id="static"),
-    pytest.param({"rebalance": True}, id="rebalance"),
-    pytest.param(
-        {"rebalance": True, "shard_subtrees": 4}, id="rebalance-sharded"
-    ),
+    pytest.param({}, id="whole"),
+    pytest.param({"shard_subtrees": 4}, id="sharded"),
 ]
 
 
@@ -320,7 +317,6 @@ class TestProcessSharedParity:
             CrawlSpec(
                 executor="process",
                 max_workers=2,
-                rebalance=True,
                 on_region=lambda key,
                 region: costs.update({key: region.cost}),
             ),
@@ -358,14 +354,8 @@ class TestLimitExhaustion:
     BACKENDS = [
         pytest.param("sequential", {}, id="sequential"),
         pytest.param("thread", {}, id="thread"),
-        pytest.param("thread", {"rebalance": True}, id="thread-rebalance"),
         pytest.param("process", {}, id="process"),
-        pytest.param("process", {"rebalance": True}, id="process-rebalance"),
-        pytest.param(
-            "process",
-            {"rebalance": True, "shard_subtrees": 4},
-            id="process-rebalance-sharded",
-        ),
+        pytest.param("process", {"shard_subtrees": 4}, id="process-sharded"),
     ]
 
     @pytest.mark.parametrize("name,kwargs", BACKENDS)
@@ -393,25 +383,6 @@ class TestLimitExhaustion:
                 max_workers=SESSIONS,
                 allow_partial=True,
                 **kwargs,
-            ),
-        )
-        assert not result.complete
-        assert budget.used == self.CAP
-        assert budget.remaining == 0
-
-    def test_process_pool_admits_the_budget_once(self, dataset, plan):
-        """No flag needed: budgeted sources alone route admission
-        through the control plane, so the pool as a whole never spends
-        more than the one budget -- and the caller's object reads it."""
-        budget = QueryBudget(self.CAP)
-        result = crawl_partitioned(
-            budgeted_sources(dataset, budget),
-            plan,
-            CrawlSpec(
-                executor="process",
-                max_workers=2,
-                allow_partial=True,
-                rebalance=True,
             ),
         )
         assert not result.complete
@@ -597,7 +568,7 @@ class TestCarriesLimits:
         result = crawl_partitioned(
             sources(budget),
             plan,
-            CrawlSpec(executor="process", max_workers=2, rebalance=True),
+            CrawlSpec(executor="process", max_workers=2),
         )
         assert_identical(result, expected)
         assert budget.used == sequential_budget.used > 0
@@ -920,7 +891,7 @@ class TestRoundTripReduction:
         crawl_partitioned(
             sources,
             plan,
-            CrawlSpec(executor="process", max_workers=2, rebalance=True),
+            CrawlSpec(executor="process", max_workers=2),
         )
         # Fleet-wide plane chatter written back into every stats object.
         totals = {source.stats.round_trips for source in sources}
@@ -973,7 +944,6 @@ class TestCheckpointedCharge:
         spec = CrawlSpec(
             executor=backend,
             max_workers=2,
-            rebalance=True,
             on_region=on_region,
         )
         sources = [

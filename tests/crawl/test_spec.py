@@ -92,12 +92,12 @@ class TestValidation:
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            CrawlSpec().rebalance = True
+            CrawlSpec().max_workers = 3
 
     def test_replace_revalidates(self):
-        spec = CrawlSpec(rebalance=True)
+        spec = CrawlSpec(shard_subtrees=4)
         assert spec.replace(max_workers=3).max_workers == 3
-        assert spec.replace(max_workers=3).rebalance is True
+        assert spec.replace(max_workers=3).shard_subtrees == 4
         with pytest.raises(ValueError):
             spec.replace(executor="bogus")
 
@@ -136,7 +136,7 @@ class TestParity:
         result = crawl_partitioned(
             make_sources(dataset),
             plan,
-            spec=CrawlSpec(executor="thread", rebalance=True),
+            spec=CrawlSpec(executor="thread"),
         )
         assert_identical(result, reference)
 
@@ -187,7 +187,6 @@ class TestSpecFromArgs:
         assert factory.keywords == {"max_queries": None}
         assert spec.executor is None
         assert spec.max_workers is None
-        assert spec.rebalance is False
 
     def test_full_mapping(self):
         args = SimpleNamespace(
@@ -204,7 +203,8 @@ class TestSpecFromArgs:
         assert spec.crawler_factory.keywords == {"max_queries": 500}
         assert spec.executor == "process"
         assert spec.max_workers == 4
-        assert spec.rebalance is True
+        # The pooled backends always steal: the old flag maps to nothing.
+        assert not hasattr(spec, "rebalance")
         assert spec.shard_subtrees == 8
         assert spec.allow_partial is True
 

@@ -180,23 +180,16 @@ class TestLifecycle:
             assert service.rows(job) == list(standalone.rows)
 
     @pytest.mark.parametrize(
-        "leg",
-        [
-            "sequential",
-            "thread",
-            "process",
-            "service",
-            "thread+rebalance",
-        ],
+        "leg", ["sequential", "thread", "process", "service"]
     )
     def test_only_the_stealing_loop_presplits(
         self, tmp_path, monkeypatch, leg
     ):
         """Shards pay only where a thief can take them: under
-        ``shard_subtrees=N`` the sequential reference, static dispatch
-        on both pooled backends and the job service's fleet crawl every
-        region whole, while the rebalanced loop presplits each region
-        it takes exactly once.  Every leg keeps the reference bytes."""
+        ``shard_subtrees=N`` the sequential reference and the job
+        service's fleet crawl every region whole, while the stealing
+        loop of both pooled backends presplits each region it takes
+        exactly once.  Every leg keeps the reference bytes."""
         from repro.crawl.executors import PoolUnitRunner
         from repro.crawl.runtime import LocalUnitRunner
         from repro.datasets.adult import adult
@@ -224,17 +217,11 @@ class TestLifecycle:
                 assert service.wait(job, timeout=60).state is JobState.DONE
                 assert service.rows(job) == list(expected.rows)
         else:
-            name, _, rebalance = leg.partition("+")
-            spec = CrawlSpec(
-                executor=name,
-                max_workers=2,
-                rebalance=bool(rebalance),
-                shard_subtrees=4,
-            )
+            spec = CrawlSpec(executor=leg, max_workers=2, shard_subtrees=4)
             result = crawl_partitioned(sources(), plan, spec)
             assert result.rows == expected.rows
             assert result.cost == expected.cost
-        if leg == "thread+rebalance":
+        if leg in ("thread", "process"):
             assert sorted(presplits) == [
                 (session, index)
                 for session, bundle in enumerate(plan.bundles)
@@ -345,6 +332,48 @@ class TestMultiTenant:
                 == standalone_queries
             )
             assert service.registry.budget("poor").used <= 5
+
+    def test_process_charge_is_stored_exact_at_every_commit(self, tmp_path):
+        """A process-backed tenant's stored charge counts the queries
+        of the units landed so far: it never falls between commits and
+        ends at the jobs' summed cost.  Read back from the plane, it
+        also counted the chunks other pool workers held leased, and
+        fell as they returned them.  The second job runs on the fleet
+        threads, admitting through the parent's own stubs."""
+        from repro.datasets.adult import adult
+
+        stored = []
+        costs = []
+        lock = threading.Lock()
+        service = open_service(tmp_path, backend="process")
+        reader = ResultStore(tmp_path / "crawl.db")
+
+        def on_region(key, result):
+            # Read and record as one step, so the list keeps the order
+            # in which the commits were read.
+            with lock:
+                costs.append(result.cost)
+                charge = reader.tenant_charge("acme")
+                stored.append(charge["budget"]["used"])
+
+        with service, reader:
+            service.register_tenant("acme", budget=100_000)
+            spec = CrawlSpec(max_workers=2, on_region=on_region)
+            jobs = [
+                service.submit(
+                    "acme",
+                    adult(n=3000, seed=seed),
+                    32,
+                    name=f"adult-{seed}",
+                    spec=spec.replace(executor=executor),
+                )
+                for seed, executor in ((3, "process"), (4, "thread"))
+            ]
+            for job in jobs:
+                assert service.wait(job, timeout=120).state is JobState.DONE
+            final = service.registry.budget("acme").used
+        assert stored == sorted(stored)
+        assert stored[-1] == sum(costs) == final
 
     def test_charges_persist_in_the_store(
         self, tmp_path, dataset, service_backend

@@ -63,7 +63,6 @@ class TestDocstrings:
             GridSink,
             LocalUnitRunner,
             UnitRunner,
-            drive_session,
             drive_stealing,
         )
         from repro.server import LimitLease
@@ -73,7 +72,6 @@ class TestDocstrings:
             UnitRunner,
             LocalUnitRunner,
             GridSink,
-            drive_session,
             drive_stealing,
             LimitLease,
         ):
@@ -87,7 +85,6 @@ class TestDocstrings:
         from repro.crawl import (
             CrawlSpec,
             TenantLimitRegistry,
-            run_region,
             spec_from_args,
         )
         from repro.service import CrawlService, JobManager, ResultStore
@@ -95,7 +92,6 @@ class TestDocstrings:
         for obj in (
             CrawlSpec,
             spec_from_args,
-            run_region,
             TenantLimitRegistry,
             CrawlService,
             JobManager,
@@ -231,7 +227,8 @@ class TestExecutionSurface:
         assert "shared_limits" not in names
         assert "lease_chunk" not in names
         assert "estimator" not in names
-        assert len(names) == 9
+        assert "rebalance" not in names
+        assert len(names) == 8
 
     def test_no_shard_policy(self):
         """Subtree sharding is the stealing loop's shard count alone."""
@@ -246,7 +243,8 @@ class TestExecutionSurface:
         """``crawl_partitioned(sources, plan, spec)`` is the one way to
         run a plan and ``WorkStealingScheduler`` the one scheduler: the
         second front door, the executor factory, the two-level
-        scheduler subclass and its chooser are gone."""
+        scheduler subclass and its chooser, and static session dispatch
+        are gone."""
         import importlib.util
 
         import repro
@@ -258,6 +256,8 @@ class TestExecutionSurface:
             "make_executor",
             "SubtreeScheduler",
             "steal_setup",
+            "drive_session",
+            "run_region",
         )
         for module in (repro, repro.crawl, repro.crawl.runtime):
             for name in gone:
