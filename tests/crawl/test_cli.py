@@ -141,6 +141,10 @@ class TestExecutors:
             ["--executor", "thread"],
             ["--executor", "process"],
             ["--executor", "sequential"],
+            # Old command lines: --rebalance parses and changes nothing.
+            ["--executor", "thread", "--rebalance"],
+            ["--executor", "process", "--rebalance"],
+            ["--executor", "sequential", "--rebalance"],
         ],
     )
     def test_partitioned_backends_verify_complete(
@@ -153,14 +157,18 @@ class TestExecutors:
         assert "complete" in out
         assert flags[1] in out  # the backend name is reported
 
-    def test_rebalance_is_a_hidden_no_op(self, mixed_csv, tmp_path, capsys):
-        """Old command lines still run: the process backend always
-        steals, so ``--rebalance`` changes neither the report nor the
-        extracted bag, and ``--help`` no longer lists it."""
+    @pytest.mark.parametrize("executor", ["thread", "process", "sequential"])
+    def test_rebalance_is_a_hidden_no_op(
+        self, mixed_csv, tmp_path, capsys, executor
+    ):
+        """Old command lines still run: the pooled backends always
+        steal, so ``--rebalance`` changes neither the report nor the
+        extracted bag on any backend, and ``--help`` no longer lists
+        it."""
         import hashlib
 
         path, _ = mixed_csv
-        argv = [path, "--k", "8", "--workers", "2", "--executor", "process"]
+        argv = [path, "--k", "8", "--workers", "2", "--executor", executor]
         reports = []
         for index, extra in enumerate(([], ["--rebalance"])):
             output = tmp_path / f"out{index}.csv"
@@ -178,6 +186,7 @@ class TestExecutors:
             ["--shard-subtrees"],
             ["--executor", "thread", "--shard-subtrees", "4"],
             ["--executor", "process", "--shard-subtrees", "4"],
+            ["--executor", "process", "--rebalance", "--shard-subtrees", "4"],
         ],
     )
     def test_shard_subtrees_verifies_complete(self, mixed_csv, capsys, flags):
@@ -320,14 +329,17 @@ class TestSharedLimitsAndLiveProgress:
         assert "budget exhausted" in err
         assert "(5 queries charged)" in err
 
+    @pytest.mark.parametrize(
+        "shards", [[], ["--shard-subtrees", "4"]], ids=["whole", "sharded"]
+    )
     def test_process_budget_is_enforced_once_across_the_pool(
-        self, mixed_csv, capsys
+        self, mixed_csv, capsys, shards
     ):
-        """A plain --budget on the process backend, no other flag: the
-        pool admits it exactly once.  One query short of the crawl's
-        exact charge, the crawl fails with that charge -- where
-        per-worker budget copies each admitted their share and let the
-        crawl finish over budget."""
+        """A plain --budget on the process backend, with whole regions
+        or subtree shards: the pool admits it exactly once.  One query
+        short of the crawl's exact charge, the crawl fails with that
+        charge -- where per-worker budget copies each admitted their
+        share and let the crawl finish over budget."""
         from repro.crawl.partition import crawl_partitioned, partition_space
         from repro.server.limits import QueryBudget
         from repro.server.server import TopKServer
@@ -341,7 +353,7 @@ class TestSharedLimitsAndLiveProgress:
         )
         budget = exact.used - 1
         argv = [path, "--k", "8", "--workers", "2", "--executor", "process"]
-        assert main([*argv, "--budget", str(budget)]) == 4
+        assert main([*argv, *shards, "--budget", str(budget)]) == 4
         err = capsys.readouterr().err
         assert "budget exhausted" in err
         assert f"({budget} queries charged)" in err

@@ -102,22 +102,22 @@ class AwaitMarker:
         return Hybrid(view)
 
 
-class FailOn:
-    """Crawler factory: crawling a region of ``failing`` raises.
+class FailOn(Hybrid):
+    """A ``Hybrid`` whose construction over a region of ``failing``
+    raises.
 
-    ``failing`` maps plan positions to their regions; the error names
-    the position, so a test can tell which failure a run raised.
-    Picklable for the process backend.
+    ``failing`` pairs plan positions with their regions; the error
+    names the position, so a test can tell which failure a run raised.
+    Bound with :func:`functools.partial`, it stays a ``Hybrid`` factory
+    that subtree sharding can presplit, and picklable for the process
+    backend.
     """
 
-    def __init__(self, failing):
-        self.failing = list(failing.items())
-
-    def __call__(self, view):
-        for key, region in self.failing:
+    def __init__(self, view, *, failing=()):
+        for key, region in failing:
             if view.region == region:
                 raise RuntimeError(f"region {key} failed")
-        return Hybrid(view)
+        super().__init__(view)
 
 
 def assert_identical(result, reference):
@@ -147,11 +147,14 @@ class TestParity:
         assert result.complete
         assert sorted(result.rows) == sorted(dataset.iter_rows())
 
-    def test_fewer_workers_than_sessions(self, dataset, plan, reference):
+    @pytest.mark.parametrize("name", ["thread", "process"])
+    def test_fewer_workers_than_sessions(
+        self, name, dataset, plan, reference
+    ):
         result = crawl_partitioned(
             make_sources(dataset),
             plan,
-            CrawlSpec(executor="thread", max_workers=2),
+            CrawlSpec(executor=name, max_workers=2),
         )
         assert_identical(result, reference)
 
@@ -209,12 +212,13 @@ class TestProcessBackend:
         )
         assert_identical(result, reference)
 
-    def test_process_crawl_files_each_region_as_it_lands(
-        self, dataset, tmp_path
+    @pytest.mark.parametrize("name", ["thread", "process"])
+    def test_pooled_crawl_files_each_region_as_it_lands(
+        self, name, dataset, tmp_path
     ):
-        """Session 0's second region waits, in its pool worker, for the
+        """Session 0's second region waits, in its worker, for the
         marker ``on_region`` writes when the first one lands -- which
-        only happens if the parent files each region as it arrives."""
+        only happens if each region is filed as it arrives."""
         plan = partition_space(dataset.space, 2)
         assert len(plan.bundles[0]) >= 2
         marker = tmp_path / "first-region-filed"
@@ -228,7 +232,7 @@ class TestProcessBackend:
             make_sources(dataset)[:2],
             plan,
             CrawlSpec(
-                executor="process",
+                executor=name,
                 max_workers=2,
                 crawler_factory=AwaitMarker(plan.bundles[0][1], marker),
                 on_region=on_region,
@@ -318,11 +322,49 @@ class TestValidation:
         )
         assert result.complete
 
+    @pytest.mark.parametrize("name", [None, "sequential", "thread", "process"])
+    def test_crawl_partitioned_dispatches_on_the_spec(
+        self, name, dataset, plan, reference
+    ):
+        """``crawl_partitioned`` runs the backend ``spec.executor`` names,
+        the sequential reference when it is ``None``: all four merge to
+        the same bytes, and their failure contracts tell them apart."""
+        spec = CrawlSpec(executor=name, max_workers=SESSIONS)
+        merged = crawl_partitioned(make_sources(dataset), plan, spec)
+        assert merged.rows == reference.rows
+        # Sessions 0 and 2 run out of budget; session 1 does not.
+        budgets = [QueryBudget(1), None, QueryBudget(2)]
+        sources = [
+            TopKServer(dataset, k=32, limits=[b] if b else [])
+            for b in budgets
+        ]
+        with pytest.raises(QueryBudgetExhausted, match="budget of 1 "):
+            crawl_partitioned(sources, plan, spec)
+        drained = sources[1].stats.queries > 0
+        if name in (None, "sequential"):
+            # Stops at the first failing session: nothing after it ran.
+            assert not drained
+            assert budgets[2].used == 0
+        else:
+            # Drains every session, then raises the lowest failure.
+            assert drained
+            assert budgets[2].used == 2
+
 
 class TestFailureRule:
-    @pytest.mark.parametrize("leg", [None, *BACKENDS, "service"])
+    LEGS = (None, *BACKENDS)
+
+    @pytest.mark.parametrize(
+        "leg,shards",
+        [
+            *(pytest.param(name, None, id=str(name)) for name in LEGS),
+            pytest.param("thread", 4, id="thread-sharded"),
+            pytest.param("process", 4, id="process-sharded"),
+            pytest.param("service", None, id="service"),
+        ],
+    )
     def test_lowest_plan_position_is_raised(
-        self, leg, dataset, plan, tmp_path
+        self, leg, shards, dataset, plan, tmp_path
     ):
         """Two regions of different sessions raise.  Every backend and
         the job service report the lower position's failure -- not the
@@ -330,15 +372,20 @@ class TestFailureRule:
         region before session 0's last.  The pooled runs land every
         other region first; the sequential reference, which
         ``crawl_partitioned`` runs for ``executor=None`` too, stops
-        where the lower failure is."""
+        where the lower failure is.  Under subtree sharding the failing
+        regions raise in their presplit, by the same rule."""
         low = (0, len(plan.bundles[0]) - 1)
         high = (1, 0)
-        factory = FailOn(
-            {key: plan.bundles[key[0]][key[1]] for key in (low, high)}
+        factory = functools.partial(
+            FailOn,
+            failing=[
+                (key, plan.bundles[key[0]][key[1]]) for key in (low, high)
+            ],
         )
         landed = []
         spec = CrawlSpec(
             max_workers=2,
+            shard_subtrees=shards,
             crawler_factory=factory,
             on_region=lambda key, result: landed.append(key),
         )
@@ -396,9 +443,10 @@ class TestTerminalStates:
         assert totals.queries == merged.cost
         assert totals.tuples == merged.tuples_extracted
 
-    def test_failed_session_is_not_left_in_flight(self, dataset, plan):
-        """The satellite fix: a dead worker's session reads failed, not
-        running, so monitors and rebalancing stop waiting on ghosts."""
+    @pytest.mark.parametrize("name", ["thread", "process"])
+    def test_failed_session_is_not_left_in_flight(self, name, dataset, plan):
+        """A failed session reads failed, not running, so monitors and
+        stealing stop waiting on ghosts -- on both pooled backends."""
         sources = [
             TopKServer(dataset, k=32, limits=[QueryBudget(1)]),
             TopKServer(dataset, k=32),
@@ -410,7 +458,7 @@ class TestTerminalStates:
                 sources,
                 plan,
                 CrawlSpec(
-                    executor="thread",
+                    executor=name,
                     max_workers=SESSIONS,
                     aggregator=aggregator,
                 ),

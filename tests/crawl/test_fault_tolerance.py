@@ -556,17 +556,19 @@ class TestElasticProcess:
         assert [b.used for b in budgets] == baseline_queries
         assert marker.exists() and marker.read_text().count("departed") >= 1
 
+    @pytest.mark.parametrize("limits", [True, False], ids=["budgeted", "free"])
     def test_dead_pool_worker_is_replaced(
-        self, dataset, plan, reference, baseline_queries, tmp_path
+        self, limits, dataset, plan, reference, baseline_queries, tmp_path
     ):
         """A pool worker process exits mid-crawl: the broken pool is
         replaced, the requeued unit runs on the fresh one, and the
-        budgets carry an undisturbed run's charge.  One worker, so no
+        budgets carry an undisturbed run's charge.  Limit-free sources
+        (no control plane) requeue the same way.  One worker, so no
         second unit is in flight when the pool breaks (it would fail
         too, and its queries would be charged again)."""
         budgets = [QueryBudget(10**6) for _ in range(SESSIONS)]
         sources = [
-            TopKServer(dataset, k=32, limits=[budgets[i]])
+            TopKServer(dataset, k=32, limits=[budgets[i]] if limits else [])
             for i in range(SESSIONS)
         ]
         marker = tmp_path / "exited"
@@ -581,7 +583,8 @@ class TestElasticProcess:
         )
         assert marker.exists(), "no pool worker ever exited"
         assert_identical(result, reference)
-        assert [b.used for b in budgets] == baseline_queries
+        if limits:
+            assert [b.used for b in budgets] == baseline_queries
 
     def test_fleet_that_never_survives_fails_loudly(self, dataset, plan):
         aggregator = ProgressAggregator(SESSIONS)

@@ -100,6 +100,36 @@ class TestSequentialReference:
         _ScriptedSequential(runner)._execute(None, plan, sink, CrawlSpec(), {})
         assert runner.boundaries == len(plan.regions)
 
+    def test_stops_at_the_first_failure(self, plan):
+        runner = _ScriptedRunner(failing={(0, 0)})
+        sink = GridSink(plan, AggregatorFeed(None, plan))
+        _ScriptedSequential(runner)._execute(None, plan, sink, CrawlSpec(), {})
+        assert [key for key, _ in sink.failures] == [(0, 0)]
+        # Nothing after the failing position was attempted.
+        assert runner.ran == [(0, 0)]
+
+    def test_marks_sessions_done_through_the_feed(self, plan):
+        aggregator = ProgressAggregator(plan.sessions)
+        sink = GridSink(plan, AggregatorFeed(aggregator, plan))
+        runner = _ScriptedRunner()
+        _ScriptedSequential(runner)._execute(None, plan, sink, CrawlSpec(), {})
+        assert aggregator.states() == (SessionState.DONE,) * plan.sessions
+
+    def test_skips_checkpointed_regions(self, plan):
+        """A checkpoint's regions are never run again."""
+        runner = _ScriptedRunner()
+        sink = GridSink(plan, AggregatorFeed(None, plan))
+        completed = {(0, 0): _FakeResult()}
+        _ScriptedSequential(runner)._execute(
+            None, plan, sink, CrawlSpec(), completed
+        )
+        assert runner.ran == [
+            (session, index)
+            for session, bundle in enumerate(plan.bundles)
+            for index in range(len(bundle))
+            if (session, index) != (0, 0)
+        ]
+
 
 class TestDriveStealing:
     def test_drains_the_whole_plan_and_records_costs(self, plan):
@@ -120,6 +150,18 @@ class TestDriveStealing:
         # Final drain fires one extra boundary flush.
         assert runner.boundaries == total + 1
         assert aggregator.states() == (SessionState.DONE,) * plan.sessions
+
+    def test_skips_checkpointed_regions(self, plan):
+        """A checkpoint's regions enter the books done, never the
+        queues: the loop runs every other region and none of them."""
+        sink = GridSink(plan, AggregatorFeed(None, plan))
+        scheduler = WorkStealingScheduler(plan.bundles, {(0, 0): 5})
+        runner = _ScriptedRunner()
+        drive_stealing(scheduler, 0, runner, sink)
+        assert scheduler.done()
+        assert (0, 0) not in runner.ran
+        assert len(runner.ran) == len(plan.regions) - 1
+        assert scheduler.completed_costs()[(0, 0)] == 5
 
     def test_failures_drain_without_stopping_other_regions(self, plan):
         feed = AggregatorFeed(None, plan)

@@ -354,6 +354,7 @@ class TestLimitExhaustion:
     BACKENDS = [
         pytest.param("sequential", {}, id="sequential"),
         pytest.param("thread", {}, id="thread"),
+        pytest.param("thread", {"shard_subtrees": 4}, id="thread-sharded"),
         pytest.param("process", {}, id="process"),
         pytest.param("process", {"shard_subtrees": 4}, id="process-sharded"),
     ]

@@ -333,13 +333,19 @@ class TestMultiTenant:
             )
             assert service.registry.budget("poor").used <= 5
 
-    def test_process_charge_is_stored_exact_at_every_commit(self, tmp_path):
+    @pytest.mark.parametrize(
+        "second", ["process", "thread"], ids=["two-pools", "pool+fleet"]
+    )
+    def test_process_charge_is_stored_exact_at_every_commit(
+        self, tmp_path, second
+    ):
         """A process-backed tenant's stored charge counts the queries
         of the units landed so far: it never falls between commits and
         ends at the jobs' summed cost.  Read back from the plane, it
         also counted the chunks other pool workers held leased, and
-        fell as they returned them.  The second job runs on the fleet
-        threads, admitting through the parent's own stubs."""
+        fell as they returned them.  A second process job leases from
+        the same plane; a thread job runs on the fleet threads,
+        admitting through the parent's own stubs."""
         from repro.datasets.adult import adult
 
         stored = []
@@ -367,7 +373,7 @@ class TestMultiTenant:
                     name=f"adult-{seed}",
                     spec=spec.replace(executor=executor),
                 )
-                for seed, executor in ((3, "process"), (4, "thread"))
+                for seed, executor in ((3, "process"), (4, second))
             ]
             for job in jobs:
                 assert service.wait(job, timeout=120).state is JobState.DONE
