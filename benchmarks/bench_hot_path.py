@@ -19,7 +19,9 @@ Two engines crawl the identical plan:
 
 The crawl results must be byte-identical (rows, cost, progress) and the
 query counts exactly equal -- the speedup may only come from doing the
-same work faster.  ``hot_path_speedup`` (interpreted / compiled wall
+same work faster.  The compiled leg runs :data:`COMPILED_ROUNDS` times,
+each checked for that parity, and its median round is the compiled
+wall clock.  ``hot_path_speedup`` (interpreted / compiled wall
 clock) is asserted ``>= 1.5`` on any host, single-core included, and
 both it and ``queries_per_sec`` are gated by ``tools/compare_bench.py``
 against ``benchmarks/baselines/BENCH_hot_path.json``.
@@ -58,6 +60,7 @@ that way.
 
 import json
 import os
+import statistics
 import time
 
 import numpy as np
@@ -76,6 +79,8 @@ from repro.server.server import TopKServer
 
 K = 16
 SESSIONS = 4
+#: Timed rounds of the compiled leg; the gated figures read the median.
+COMPILED_ROUNDS = 5
 
 #: Shape of the battery workload's dense categorical space.  Fan 3
 #: keeps every equality's selectivity above the vector engine's
@@ -296,20 +301,24 @@ def test_single_core_queries_per_sec(benchmark):
             for _ in range(plan.sessions)
         ]
 
-    # Timed by timed(), like the interpreted leg, so an untimed run
-    # (--benchmark-disable) measures the same thing.
-    compiled, compiled_seconds = benchmark.pedantic(
-        timed,
-        args=(lambda: crawl_partitioned(compiled_sources(), plan),),
-        rounds=1,
-        iterations=1,
-    )
+    def compiled_rounds():
+        return [
+            timed(lambda: crawl_partitioned(compiled_sources(), plan))
+            for _ in range(COMPILED_ROUNDS)
+        ]
 
+    # Timed by timed(), like the interpreted leg, so an untimed run
+    # (--benchmark-disable) measures the same thing.  One sub-second
+    # crawl swings by more than the baseline gate's tolerance, so the
+    # gated figures read the median round.
+    rounds = benchmark.pedantic(compiled_rounds, rounds=1, iterations=1)
     # Byte-identical results, exact query counts: the speedup must come
     # from doing the same work faster, never from doing different work.
-    assert compiled.rows == interpreted.rows
-    assert compiled.cost == interpreted.cost
-    assert compiled.progress == interpreted.progress
+    for compiled, _ in rounds:
+        assert compiled.rows == interpreted.rows
+        assert compiled.cost == interpreted.cost
+        assert compiled.progress == interpreted.progress
+    compiled_seconds = statistics.median(seconds for _, seconds in rounds)
 
     queries_per_sec = round(compiled.cost / max(compiled_seconds, 1e-9), 1)
     speedup = round(interp_seconds / max(compiled_seconds, 1e-9), 2)
@@ -322,6 +331,7 @@ def test_single_core_queries_per_sec(benchmark):
         "seconds": {
             "interpreted": round(interp_seconds, 3),
             "compiled": round(compiled_seconds, 3),
+            "compiled_rounds": [round(seconds, 3) for _, seconds in rounds],
         },
         "queries_per_sec": queries_per_sec,
         "hot_path_speedup": speedup,

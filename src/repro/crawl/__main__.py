@@ -42,7 +42,9 @@ queries in front of *all* sessions together -- the paper's global
 interface limit -- on every backend: the in-process backends share the
 budget object, and the process backend admits it exactly once across
 its pool through the shared-state control plane
-(:mod:`repro.crawl.coordinator`).  ``--progress-live`` prints a
+(:mod:`repro.crawl.coordinator`).  It is the crawl's only cap: a
+crawl either extracts the whole bag or exits 4 when the budget runs
+out, keeping what landed for ``--resume``.  ``--progress-live`` prints a
 line-per-session progress view (to stderr) while the crawl runs, with
 failed sessions marked distinctly.
 
@@ -128,9 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(required by binary-shrink)",
     )
     parser.add_argument("--output", help="write the extracted bag to this CSV")
-    parser.add_argument(
-        "--max-queries", type=int, default=None, help="sanity cap on cost"
-    )
     parser.add_argument(
         "--workers",
         type=int,
@@ -354,7 +353,7 @@ def _main(args: argparse.Namespace) -> int:
                         "responses restored",
                         file=sys.stderr,
                     )
-            crawler = algorithm(source, max_queries=args.max_queries)
+            crawler = algorithm(source)
             try:
                 result = crawler.crawl()
             except QueryBudgetExhausted:

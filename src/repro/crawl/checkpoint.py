@@ -323,6 +323,10 @@ def load_crawl_checkpoint(
 ) -> CrawlCheckpoint:
     """Load a runtime checkpoint taken for exactly this plan and ``k``.
 
+    A region whose stored result is partial (``"complete": false``, as
+    older writers filed a budget-interrupted region) is left out, so
+    the resumed crawl crawls it again.
+
     Raises
     ------
     SchemaError
@@ -360,9 +364,10 @@ def load_crawl_checkpoint(
                 f"runtime checkpoint entry ({session}, {index}) lies "
                 "outside the plan"
             )
-        completed[(session, index)] = decode_result(
-            entry["result"], plan.space
-        )
+        if entry["result"]["complete"]:
+            completed[(session, index)] = decode_result(
+                entry["result"], plan.space
+            )
     return CrawlCheckpoint(completed=completed, budget=payload["budget"])
 
 

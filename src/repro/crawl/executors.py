@@ -83,9 +83,13 @@ exception of the lowest failing (session, region) plan position.  The
 pooled backends drain the rest of the plan first -- a worker cannot
 know that no failure at a lower position is still to come -- and file
 every other region that lands.  The sequential reference visits
-positions in order, so it stops at that same position.  With
-``allow_partial=True`` a budget-interrupted region yields a partial
-result instead and the merge is marked incomplete.
+positions in order, so it stops at that same position.
+
+Stop rule: every unit completes or raises.  A limit that runs out
+raises :class:`~repro.exceptions.QueryBudgetExhausted` under the
+failure rule; the regions that landed first stay filed through
+``on_region`` (a checkpoint, the job store), so a resumed run crawls
+only the rest.
 """
 
 from __future__ import annotations
@@ -240,9 +244,8 @@ class CrawlExecutor(abc.ABC):
             If ``sources`` does not match ``plan.sessions``, or a
             ``completed`` key lies outside the plan.
         QueryBudgetExhausted
-            When a limit fires and ``allow_partial`` is ``False`` (the
-            exception of the lowest failing plan position, after every
-            worker drained).
+            When a limit fires (the exception of the lowest failing
+            plan position, after every worker drained).
         """
         spec = spec if spec is not None else CrawlSpec()
         self._check_spec(spec)
@@ -283,9 +286,7 @@ class CrawlExecutor(abc.ABC):
         live progress wired to ``feed``.  A backend that moves units
         elsewhere overrides this and tears its transport down on exit.
         """
-        yield LocalUnitRunner(
-            sources, spec.crawler_factory, spec.allow_partial, feed=feed
-        )
+        yield LocalUnitRunner(sources, spec.crawler_factory, feed=feed)
 
     def _execute(self, sources, plan, sink, spec, completed):
         """Run the grid on parent threads pulling units through a runner.
@@ -512,7 +513,6 @@ def _cached_payload(ticket: int, payload: bytes | None) -> tuple:
 def _pool_unit(
     ticket: int,
     payload: bytes | None,
-    allow_partial: bool,
     task: RegionTask | ShardTask,
     max_shards: int | None,
 ) -> tuple[object, list[dict], list[int]]:
@@ -536,7 +536,7 @@ def _pool_unit(
     cached payload serves many units: the counts are this unit's alone.
     """
     sources, factory, stubs = _cached_payload(ticket, payload)
-    runner = LocalUnitRunner(sources, factory, allow_partial, stubs=stubs)
+    runner = LocalUnitRunner(sources, factory, stubs=stubs)
     stats = _server_stats(sources[task.session])
     zero = QueryStats().state()
     for each in stats:
@@ -578,7 +578,7 @@ class WorkerPool:
 
         pool = WorkerPool(4)
         payload = pickle_payload(sources, Hybrid)
-        runner = PoolUnitRunner(pool, sources, False, payload=payload)
+        runner = PoolUnitRunner(pool, sources, payload=payload)
         result = crawl_region_unit(task, runner)
         pool.shutdown()
     """
@@ -659,7 +659,6 @@ class PoolUnitRunner(UnitRunner):
         self,
         pool: WorkerPool,
         sources: Sequence,
-        allow_partial: bool,
         *,
         payload: bytes | None = None,
         credit: Callable[[list[int]], None] | None = None,
@@ -669,7 +668,7 @@ class PoolUnitRunner(UnitRunner):
         ticket = pool.ticket if payload is None else next(_TICKETS)
         self._pool = pool
         self._sources = sources
-        self._args = (ticket, payload, allow_partial)
+        self._args = (ticket, payload)
         self._credit = credit
 
     def _wait(self, task, max_shards):
@@ -807,9 +806,7 @@ class ProcessExecutor(CrawlExecutor):
             # thread exists: forked from a drive-loop thread instead,
             # each worker peaks several megabytes higher.
             pool.current().submit(int).result()
-            yield PoolUnitRunner(
-                pool, sources, spec.allow_partial, credit=credit
-            )
+            yield PoolUnitRunner(pool, sources, credit=credit)
 
 
 #: Backend registry, keyed by the CLI's ``--executor`` names.

@@ -414,7 +414,7 @@ def crawl_partitioned(
     SchemaError
         If ``sources`` does not match ``plan.sessions``.
     QueryBudgetExhausted
-        When a limit fires and ``spec.allow_partial`` is ``False``.
+        When a limit fires: a partitioned crawl has no partial mode.
 
     Examples
     --------
@@ -469,7 +469,6 @@ def _crawl_region(
     region: Query,
     *,
     crawler_factory: Callable[..., Crawler],
-    allow_partial: bool,
     listener: Callable[[ProgressPoint], None] | None = None,
 ) -> CrawlResult:
     """Crawl one region of one session: the executors' unit of work.
@@ -484,7 +483,7 @@ def _crawl_region(
     crawler = crawler_factory(SubspaceView(source, region))
     if listener is not None:
         crawler.add_progress_listener(listener)
-    return crawler.crawl(allow_partial=allow_partial)
+    return crawler.crawl()
 
 
 def _merge_session_results(

@@ -262,9 +262,7 @@ class LocalUnitRunner(UnitRunner):
     --------
     ::
 
-        runner = LocalUnitRunner(
-            sources, Hybrid, allow_partial=False, feed=feed
-        )
+        runner = LocalUnitRunner(sources, Hybrid, feed=feed)
         result = runner.region(RegionTask(0, 0, region))
     """
 
@@ -272,14 +270,12 @@ class LocalUnitRunner(UnitRunner):
         self,
         sources: Sequence,
         crawler_factory: Callable[..., Crawler],
-        allow_partial: bool,
         *,
         feed: AggregatorFeed | None = None,
         stubs: Sequence = (),
     ):
         self._sources = sources
         self._factory = crawler_factory
-        self._allow_partial = allow_partial
         self._feed = feed
         self._stubs = tuple(stubs)
 
@@ -297,7 +293,6 @@ class LocalUnitRunner(UnitRunner):
                 self._sources[task.session],
                 task.region,
                 crawler_factory=self._factory,
-                allow_partial=self._allow_partial,
                 listener=self._listener(task),
             )
         finally:
@@ -313,7 +308,6 @@ class LocalUnitRunner(UnitRunner):
                 self._sources[task.session],
                 task.region,
                 crawler_factory=self._factory,
-                allow_partial=self._allow_partial,
                 max_shards=max_shards,
                 listener=self._listener(task),
             )
@@ -330,7 +324,6 @@ class LocalUnitRunner(UnitRunner):
                 self._sources[task.session],
                 task.region,
                 task.shard,
-                allow_partial=self._allow_partial,
                 listener=self._listener(task),
             )
         finally:

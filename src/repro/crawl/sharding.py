@@ -50,8 +50,9 @@ whole region becomes the trunk and the plan carries zero shards.
 Caveats (shared with the rebalancing layer): source-side *limits*
 fire by cumulative query order, which sharding reorders -- parity with
 the sequential executor is guaranteed for crawls that complete within
-their limits.  A ``max_queries`` sanity cap is enforced on the trunk
-crawler only, not across shards.
+their limits.  A presplit or a shard either finishes or raises: a
+limit that fires mid-trunk or mid-growth propagates, as it does from a
+whole-region crawl.
 """
 
 from __future__ import annotations
@@ -71,11 +72,7 @@ from repro.crawl.binary_shrink import (
 from repro.crawl.hybrid import Hybrid
 from repro.crawl.partition import SubspaceView, _crawl_region
 from repro.crawl.rank_shrink import RankShrink, explore_numeric, solve_numeric
-from repro.exceptions import (
-    AlgorithmInvariantError,
-    QueryBudgetExhausted,
-    SchemaError,
-)
+from repro.exceptions import AlgorithmInvariantError, SchemaError
 from repro.query.query import Query
 from repro.server.response import QueryResponse, Row
 
@@ -190,7 +187,6 @@ class RegionShardPlan:
     segments: tuple[TrunkSegment, ...]
     shards: tuple[SubtreeShard, ...]
     trunk_phase_costs: dict[str, int] = field(default_factory=dict)
-    complete: bool = True
 
     @property
     def trunk_cost(self) -> int:
@@ -374,9 +370,8 @@ class _RegionPlanner:
     # ------------------------------------------------------------------
     # Finalise
     # ------------------------------------------------------------------
-    def plan(self, region: Query, complete: bool) -> RegionShardPlan:
-        # Any points produced since the last capture (e.g. a partial
-        # growth cut short by a budget) belong to the tail.
+    def plan(self, region: Query) -> RegionShardPlan:
+        # Any points produced since the last capture belong to the tail.
         trailing = self._capture_segment()
         flat: list[TrunkSegment | _PendingTask] = []
         for item in self._events:
@@ -401,7 +396,6 @@ class _RegionPlanner:
             trunk_phase_costs=dict(
                 self._crawler.client.stats.phase_costs
             ),
-            complete=complete,
         )
 
 
@@ -474,7 +468,6 @@ def presplit_region(
     region: Query,
     *,
     crawler_factory: Callable[..., Crawler] = Hybrid,
-    allow_partial: bool = False,
     max_shards: int = DEFAULT_MAX_SHARDS,
     listener: Callable[[ProgressPoint], None] | None = None,
 ) -> RegionShardPlan:
@@ -503,11 +496,9 @@ def presplit_region(
             crawler.add_progress_listener(listener)
         planner = _RegionPlanner(crawler, max_shards)
         crawler.defer_numeric_leaf = planner.defer
-        trunk = crawler.crawl(allow_partial=allow_partial)
-        complete = trunk.complete
-        if complete:
-            complete = _grow_guarded(planner, allow_partial)
-        return planner.plan(region, complete)
+        crawler.crawl()
+        planner.grow()
+        return planner.plan(region)
     if cls is not None and issubclass(cls, (RankShrink, BinaryShrink)):
         crawler = crawler_factory(SubspaceView(source, region))
         if listener is not None:
@@ -538,14 +529,10 @@ def presplit_region(
                     phase=None,
                 )
             )
-        complete = _grow_guarded(planner, allow_partial)
-        return planner.plan(region, complete)
+        planner.grow()
+        return planner.plan(region)
     result = _crawl_region(
-        source,
-        region,
-        crawler_factory=crawler_factory,
-        allow_partial=allow_partial,
-        listener=listener,
+        source, region, crawler_factory=crawler_factory, listener=listener
     )
     return RegionShardPlan(
         region=region,
@@ -559,19 +546,7 @@ def presplit_region(
         ),
         shards=(),
         trunk_phase_costs=dict(result.phase_costs),
-        complete=result.complete,
     )
-
-
-def _grow_guarded(planner: _RegionPlanner, allow_partial: bool) -> bool:
-    """Run frontier growth, honouring ``allow_partial`` on budgets."""
-    try:
-        planner.grow()
-    except QueryBudgetExhausted:
-        if not allow_partial:
-            raise
-        return False
-    return True
 
 
 def crawl_shard(
@@ -579,14 +554,13 @@ def crawl_shard(
     region: Query,
     shard: SubtreeShard,
     *,
-    allow_partial: bool = False,
     listener: Callable[[ProgressPoint], None] | None = None,
 ) -> CrawlResult:
     """Crawl one subtree shard against its region's session source."""
     crawler = SubtreeCrawler(SubspaceView(source, region), shard)
     if listener is not None:
         crawler.add_progress_listener(listener)
-    return crawler.crawl(allow_partial=allow_partial)
+    return crawler.crawl()
 
 
 def merge_region_shards(
@@ -662,8 +636,7 @@ def _merge_region_shards(
         space=plan.region.space,
         rows=rows,
         cost=base_queries,
-        complete=plan.complete
-        and all(result.complete for result in shard_results),
+        complete=True,
         progress=progress,
         phase_costs=phase_costs,
     )

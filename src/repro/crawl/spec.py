@@ -9,9 +9,11 @@ nothing else:
   backend runs the plan and on how many workers -- ``executor=None``
   is the sequential reference in ``crawl_partitioned`` and the
   manager's own backend in the job service;
-* the **run half** (``crawler_factory``, ``allow_partial``,
-  ``aggregator``, ``shard_subtrees``, ``completed``, ``on_region``)
-  configures the run itself.
+* the **run half** (``crawler_factory``, ``aggregator``,
+  ``shard_subtrees``, ``completed``, ``on_region``) configures the run
+  itself.  It has no partial mode: every region completes or raises,
+  so a limit that runs out fails the crawl (see
+  :meth:`~repro.crawl.executors.CrawlExecutor.run`).
 
 Each setting lives here only: an executor instance keeps no copy.
 
@@ -29,7 +31,6 @@ job as it does on the command line.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -95,9 +96,6 @@ class CrawlSpec:
     # -- run half: consumed by CrawlExecutor.run(sources, plan, spec) -
     #: Crawler class (or picklable factory) applied per region.
     crawler_factory: Callable[..., Crawler] = Hybrid
-    #: Budget-interrupted regions yield partial results instead of
-    #: raising.
-    allow_partial: bool = False
     #: Optional live progress sink.
     aggregator: ProgressAggregator | None = None
     #: On a pooled backend, presplit each region taken into at most
@@ -159,8 +157,8 @@ def spec_from_args(args: Any) -> CrawlSpec:
     only needs the flags it changes.  This is the **one** flag->spec
     mapping; both CLIs call it, so a flag cannot mean two things.
 
-    Recognised attributes: ``algorithm``, ``max_queries``,
-    ``executor``, ``workers``, ``shard_subtrees``, ``allow_partial``.
+    Recognised attributes: ``algorithm``, ``executor`` (or the
+    service's ``backend``), ``workers``, ``shard_subtrees``.
 
     Examples
     --------
@@ -178,11 +176,6 @@ def spec_from_args(args: Any) -> CrawlSpec:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; expected one of: {known}"
         ) from None
-    max_queries = getattr(args, "max_queries", None)
-    factory: Callable[..., Crawler]
-    # functools.partial (not a lambda) so the factory stays picklable
-    # for the process backend.
-    factory = functools.partial(crawler, max_queries=max_queries)
     workers = getattr(args, "workers", None)
     # The service layer calls the knob "backend" (it picks where region
     # units *run*, not how a standalone crawl is driven); both names
@@ -193,7 +186,6 @@ def spec_from_args(args: Any) -> CrawlSpec:
     return CrawlSpec(
         executor=executor,
         max_workers=int(workers) if workers is not None else None,
-        crawler_factory=factory,
-        allow_partial=bool(getattr(args, "allow_partial", False)),
+        crawler_factory=crawler,
         shard_subtrees=getattr(args, "shard_subtrees", None),
     )

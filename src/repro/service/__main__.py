@@ -12,14 +12,17 @@ with their quotas, plus one entry per crawl job::
       ]
     }
 
-Each job entry carries exactly the batch CLI's crawl flags as keys
-(``algorithm``, ``workers``, ``max_queries``, ``allow_partial``, ...):
-both front ends build their :class:`~repro.crawl.spec.CrawlSpec`
-through the one :func:`~repro.crawl.spec.spec_from_args` mapping, so a
-flag cannot mean two things.  Two service-only keys ride along:
-``priority`` (integer admission class; higher classes drain strictly
-first) and ``backend`` (override the server's unit backend for one
-job).  Usage::
+A job entry needs ``tenant``, ``name``, ``csv`` and ``k``, and may set
+``seed`` and the batch CLI's crawl flags ``algorithm``, ``workers``,
+``executor`` and ``shard_subtrees``: both front ends build their
+:class:`~repro.crawl.spec.CrawlSpec` through the one
+:func:`~repro.crawl.spec.spec_from_args` mapping, so a flag cannot mean
+two things.  Two service-only keys ride along: ``priority`` (integer
+admission class; higher classes drain strictly first) and ``backend``
+(override the server's unit backend for one job).  Any other key -- a
+misspelt or a retired one -- is an error, because ignoring it would run
+a different crawl.  ``run`` checks every entry (keys, CSV, crawl flags)
+and exits 2 on the first bad one before it submits any job.  Usage::
 
     repro-serve run jobs.json --store crawl.db --fleet 4
     repro-serve run jobs.json --store crawl.db --backend process
@@ -146,6 +149,28 @@ def _status_line(status) -> str:
     return line
 
 
+#: Every key a job entry may carry: exactly what :func:`_run` and
+#: :func:`~repro.crawl.spec.spec_from_args` read.
+_JOB_KEYS = frozenset(
+    "tenant name csv k seed priority workers algorithm executor backend "
+    "shard_subtrees".split()
+)
+
+
+def _entry_error(entry: dict) -> str | None:
+    """Why a job entry cannot run, or ``None`` when it can."""
+    for field in ("tenant", "name", "csv", "k"):
+        if field not in entry:
+            return f"job entry missing {field!r}: {entry}"
+    unknown = ", ".join(repr(key) for key in entry if key not in _JOB_KEYS)
+    if unknown:
+        return (
+            f"job entry has unknown key {unknown}: {entry} (accepted: "
+            f"{', '.join(sorted(_JOB_KEYS))})"
+        )
+    return None
+
+
 def _run(args) -> int:
     try:
         with open(args.jobs) as handle:
@@ -157,7 +182,27 @@ def _run(args) -> int:
     if not entries:
         print(f"error: {args.jobs} declares no jobs", file=sys.stderr)
         return 2
+    # Everything is checked before the first submission: a bad entry
+    # must not leave the entries before it half-crawled.
     datasets = {}
+    specs = []
+    for entry in entries:
+        error = _entry_error(entry)
+        if error is not None:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        path = entry["csv"]
+        try:
+            if path not in datasets:
+                datasets[path] = load_csv(path)
+        except (OSError, ReproError) as exc:
+            print(f"error: cannot load {path}: {exc}", file=sys.stderr)
+            return 2
+        try:
+            specs.append(spec_from_args(SimpleNamespace(**entry)))
+        except ValueError as exc:
+            print(f"error: job {entry['name']!r}: {exc}", file=sys.stderr)
+            return 2
     with CrawlService(
         args.store,
         workers=args.fleet,
@@ -171,29 +216,12 @@ def _run(args) -> int:
                 per_day=quota.get("per_day"),
             )
         submitted = []
-        for entry in entries:
-            for field in ("tenant", "name", "csv", "k"):
-                if field not in entry:
-                    print(
-                        f"error: job entry missing {field!r}: {entry}",
-                        file=sys.stderr,
-                    )
-                    return 2
-            path = entry["csv"]
-            try:
-                if path not in datasets:
-                    datasets[path] = load_csv(path)
-            except (OSError, ReproError) as exc:
-                print(
-                    f"error: cannot load {path}: {exc}", file=sys.stderr
-                )
-                return 2
-            spec = spec_from_args(SimpleNamespace(**entry))
+        for entry, spec in zip(entries, specs):
             while True:
                 try:
                     job_id = service.submit(
                         entry["tenant"],
-                        datasets[path],
+                        datasets[entry["csv"]],
                         int(entry["k"]),
                         name=entry["name"],
                         spec=spec,

@@ -401,7 +401,6 @@ class JobManager:
                 runner = PoolUnitRunner(
                     self._pool,
                     sources,
-                    spec.allow_partial,
                     payload=payload,
                     credit=functools.partial(
                         self._coordinator.credit, stubs=stubs
@@ -411,7 +410,6 @@ class JobManager:
                 runner = LocalUnitRunner(
                     sources,
                     spec.crawler_factory,
-                    spec.allow_partial,
                     feed=feed,
                     stubs=stubs or (),
                 )

@@ -374,7 +374,9 @@ class ResultStore:
     def _completed(
         self, job_id: int, plan: PartitionPlan
     ) -> dict[RegionKey, CrawlResult]:
-        # Caller holds self._lock.
+        # Caller holds self._lock.  A partial result (older writers
+        # filed budget-interrupted regions) is left out, so the resumed
+        # job crawls that region again and region_done replaces it.
         completed: dict[RegionKey, CrawlResult] = {}
         for session, index, entry_json in self._conn.execute(
             "SELECT session, region_index, result FROM regions "
@@ -382,6 +384,8 @@ class ResultStore:
             (job_id,),
         ):
             entry = json.loads(entry_json)
+            if not entry["complete"]:
+                continue
             entry["rows"] = [
                 json.loads(row)
                 for (row,) in self._conn.execute(

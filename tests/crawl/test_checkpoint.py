@@ -1,5 +1,6 @@
 """Tests for crawl checkpointing (cross-process resume)."""
 
+import dataclasses
 import json
 import shutil
 
@@ -265,6 +266,21 @@ class TestRuntimeCheckpoint:
             assert restored.complete == original.complete
             assert restored.progress == original.progress
             assert restored.phase_costs == original.phase_costs
+
+    def test_partial_region_is_left_out_on_load(self, dataset, tmp_path):
+        # Older writers filed a budget-cut region as a partial result;
+        # a resume must crawl that region again, not trust it.
+        plan = self._plan(dataset)
+        reference = crawl_partitioned(self._sources(dataset), plan)
+        whole = reference.results[0][0]
+        cut = reference.results[1][0]
+        partial = dataclasses.replace(cut, rows=cut.rows[:1], complete=False)
+        path = save_crawl_checkpoint(
+            tmp_path / "run.json", plan, 16, {(0, 0): whole, (1, 0): partial}
+        )
+        loaded = load_crawl_checkpoint(path, plan, 16)
+        assert list(loaded.completed) == [(0, 0)]
+        assert loaded.completed[(0, 0)].rows == whole.rows
 
     def test_rejects_wrong_plan_k_and_space(self, dataset, tmp_path):
         plan = self._plan(dataset)

@@ -68,6 +68,14 @@ class TestParser:
                     [path, "--k", "8", "--shard-subtrees", bad]
                 )
 
+    def test_max_queries_is_not_an_option(self, mixed_csv, capsys):
+        # --budget is the one cap; the per-crawler cap is gone.
+        path, _ = mixed_csv
+        with pytest.raises(SystemExit) as excinfo:
+            main([path, "--k", "8", "--max-queries", "400"])
+        assert excinfo.value.code == 2
+        assert "--max-queries" in capsys.readouterr().err
+
 
 class TestMain:
     def test_happy_path(self, mixed_csv, capsys):
@@ -500,6 +508,36 @@ class TestCheckpointResume:
         ]
         assert first_crawl == second_crawl
         assert "complete" in captured.out
+
+    def test_resume_recrawls_a_partial_region(
+        self, mixed_csv, tmp_path, capsys
+    ):
+        # Older writers filed a budget-interrupted region as a partial
+        # result: resume must crawl that region again, not trust it.
+        from repro.crawl.checkpoint import save_crawl_checkpoint
+        from repro.crawl.hybrid import Hybrid
+        from repro.crawl.partition import SubspaceView, partition_space
+        from repro.server.limits import QueryBudget
+        from repro.server.server import TopKServer
+
+        path, dataset = mixed_csv
+        plan = partition_space(dataset.space, 2)
+        server = TopKServer(dataset, 8, limits=[QueryBudget(1)])
+        partial = Hybrid(SubspaceView(server, plan.bundles[0][0])).crawl(
+            allow_partial=True
+        )
+        assert not partial.complete
+        ckpt = tmp_path / "crawl.json"
+        save_crawl_checkpoint(ckpt, plan, 8, {(0, 0): partial})
+        output = tmp_path / "out.csv"
+        argv = [path, "--k", "8", "--workers", "2", "--resume", str(ckpt)]
+        assert main(argv + ["--output", str(output)]) == 0
+        captured = capsys.readouterr()
+        assert f"0 of {len(plan.regions)} regions restored" in captured.err
+        assert "verify: complete" in captured.out
+        assert sorted(load_csv(output).iter_rows()) == sorted(
+            dataset.iter_rows()
+        )
 
     def test_multi_worker_exhaustion_hints_resume(
         self, mixed_csv, tmp_path, capsys

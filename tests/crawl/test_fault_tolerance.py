@@ -381,7 +381,7 @@ class TestDriveLoopDeparture:
         total = len(plan.regions)
         for die_at in range(1, total + 1):
             runner = DepartingRunner(
-                LocalUnitRunner(make_sources(dataset), Hybrid, False),
+                LocalUnitRunner(make_sources(dataset), Hybrid),
                 die_at,
             )
             scheduler = WorkStealingScheduler(plan.bundles)
@@ -408,7 +408,7 @@ class TestDriveLoopDeparture:
         while True:
             assert die_at < 100, "sweep failed to terminate"
             runner = DepartingRunner(
-                LocalUnitRunner(make_sources(dataset), Hybrid, False),
+                LocalUnitRunner(make_sources(dataset), Hybrid),
                 die_at,
             )
             scheduler = WorkStealingScheduler(plan.bundles)

@@ -3,9 +3,9 @@
 ``crawl_partitioned`` on the thread backend must produce *exactly*
 what the sequential reference produces -- same merged rows in the same order,
 same total and per-session costs, same merged progress curve -- for any
-engine, any worker count, and through the ``allow_partial``
-budget-interruption path.  Wall-clock scheduling may differ between
-runs; nothing in the result may.
+engine and any worker count, and a budget that runs out raises.
+Wall-clock scheduling may differ between runs; nothing in the result
+may.
 """
 
 import numpy as np
@@ -122,27 +122,7 @@ class TestMatchesSequential:
         assert_identical(parallel, sequential)
         assert sorted(parallel.rows) == sorted(dataset.iter_rows())
 
-    def test_allow_partial_budget_interruption(self):
-        """Interrupted sessions merge identically to the sequential run."""
-        dataset = mixed_dataset()
-        plan = partition_space(dataset.space, 2)
-
-        def sources():
-            return [
-                TopKServer(dataset, k=32, limits=[QueryBudget(3)]),
-                TopKServer(dataset, k=32),
-            ]
-
-        spec = CrawlSpec(allow_partial=True)
-        sequential = crawl_partitioned(sources(), plan, spec)
-        parallel = crawl_partitioned(
-            sources(), plan, spec.replace(executor="thread", max_workers=2)
-        )
-        assert not parallel.complete
-        assert 0 < len(parallel.rows) < dataset.n
-        assert_identical(parallel, sequential)
-
-    def test_budget_exhaustion_propagates_without_allow_partial(self):
+    def test_budget_exhaustion_propagates(self):
         dataset = mixed_dataset()
         plan = partition_space(dataset.space, 2)
         sources = [

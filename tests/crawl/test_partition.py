@@ -216,20 +216,7 @@ class TestCrawlPartitioned:
         assert merged.complete
         assert sorted(merged.rows) == sorted(dataset.iter_rows())
 
-    def test_partial_on_budget_exhaustion(self):
-        dataset = mixed_dataset()
-        plan = partition_space(dataset.space, 2)
-        sources = [
-            TopKServer(dataset, k=32, limits=[QueryBudget(3)]),
-            TopKServer(dataset, k=32),
-        ]
-        merged = crawl_partitioned(
-            sources, plan, CrawlSpec(allow_partial=True)
-        )
-        assert not merged.complete
-        assert 0 < len(merged.rows) < dataset.n
-
-    def test_budget_exhaustion_propagates_without_allow_partial(self):
+    def test_budget_exhaustion_propagates(self):
         dataset = mixed_dataset()
         plan = partition_space(dataset.space, 2)
         sources = [

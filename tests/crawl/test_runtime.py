@@ -189,7 +189,7 @@ class TestDriveStealing:
         feed = AggregatorFeed(None, plan)
         sink = GridSink(plan, feed)
         scheduler = WorkStealingScheduler(plan.bundles)
-        runner = LocalUnitRunner(sources(), Hybrid, False, feed=feed)
+        runner = LocalUnitRunner(sources(), Hybrid, feed=feed)
         drive_stealing(scheduler, None, runner, sink, 4)
         merged_rows = [
             row
@@ -210,7 +210,7 @@ class TestRegionTaskDefaults:
         from repro.server.server import TopKServer
 
         sources = [TopKServer(dataset, k=16) for _ in range(SESSIONS)]
-        runner = LocalUnitRunner(sources, Hybrid, False)
+        runner = LocalUnitRunner(sources, Hybrid)
         task = RegionTask(0, 0, plan.bundles[0][0])
         result = runner.region(task)
         assert result.complete

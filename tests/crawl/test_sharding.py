@@ -145,7 +145,6 @@ class TestPresplitMerge:
                 TopKServer(dataset, k),
                 region,
                 crawler_factory=factory,
-                allow_partial=False,
             )
             _, merged = sharded_region_result(dataset, k, region, factory)
             assert_region_identical(merged, reference)
@@ -195,7 +194,6 @@ class TestPresplitMerge:
             TopKServer(dataset, 8),
             region,
             crawler_factory=DepthFirstSearch,
-            allow_partial=False,
         )
         shard_plan, merged = sharded_region_result(
             dataset, 8, region, DepthFirstSearch
@@ -216,15 +214,8 @@ class TestPresplitMerge:
     def test_partial_trunk_on_budget(self):
         dataset = skewed_mixed_dataset()
         plan = partition_space(dataset.space, SESSIONS)
-        server = TopKServer(dataset, 16, limits=[QueryBudget(3)])
-        shard_plan = presplit_region(
-            server,
-            plan.bundles[0][0],
-            crawler_factory=Hybrid,
-            allow_partial=True,
-            max_shards=6,
-        )
-        assert not shard_plan.complete
+        # A presplit either finishes or raises: a budget that cuts the
+        # trunk short propagates, as it does from a whole-region crawl.
         with pytest.raises(QueryBudgetExhausted):
             presplit_region(
                 TopKServer(dataset, 16, limits=[QueryBudget(3)]),
@@ -247,7 +238,6 @@ class TestShardInterleaving:
             TopKServer(dataset, 16),
             region,
             crawler_factory=Hybrid,
-            allow_partial=False,
         )
         server = TopKServer(dataset, 16)
         shard_plan = presplit_region(

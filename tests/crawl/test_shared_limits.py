@@ -13,9 +13,8 @@ sequential executor on limit-bearing plans, and every caller-side
   regions or subtree shards, with the charged cost equal to the
   sequential count exactly;
 * limit-exhaustion behaviour: a budget that runs out mid-crawl raises
-  (or, with ``allow_partial``, truncates) identically across
-  sequential, thread and process execution, never over-admitting by
-  even one query;
+  identically across sequential, thread and process execution, never
+  over-admitting by even one query;
 * a hypothesis property: no interleaving of racing admitters can
   double-admit -- exactly ``min(budget, attempts)`` admissions succeed.
 """
@@ -371,25 +370,6 @@ class TestLimitExhaustion:
         assert budget.used == self.CAP
         assert budget.remaining == 0
 
-    @pytest.mark.parametrize("name,kwargs", BACKENDS)
-    def test_allow_partial_truncates_at_the_exact_cap(
-        self, name, kwargs, dataset, plan
-    ):
-        budget = QueryBudget(self.CAP)
-        result = crawl_partitioned(
-            budgeted_sources(dataset, budget),
-            plan,
-            CrawlSpec(
-                executor=name,
-                max_workers=SESSIONS,
-                allow_partial=True,
-                **kwargs,
-            ),
-        )
-        assert not result.complete
-        assert budget.used == self.CAP
-        assert budget.remaining == 0
-
 
 class TestNoDoubleAdmission:
     """Hypothesis: racing admitters can never over-admit a shared budget."""
@@ -621,7 +601,7 @@ class TestPoolUnitFlush:
         from repro.crawl.runtime import LocalUnitRunner
 
         budget = QueryBudget(100_000)
-        runner = LocalUnitRunner(cls.sources(dataset, budget), Hybrid, False)
+        runner = LocalUnitRunner(cls.sources(dataset, budget), Hybrid)
         return runner, budget
 
     def test_region_unit_flushes(self, worker, dataset, plan):
@@ -631,7 +611,7 @@ class TestPoolUnitFlush:
         region = plan.bundles[0][0]
         task = RegionTask(0, 0, region)
         result, counts, admitted = executors._pool_unit(
-            ticket, None, False, task, None
+            ticket, None, task, None
         )
         runner, budget = self.reference(dataset)
         assert result.rows == runner.region(task).rows
@@ -646,18 +626,14 @@ class TestPoolUnitFlush:
         runner, budget = self.reference(dataset)
         region = plan.bundles[0][0]
         task = RegionTask(0, 0, region)
-        shard_plan, counts, _ = executors._pool_unit(
-            ticket, None, False, task, 4
-        )
+        shard_plan, counts, _ = executors._pool_unit(ticket, None, task, 4)
         runner.presplit(task, 4)
         assert shard_plan.shards
         answered = counts[0]["queries"]
         assert stub.used == budget.used == answered
         for shard in shard_plan.shards:
             shard_task = ShardTask(0, 0, region, shard)
-            _, counts, _ = executors._pool_unit(
-                ticket, None, False, shard_task, None
-            )
+            _, counts, _ = executors._pool_unit(ticket, None, shard_task, None)
             answered += counts[0]["queries"]
             runner.shard(shard_task)
             assert stub.used == budget.used == answered

@@ -7,7 +7,7 @@ mapping (`spec_from_args`) is the single source of truth both CLIs
 share.  These tests pin all three.
 """
 
-import functools
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -181,32 +181,28 @@ class TestDeprecationShim:
 class TestSpecFromArgs:
     def test_defaults(self):
         spec = spec_from_args(SimpleNamespace())
-        factory = spec.crawler_factory
-        assert isinstance(factory, functools.partial)
-        assert factory.func is Hybrid
-        assert factory.keywords == {"max_queries": None}
+        assert spec.crawler_factory is Hybrid
         assert spec.executor is None
         assert spec.max_workers is None
 
     def test_full_mapping(self):
         args = SimpleNamespace(
             algorithm="dfs",
-            max_queries=500,
             executor="process",
             workers=4,
             rebalance=True,
             shard_subtrees=8,
-            allow_partial=True,
         )
         spec = spec_from_args(args)
-        assert spec.crawler_factory.func is DepthFirstSearch
-        assert spec.crawler_factory.keywords == {"max_queries": 500}
+        assert spec.crawler_factory is DepthFirstSearch
         assert spec.executor == "process"
         assert spec.max_workers == 4
         # The pooled backends always steal: the old flag maps to nothing.
         assert not hasattr(spec, "rebalance")
         assert spec.shard_subtrees == 8
-        assert spec.allow_partial is True
+        # Only the budget stops a partitioned crawl short.
+        assert not hasattr(spec, "allow_partial")
+        assert len(dataclasses.fields(spec)) == 7
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):

@@ -11,6 +11,7 @@ from repro.dataspace.dataset import Dataset
 from repro.dataspace.space import DataSpace
 from repro.server.server import TopKServer
 from repro.service.__main__ import main
+from repro.service.store import ResultStore
 
 K = 16
 WORKERS = 2
@@ -219,6 +220,34 @@ class TestBadInput:
         )
         assert code == 2
         assert "missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            # A retired or misspelt key would silently run another crawl.
+            ({"max_queries": 400}, "unknown key 'max_queries'"),
+            ({"csv": "absent.csv"}, "cannot load absent.csv"),
+            ({"algorithm": "magic"}, "unknown algorithm 'magic'"),
+        ],
+        ids=["retired-key", "missing-csv", "unknown-algorithm"],
+    )
+    def test_bad_entry_submits_nothing(self, workdir, capsys, bad, message):
+        entry = {"tenant": "acme", "csv": str(workdir / "demo.csv"), "k": K}
+        jobs = write_jobs(
+            workdir,
+            {
+                "tenants": {"acme": {}},
+                "jobs": [
+                    {**entry, "name": "fine"},
+                    {**entry, "name": "bad", **bad},
+                ],
+            },
+        )
+        store = workdir / "crawl.db"
+        assert main(["run", jobs, "--store", str(store)]) == 2
+        assert message in capsys.readouterr().err
+        with ResultStore(store) as opened:
+            assert opened.list_jobs() == []
 
     def test_missing_csv(self, workdir, capsys):
         jobs = write_jobs(

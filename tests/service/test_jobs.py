@@ -24,7 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crawl.coordinator import TenantLimitRegistry
-from repro.crawl.partition import crawl_partitioned, partition_space
+from repro.crawl.hybrid import Hybrid
+from repro.crawl.partition import (
+    SubspaceView,
+    crawl_partitioned,
+    partition_space,
+)
 from repro.crawl.spec import CrawlSpec
 from repro.dataspace.dataset import Dataset
 from repro.dataspace.space import DataSpace
@@ -571,6 +576,33 @@ class TestKillAndResume:
                 revived.registry.budget("acme").used
                 == standalone_queries
             )
+
+    def test_partial_region_in_the_store_is_recrawled(
+        self, tmp_path, dataset, standalone, service_backend
+    ):
+        """A region stored partial (as older servers filed a budget-cut
+        region) is crawled again on resubmission, not trusted."""
+        plan = partition_space(dataset.space, SESSIONS)
+        server = TopKServer(dataset, K, limits=[QueryBudget(3)])
+        partial = Hybrid(SubspaceView(server, plan.bundles[0][0])).crawl(
+            allow_partial=True
+        )
+        assert not partial.complete
+        with ResultStore(tmp_path / "crawl.db") as store:
+            job_id, _ = store.open_job("acme", "demo", plan, K)
+            store.region_done(job_id, (0, 0), partial)
+            store.set_status(job_id, "done")
+            assert store.completed(job_id, plan) == {}
+        with open_service(tmp_path, backend=service_backend) as revived:
+            revived.register_tenant("acme", budget=100_000)
+            job = revived.submit(
+                "acme", dataset, K, name="demo", sessions=SESSIONS
+            )
+            status = revived.wait(job, timeout=60)
+            assert status.state is JobState.DONE
+            rows = revived.rows(job)
+        assert rows == list(standalone.rows)
+        assert sorted(rows) == sorted(dataset.iter_rows())
 
 
 class TestFairness:

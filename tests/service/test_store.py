@@ -1,5 +1,6 @@
 """ResultStore: durable regions, merge-ordered rows, exact charges."""
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -136,6 +137,22 @@ class TestJobs:
 
 
 class TestRegions:
+    def test_partial_region_is_left_out_of_the_resume_map(
+        self, store, plan, reference
+    ):
+        # Older servers filed a budget-cut region as a partial result:
+        # resume must crawl it again, and the recrawl replaces it.
+        job_id, _ = store.open_job("acme", "demo", plan, 32)
+        whole = reference.results[0][0]
+        partial = dataclasses.replace(
+            whole, rows=whole.rows[:1], complete=False
+        )
+        store.region_done(job_id, (0, 0), partial)
+        assert store.completed(job_id, plan) == {}
+        assert store.open_job("acme", "demo", plan, 32)[1] == {}
+        store.region_done(job_id, (0, 0), whole)
+        assert store.completed(job_id, plan)[(0, 0)].rows == whole.rows
+
     def test_completed_round_trips(self, store, plan, reference):
         job_id, _ = store.open_job("acme", "demo", plan, 32)
         file_all(store, job_id, plan, reference)

@@ -228,7 +228,8 @@ class TestExecutionSurface:
         assert "lease_chunk" not in names
         assert "estimator" not in names
         assert "rebalance" not in names
-        assert len(names) == 8
+        assert "allow_partial" not in names
+        assert len(names) == 7
 
     def test_no_shard_policy(self):
         """Subtree sharding is the stealing loop's shard count alone."""
